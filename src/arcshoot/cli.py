@@ -195,8 +195,8 @@ def cmd_solve(args) -> int:
         _write_json(out_dir / "report.json", doc)
         return 1
 
-    validation = validate_solution(prob, struct, omega, steps=steps)
     traj = propagate_solution(prob, struct, omega, steps_per_arc(struct, steps))
+    validation = validate_solution(prob, struct, traj)
     write_tp_csv(out_dir / "trajectory.csv", traj)
     save_omega(out_dir / "omega.json", struct, omega, prob, steps)
     doc = {

@@ -35,7 +35,7 @@ import numpy as np
 from .arc_structure import ArcKind, ArcStructure, index_sets
 from .errors import AssemblyError
 from .problem_def import ProblemDef, gamma_control, gamma_gradient
-from .shooting import ShootingVector
+from .shooting import ShootingVector, _over_nodes
 from .tp_dynamics import propagate_solution
 
 
@@ -398,6 +398,11 @@ class QuadraticFormData:
     def ncoord(self) -> int:
         return self.hess.shape[0]
 
+    @property
+    def nodes(self) -> int:
+        """Grid cells per arc."""
+        return self.xi_basis.shape[0] - 1
+
     def y_slice(self, channel: int) -> slice:
         D = self.lin.D
         m1 = self.lin.s.size
@@ -466,15 +471,27 @@ def cumulative_trapezoid(V: np.ndarray, ds: float) -> np.ndarray:
     return out
 
 
+def rho_matrix(lin: TPLinearization) -> np.ndarray:
+    """Symmetric matrix of the endpoint term rho on (z0, z1, h).
+
+    rho = (z0, z1 + B1 h)' L'' (z0, z1 + B1 h) + h HUX_1 (2 z1 + B1 h).
+    """
+    D, S = lin.D, lin.n_channels
+    B1, H1 = lin.B[-1], lin.HUX[-1]
+    J = np.eye(2 * D, 2 * D + S)        # (z0, z1, h) -> (z0, z1 + B1 h)
+    J[D:, 2 * D :] = B1
+    Q = J.T @ lin.ell_hess @ J
+    K = np.hstack([np.zeros((S, D)), H1, 0.5 * H1 @ B1])   # h-rows of the HUX_1 part
+    Q[2 * D :] += K
+    Q[:, 2 * D :] += K.T
+    return Q
+
+
 def rho_value(lin: TPLinearization, zeta0: np.ndarray, zeta1: np.ndarray,
               h: np.ndarray) -> float:
-    """Endpoint term: (z0, z1 + B1 h)' L'' (z0, z1 + B1 h) + h HUX_1 (2 z1 + B1 h)."""
-    B1 = lin.B[-1]
-    dz = np.concatenate([zeta0, zeta1 + B1 @ h])
-    val = float(dz @ lin.ell_hess @ dz)
-    if h.size:
-        val += float(h @ lin.HUX[-1] @ (2.0 * zeta1 + B1 @ h))
-    return val
+    """Endpoint term rho(zeta0, zeta1, h), evaluated from ``rho_matrix``."""
+    v = np.concatenate([zeta0, zeta1, h])
+    return float(v @ rho_matrix(lin) @ v)
 
 
 def omega_form_value(lin: TPLinearization, Xi0: np.ndarray, Y: np.ndarray) -> float:
@@ -507,66 +524,47 @@ def assemble_omega(
     """Assemble the discretized quadratic form, constraints and Gram matrix."""
     if lin is None:
         lin = linearized_matrices(prob, struct, omega, nodes)
-    D = lin.D
-    S = lin.n_channels
-    m1 = lin.s.size
+    D, S, m1, w = lin.D, lin.n_channels, lin.s.size, lin.weights
     ncoord = D + S * m1
-    w = lin.weights
-    ds = lin.s[1] - lin.s[0]
 
     # Xi path of every basis coordinate: Xi' = A Xi + E Y.
-    Xi0_basis = np.zeros((D, ncoord))
-    Xi0_basis[:, :D] = np.eye(D)
+    Xi0_basis = np.eye(D, ncoord)
+    ys = D + np.arange(S)[:, None] * m1 + np.arange(m1)     # (S, M+1) Y columns
     Y_basis = np.zeros((m1, S, ncoord))
-    for ch in range(S):
-        for i in range(m1):
-            Y_basis[i, ch, D + ch * m1 + i] = 1.0
+    Y_basis[np.arange(m1), np.arange(S)[:, None], ys] = 1.0
     xi_basis = _propagate_linear(lin, Y_basis, Xi0_basis, use_E=True)
 
+    # int Xi' H_XX Xi, one GEMM per state row.
+    WH = w[:, None, None] * lin.HXX
     hess = np.zeros((ncoord, ncoord))
-    for i in range(m1):
-        Xi = xi_basis[i]
-        Yb = Y_basis[i]
-        hess += w[i] * (Xi.T @ lin.HXX[i] @ Xi)
-        cross = Xi.T @ lin.Mmat[i].T @ Yb
-        hess += w[i] * (cross + cross.T)
-        hess += w[i] * (Yb.T @ lin.Rmat[i] @ Yb)
-
-    # Endpoint term rho as a bilinear form over the coordinates.
-    H_basis = np.zeros((S, ncoord))
-    for ch in range(S):
-        H_basis[ch, D + ch * m1 + m1 - 1] = 1.0
-    B1 = lin.B[-1]
-    dz_basis = np.vstack([Xi0_basis, xi_basis[-1] + B1 @ H_basis])
-    hess += dz_basis.T @ lin.ell_hess @ dz_basis
-    if S:
-        cross = H_basis.T @ lin.HUX[-1] @ xi_basis[-1]
-        hess += cross + cross.T
-        hb = lin.HUX[-1] @ B1
-        hess += H_basis.T @ (0.5 * (hb + hb.T)) @ H_basis
-
+    for i in range(D):
+        hess += xi_basis[:, i, :].T @ np.einsum("tj,tjc->tc", WH[:, i, :], xi_basis)
+    # 2 int Y M Xi: the Y sample of channel s at node t only meets node t.
+    cross = np.einsum("tja,tsj->ast", xi_basis, w[:, None, None] * lin.Mmat)
+    cross = cross.reshape(ncoord, S * m1)
+    hess[:, D:] += cross
+    hess[D:, :] += cross.T
+    # int Y R Y: diagonal in the node index.
+    hess[ys[:, None, :], ys[None, :, :]] += np.einsum("t,tsr->srt", w, lin.Rmat)
+    # Endpoint term rho on (Xi0, Xi(1), h); h is the last Y sample.
+    H_basis = Y_basis[-1]
+    P = np.vstack([Xi0_basis, xi_basis[-1], H_basis])
+    hess += P.T @ rho_matrix(lin) @ P
     hess = 0.5 * (hess + hess.T)
 
     # Constraint rows: endpoint map on (Xi0, Xi1 + B1 h), then the active
     # state constraint along every constrained arc node.
-    rows = [lin.dcons @ np.vstack([Xi0_basis, xi_basis[-1] + B1 @ H_basis])]
-    i_c = index_sets(lin.struct)[1]
-    for k in i_c:
+    rows = [lin.dcons @ np.vstack([Xi0_basis, xi_basis[-1] + lin.B[-1] @ H_basis])]
+    for k in index_sets(lin.struct)[1]:
         blk = lin.arc_block(k - 1)
-        for i in range(m1):
-            dgx = np.asarray(lin.prob.dg(lin.X[i, blk]), dtype=float)
-            row = dgx @ xi_basis[i][blk, :]
-            row = row + dgx @ lin.B[i][blk, :] @ Y_basis[i]
-            rows.append(row[None, :])
+        dgx = _over_nodes(lin.prob, lin.prob.dg, lin.X[:, blk])
+        row = np.einsum("ti,tic->tc", dgx, xi_basis[:, blk, :])
+        row[np.arange(m1)[:, None], ys.T] += np.einsum("ti,tis->ts", dgx, lin.B[:, blk, :])
+        rows.append(row)
     cons = np.vstack(rows)
 
-    gram = np.zeros((ncoord, ncoord))
-    gram[:D, :D] = np.eye(D)
-    for ch in range(S):
-        sl = slice(D + ch * m1, D + (ch + 1) * m1)
-        gram[sl, sl] = np.diag(w)
-        hidx = D + ch * m1 + m1 - 1
-        gram[hidx, hidx] += 1.0
+    gram = np.diag(np.concatenate([np.ones(D), np.tile(w, S)]))
+    gram[ys[:, -1], ys[:, -1]] += 1.0
     return QuadraticFormData(lin=lin, hess=hess, cons=cons, gram=gram, xi_basis=xi_basis)
 
 
@@ -582,15 +580,15 @@ class PositivityReport:
     nullspace_dim: int
     goh_asymmetry: float
     passed: bool
+    nodes: int
+    ncoord: int
+    smallest: list           # up to three smallest eigenvalues, ascending
     vacuous: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "c_est": self.c_est,
-            "nullspace_dim": self.nullspace_dim,
-            "goh_asymmetry": self.goh_asymmetry,
-            "pass": self.passed,
-        }
+        keys = ("c_est", "nullspace_dim", "goh_asymmetry", "nodes", "ncoord", "lam_max")
+        return {"pass": self.passed, "smallest_eigenvalues": self.smallest,
+                **{k: getattr(self, k) for k in keys}}
 
 
 def constraint_nullspace(cons: np.ndarray, ncoord: int) -> np.ndarray:
@@ -612,22 +610,18 @@ def check_positivity(qfd: QuadraticFormData, margin_coeff: float = 1e-6) -> Posi
     the smallest eigenvalue clears the relative margin.
     """
     Z = constraint_nullspace(qfd.cons, qfd.ncoord)
+    sizes = dict(nodes=qfd.nodes, ncoord=qfd.ncoord, nullspace_dim=Z.shape[1],
+                 goh_asymmetry=qfd.lin.goh_asymmetry)
     if Z.shape[1] == 0:
-        return PositivityReport(c_est=np.inf, lam_max=np.inf, nullspace_dim=0,
-                                goh_asymmetry=qfd.lin.goh_asymmetry, passed=True,
-                                vacuous=True)
+        return PositivityReport(c_est=np.inf, lam_max=np.inf, passed=True, smallest=[],
+                                vacuous=True, **sizes)
     Hr = Z.T @ qfd.hess @ Z
     Gr = Z.T @ qfd.gram @ Z
     L = np.linalg.cholesky(Gr)
     Linv = np.linalg.inv(L)
     W = Linv @ Hr @ Linv.T
     eig = np.linalg.eigvalsh(0.5 * (W + W.T))
-    c_est = float(eig[0])
-    lam_max = float(np.max(np.abs(eig)))
-    return PositivityReport(
-        c_est=c_est,
-        lam_max=lam_max,
-        nullspace_dim=Z.shape[1],
-        goh_asymmetry=qfd.lin.goh_asymmetry,
-        passed=bool(c_est > margin_coeff * lam_max),
-    )
+    c_est, lam_max = float(eig[0]), float(np.max(np.abs(eig)))
+    return PositivityReport(c_est=c_est, lam_max=lam_max,
+                            passed=bool(c_est > margin_coeff * lam_max),
+                            smallest=[float(v) for v in eig[:3]], **sizes)

@@ -32,11 +32,11 @@ from .errors import (
 )
 from .problem_def import BRACKET_F1_F0, ProblemDef, check_first_order, lie_bracket
 from .tp_dynamics import (
+    TPTrajectory,
     arc_hamiltonian,
     constraint_multiplier_density,
     legendre_clebsch_value,
     propagate_endpoint,
-    propagate_solution,
 )
 
 SVD_RCOND = 1e-10
@@ -521,12 +521,12 @@ def _over_nodes(prob: ProblemDef, fn, *arrays) -> np.ndarray:
 def validate_solution(
     prob: ProblemDef,
     struct: ArcStructure,
-    omega: ShootingVector,
-    steps: int = 1000,
+    traj: TPTrajectory,
 ) -> ValidationReport:
-    """Post-solve structural checks; failures are findings, not exceptions."""
-    M = steps_per_arc(struct, steps)
-    traj = propagate_solution(prob, struct, omega, M)
+    """Post-solve structural checks on the propagated solution ``traj``.
+
+    Failures are findings, not exceptions.
+    """
     checks = []
 
     interior = [(k, a) for k, a in enumerate(traj.arcs)

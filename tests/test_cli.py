@@ -44,9 +44,11 @@ class TestSolve:
             out = tmp_path / name
             assert run(["solve", "--problem", "regulator", "--structure", "B-,C,S",
                         "--init", "analytic", "--steps", "120", "--out", out]) == 0
+            assert run(["verify", "--problem", "regulator", "--omega", out / "omega.json",
+                        "--nodes", "40", "--out", out]) != 1
             outs.append(out)
-        assert (outs[0] / "trajectory.csv").read_bytes() == (outs[1] / "trajectory.csv").read_bytes()
-        assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+        for name in ("trajectory.csv", "report.json", "positivity.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_round_trip_warm_start(self, solved_dir, regulator):
         struct, omega, meta = load_omega(solved_dir / "omega.json")
@@ -125,6 +127,10 @@ class TestVerify:
         assert code == 2 and doc["pass"] is False
         assert doc["goh_asymmetry"] <= 1e-10
         assert doc["nullspace_dim"] > 0
+        assert doc["nodes"] == 80 and doc["ncoord"] == 11 + 81
+        eig = doc["smallest_eigenvalues"]
+        assert len(eig) == 3 and eig == sorted(eig) and eig[0] == doc["c_est"]
+        assert doc["lam_max"] >= abs(eig[-1])
 
     def test_missing_omega_exits_1(self, tmp_path):
         assert run(["verify", "--problem", "regulator",

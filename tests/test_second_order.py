@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from arcshoot import problems as P
-from arcshoot.arc_structure import ArcKind, ArcStructure
+from arcshoot.arc_structure import ArcKind, ArcStructure, index_sets
 from arcshoot.errors import AssemblyError
 from arcshoot.problem_def import ProblemDef
 from arcshoot.second_order import (
     QuadraticFormData,
+    TPLinearization,
+    _propagate_linear,
     assemble_omega,
     check_positivity,
     constraint_nullspace,
@@ -144,6 +146,97 @@ class TestTransformationIdentity:
         xi0, Y, _ = reg_qfd.split(c)
         direct = omega_form_value(reg_qfd.lin, xi0, Y)
         assert reg_qfd.value(c) == pytest.approx(direct, rel=1e-10)
+
+
+def _reference_assembly(lin):
+    """The per-node loop of dense rank updates that assemble_omega replaced."""
+    D, S, m1, w = lin.D, lin.n_channels, lin.s.size, lin.weights
+    nc = D + S * m1
+    Xi0, Yb, Hb = np.eye(D, nc), np.zeros((m1, S, nc)), np.zeros((S, nc))
+    for ch in range(S):
+        Hb[ch, D + ch * m1 + m1 - 1] = 1.0
+        for i in range(m1):
+            Yb[i, ch, D + ch * m1 + i] = 1.0
+    xi = _propagate_linear(lin, Yb, Xi0, use_E=True)
+    hess = np.zeros((nc, nc))
+    for i in range(m1):
+        cross = xi[i].T @ lin.Mmat[i].T @ Yb[i]
+        hess += w[i] * (xi[i].T @ lin.HXX[i] @ xi[i] + cross + cross.T
+                        + Yb[i].T @ lin.Rmat[i] @ Yb[i])
+    dz = np.vstack([Xi0, xi[-1] + lin.B[-1] @ Hb])
+    cross = Hb.T @ lin.HUX[-1] @ xi[-1]
+    hb = lin.HUX[-1] @ lin.B[-1]
+    hess += dz.T @ lin.ell_hess @ dz + cross + cross.T + Hb.T @ (0.5 * (hb + hb.T)) @ Hb
+    rows = [lin.dcons @ dz]
+    for k in index_sets(lin.struct)[1]:
+        blk = lin.arc_block(k - 1)
+        for i in range(m1):
+            dgx = np.asarray(lin.prob.dg(lin.X[i, blk]), dtype=float)
+            rows.append((dgx @ xi[i][blk, :] + dgx @ lin.B[i][blk, :] @ Yb[i])[None, :])
+    gram = np.diag(np.concatenate([np.ones(D), np.tile(w, S)]))
+    gram[Hb.argmax(axis=1), Hb.argmax(axis=1)] += 1.0
+    return 0.5 * (hess + hess.T), np.vstack(rows), gram, xi
+
+
+def _two_channel_lin(regulator, nodes=30, seed=21):
+    """Random linearization on the structure S,B-,S: two singular channels."""
+    rng = np.random.default_rng(seed)
+    struct = ArcStructure((S, B, S), (1.5, 3.0))
+    D, Sn, m1 = 3 * 3 + 2, 2, nodes + 1
+
+    def sym(shape):
+        a = rng.normal(size=shape)
+        return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+    return TPLinearization(
+        prob=regulator, struct=struct, omega=None, s=np.linspace(0.0, 1.0, m1),
+        X=rng.normal(size=(m1, D)), P_arcs=rng.normal(size=(m1, 3, 3)),
+        U=rng.normal(size=(m1, Sn)), A=0.3 * rng.normal(size=(m1, D, D)),
+        B=rng.normal(size=(m1, D, Sn)), E=rng.normal(size=(m1, D, Sn)),
+        HXX=sym((m1, D, D)), HUX=rng.normal(size=(m1, Sn, D)),
+        Mmat=rng.normal(size=(m1, Sn, D)), Rmat=sym((m1, Sn, Sn)),
+        ell_hess=sym((2 * D, 2 * D)), dcons=rng.normal(size=(9, 2 * D)),
+        goh_asymmetry=0.0,
+    )
+
+
+class TestAssemblyEquivalence:
+    def _check(self, lin):
+        qfd = assemble_omega(lin.prob, lin.struct, lin.omega, lin=lin)
+        hess, cons, gram, xi = _reference_assembly(lin)
+        assert np.max(np.abs(qfd.hess - hess)) <= 1e-12 * np.max(np.abs(hess))
+        np.testing.assert_array_equal(qfd.cons, cons)
+        np.testing.assert_array_equal(qfd.gram, gram)
+        np.testing.assert_array_equal(qfd.xi_basis, xi)
+
+    @pytest.mark.parametrize("nodes", [20, 60])
+    def test_regulator_matches_node_loop(self, regulator, reg_struct, reg_omega_exact,
+                                         nodes):
+        self._check(linearized_matrices(regulator, reg_struct, reg_omega_exact, nodes))
+
+    def test_two_channels_match_node_loop(self, regulator):
+        lin = _two_channel_lin(regulator)
+        assert lin.n_channels == 2
+        self._check(lin)
+
+    def test_rho_value_reads_the_assembled_endpoint_block(self, regulator):
+        # The endpoint block of the assembled form and rho_value come from
+        # rho_matrix alone: on a pure (Xi0, h) direction with zero E the
+        # whole form is rho.
+        lin = _two_channel_lin(regulator)
+        lin.E[:] = 0.0
+        lin.HXX[:] = 0.0
+        lin.Mmat[:] = 0.0
+        lin.Rmat[:] = 0.0
+        qfd = assemble_omega(lin.prob, lin.struct, lin.omega, lin=lin)
+        rng = np.random.default_rng(22)
+        c = np.zeros(qfd.ncoord)
+        c[: lin.D] = rng.normal(size=lin.D)
+        h = rng.normal(size=2)
+        c[[qfd.h_index(0), qfd.h_index(1)]] = h
+        xi0 = c[: lin.D]
+        xi1 = (qfd.xi_basis @ c)[-1]
+        assert qfd.value(c) == pytest.approx(rho_value(lin, xi0, xi1, h), rel=1e-12)
 
 
 class TestClosedFormComparison:

@@ -22,10 +22,11 @@ from arcshoot.shooting import (
     residual_dim,
     save_omega,
     shooting_function,
+    steps_per_arc,
     unknown_dim,
     validate_solution,
 )
-from arcshoot.tp_dynamics import propagate_arc
+from arcshoot.tp_dynamics import propagate_arc, propagate_solution
 from conftest import perturbed_start
 
 B, BP, C, S = ArcKind.BMinus, ArcKind.BPlus, ArcKind.Constrained, ArcKind.Singular
@@ -299,7 +300,9 @@ class TestGaussNewtonCore:
 
 class TestValidation:
     def test_regulator_solution_passes(self, regulator, reg_struct, reg_solution):
-        rep = validate_solution(regulator, reg_struct, reg_solution["omega"], steps=1000)
+        traj = propagate_solution(regulator, reg_struct, reg_solution["omega"],
+                                  steps_per_arc(reg_struct, 1000))
+        rep = validate_solution(regulator, reg_struct, traj)
         assert rep.passed, [c.name for c in rep.checks if not c.passed]
         jump = {c.name: c for c in rep.checks}["control_jump_at_cs_junctions"]
         assert jump.value == pytest.approx(0.2, abs=1e-3)
