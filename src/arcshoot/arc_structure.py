@@ -154,7 +154,7 @@ def detect_structure(
         tol_u = tols.tol_u if tols.tol_u is not None else 1e-3 * (prob.u_max - prob.u_min)
     else:
         tol_u = tols.tol_u if tols.tol_u is not None else 1e-3
-    gvals = np.array([float(prob.g(xi)) for xi in x])
+    gvals = np.asarray(prob.g(x), dtype=float)
     tol_g = tols.tol_g if tols.tol_g is not None else 1e-4 * (1.0 + float(np.max(np.abs(gvals))))
     min_len = tols.min_arc_len if tols.min_arc_len is not None else 0.02 * prob.T
 

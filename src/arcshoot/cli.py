@@ -91,7 +91,7 @@ def _merge_config(args: argparse.Namespace, keys) -> dict:
     return cfg
 
 
-def _resolve_structure(prob, cfg, out_dir) -> tuple:
+def _resolve_structure(prob, cfg) -> tuple:
     """Return (structure, direct_result or None) from the config."""
     tokens = cfg.get("structure")
     if tokens in (None, "detect"):
@@ -176,7 +176,7 @@ def cmd_solve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     prob = resolve_problem(cfg["problem"])
     steps = int(cfg.get("steps", 1000))
-    struct, dres = _resolve_structure(prob, cfg, out_dir)
+    struct, dres = _resolve_structure(prob, cfg)
     omega0 = _initial_omega(prob, struct, cfg, dres)
 
     rank_deficient = False

@@ -63,10 +63,9 @@ def _clip(prob: ProblemDef, u: np.ndarray) -> np.ndarray:
 
 
 def _pen_grad(prob, x, rho, dt):
-    gv = float(prob.g(x))
-    if gv <= 0.0:
-        return np.zeros(prob.n)
-    return 2.0 * rho * gv * np.asarray(prob.dg(x), dtype=float) * dt
+    """Gradient of rho max(0, g)^2 dt at every row of x (..., n)."""
+    gv = np.asarray(prob.g(x), dtype=float)[..., None]
+    return np.where(gv > 0.0, 2.0 * rho * gv * np.asarray(prob.dg(x), dtype=float) * dt, 0.0)
 
 
 def direct_solve(prob: ProblemDef, cfg: Optional[DirectSolveConfig] = None) -> DirectSolveResult:
@@ -94,7 +93,7 @@ def direct_solve(prob: ProblemDef, cfg: Optional[DirectSolveConfig] = None) -> D
         return xs
 
     def objective(xs):
-        viol = np.array([max(0.0, float(prob.g(xs[i]))) for i in range(1, K + 1)])
+        viol = np.maximum(0.0, np.asarray(prob.g(xs[1:]), dtype=float))
         val = float(prob.phi(xs[0], xs[-1])) + rho * float(viol @ viol) * dt
         if free_x0 and prob.q:
             bc = np.asarray(prob.Phi(xs[0], xs[-1]), dtype=float)
@@ -103,20 +102,21 @@ def direct_solve(prob: ProblemDef, cfg: Optional[DirectSolveConfig] = None) -> D
 
     def gradient(x0, uu, xs):
         lam = np.empty((K + 1, prob.n))
+        pen = _pen_grad(prob, xs, rho, dt)
         d0, dT = prob.dphi(xs[0], xs[-1])
-        lam[K] = np.asarray(dT, dtype=float) + _pen_grad(prob, xs[K], rho, dt)
+        lam[K] = np.asarray(dT, dtype=float) + pen[K]
         extra0 = np.asarray(d0, dtype=float)
         if free_x0 and prob.q:
             bc = np.asarray(prob.Phi(xs[0], xs[-1]), dtype=float)
             D0, DT = prob.dPhi(xs[0], xs[-1])
             lam[K] = lam[K] + 2.0 * rho * bc @ np.asarray(DT, dtype=float)
             extra0 = extra0 + 2.0 * rho * bc @ np.asarray(D0, dtype=float)
+        trans = np.eye(prob.n) + dt * (prob.df0(xs[:-1]) + uu[:, None, None] * prob.df1(xs[:-1]))
         for i in range(K - 1, -1, -1):
-            jac = prob.df0(xs[i]) + uu[i] * prob.df1(xs[i])
-            lam[i] = lam[i + 1] @ (np.eye(prob.n) + dt * jac)
+            lam[i] = lam[i + 1] @ trans[i]
             if i >= 1:
-                lam[i] += _pen_grad(prob, xs[i], rho, dt)
-        gu = np.array([dt * float(lam[i + 1] @ prob.f1(xs[i])) for i in range(K)])
+                lam[i] += pen[i]
+        gu = dt * np.einsum("ij,ij->i", lam[1:], prob.f1(xs[:-1]))
         gx0 = lam[0] + extra0 if free_x0 else np.zeros(prob.n)
         return gu, gx0, lam
 

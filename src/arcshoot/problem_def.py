@@ -3,9 +3,10 @@
 A :class:`ProblemDef` bundles the user's callbacks for the dynamics
 ``xdot = f0(x) + u f1(x)``, the scalar state constraint ``g(x) <= 0``, the
 endpoint cost ``phi(x0, xT)`` and the endpoint equality map ``Phi(x0, xT)``.
-All callbacks must be pure.  If ``vectorized`` is set, every callback must
-also broadcast over leading batch axes (``x`` of shape ``(..., n)``); the
-solver uses this to evaluate finite-difference Jacobian columns in one shot.
+All callbacks must be pure and broadcast over leading batch axes: a state
+argument has shape ``(..., n)`` and every result keeps those leading axes.
+The solver relies on this to evaluate whole grids and all the points of a
+finite-difference stencil in one call.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ GAMMA_GUARD_COEFF = 1e-10
 class ProblemDef:
     """Control-affine problem with one control, one state constraint.
 
-    Conventions: states are 1-D arrays of length ``n``; Jacobians are
-    ``(n, n)`` with ``J[i, j] = d f_i / d x_j``; ``dg`` is the gradient row
-    as a length-``n`` array; ``dphi``/``dPhi`` return the pair of
-    derivatives with respect to the initial and final state.
+    Conventions: states have shape ``(..., n)``; Jacobians are
+    ``(..., n, n)`` with ``J[i, j] = d f_i / d x_j``; ``dg`` is the gradient
+    row, ``(..., n)``; ``dphi``/``dPhi`` return the pair of derivatives with
+    respect to the initial and final state.
     Absent control bounds are encoded as ``None``.
     """
 
@@ -61,7 +62,6 @@ class ProblemDef:
     dgamma: Optional[Field] = None
     # Fully determined initial state, when the endpoint map pins it.
     x0_fixed: Optional[np.ndarray] = None
-    vectorized: bool = False
     name: str = ""
 
     def __post_init__(self):
@@ -82,6 +82,42 @@ def _check_dim(v: np.ndarray, n: int, what: str) -> np.ndarray:
     if v.shape[-1] != n:
         raise ConfigurationError(f"{what} returned shape {v.shape}, expected last axis {n}")
     return v
+
+
+def central_diff(fn: Callable, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of ``fn`` at every row of ``x``.
+
+    ``x`` has shape ``(..., D)`` and ``h`` holds one step per entry of ``x``.
+    All ``2 D`` stencil points go to ``fn`` in one ``(2 D, ..., D)`` batch,
+    so ``fn`` may broadcast against arrays with the leading shape of ``x``.
+    ``fn`` maps ``(..., D)`` to ``(..., *out)``, and the result has shape
+    ``(..., *out, D)`` with ``[..., i, j] = d fn_i / d x_j``.
+    """
+    x = np.asarray(x, dtype=float)
+    D = x.shape[-1]
+    hT = np.moveaxis(np.broadcast_to(h, x.shape), -1, 0)
+    idx = np.arange(D)
+    stencil = np.broadcast_to(x, (2 * D,) + x.shape).copy()
+    stencil[idx, ..., idx] += hT
+    stencil[D + idx, ..., idx] -= hT
+    vals = np.asarray(fn(stencil), dtype=float)
+    hT = hT.reshape(hT.shape + (1,) * (vals.ndim - x.ndim))
+    return np.moveaxis((vals[:D] - vals[D:]) / (2.0 * hT), 0, -1)
+
+
+def fd_steps(x: np.ndarray) -> np.ndarray:
+    """Per-entry step 1e-6 max(1, |x_j|) of the first-order differences."""
+    return 1e-6 * np.maximum(1.0, np.abs(x))
+
+
+def flagged_row(bad: np.ndarray, x: np.ndarray, den: np.ndarray) -> tuple:
+    """State row and denominator at the first entry that ``bad`` flags.
+
+    ``bad`` and ``den`` have the leading shape of the batch ``x`` (..., n);
+    the row is looked up on the flattened batch, whatever its rank.
+    """
+    i = int(np.argmax(np.ravel(bad)))
+    return x.reshape(-1, x.shape[-1])[i], float(np.ravel(den)[i])
 
 
 def lie_bracket(prob: ProblemDef, which: str, x: np.ndarray) -> np.ndarray:
@@ -108,13 +144,7 @@ def lie_bracket(prob: ProblemDef, which: str, x: np.ndarray) -> np.ndarray:
     outer = prob.f0 if which == BRACKET_F1F0_F0 else prob.f1
     douter = prob.df0 if which == BRACKET_F1F0_F0 else prob.df1
     # [B, Z] = B' Z - Z' B with B' by central FD of the first-level bracket.
-    h = 1e-6 * max(1.0, float(np.max(np.abs(x))))
-    jac_cols = []
-    for j in range(prob.n):
-        e = np.zeros_like(x)
-        e[..., j] = h
-        jac_cols.append((inner(x + e) - inner(x - e)) / (2.0 * h))
-    jac_b = np.stack(jac_cols, axis=-1)
+    jac_b = central_diff(inner, x, fd_steps(x))
     zx = _check_dim(outer(x), prob.n, "vector field")
     dz = np.asarray(douter(x), dtype=float)
     b = inner(x)
@@ -143,15 +173,6 @@ def gamma_denominator_guard(dgx: np.ndarray, f1x: np.ndarray) -> np.ndarray:
     )
 
 
-def gamma_terms(prob: ProblemDef, x: np.ndarray) -> tuple:
-    """Return (dg.f0, dg.f1) at x without the guard check."""
-    x = np.asarray(x, dtype=float)
-    dgx = _check_dim(prob.dg(x), prob.n, "dg")
-    num = np.einsum("...i,...i->...", dgx, prob.f0(x))
-    den = np.einsum("...i,...i->...", dgx, prob.f1(x))
-    return num, den
-
-
 def gamma_control(prob: ProblemDef, x: np.ndarray):
     """Feedback control keeping d/dt g = 0 on a constrained arc.
 
@@ -167,10 +188,7 @@ def gamma_control(prob: ProblemDef, x: np.ndarray):
     guard = gamma_denominator_guard(dgx, f1x)
     bad = np.abs(den) < guard
     if np.any(bad):
-        idx = np.argmax(np.atleast_1d(bad))
-        xb = np.atleast_2d(x)[idx] if x.ndim > 1 else x
-        db = float(np.atleast_1d(den)[idx])
-        raise FirstOrderViolation(xb, db)
+        raise FirstOrderViolation(*flagged_row(bad, x, den))
     return -num / den
 
 
@@ -183,13 +201,7 @@ def gamma_gradient(prob: ProblemDef, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if prob.dgamma is not None:
         return _check_dim(prob.dgamma(x), prob.n, "dgamma override")
-    h = 1e-6 * max(1.0, float(np.max(np.abs(x))))
-    cols = []
-    for j in range(prob.n):
-        e = np.zeros_like(x)
-        e[..., j] = h
-        cols.append((gamma_control(prob, x + e) - gamma_control(prob, x - e)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    return central_diff(lambda y: gamma_control(prob, y), x, fd_steps(x))
 
 
 @dataclass
@@ -206,21 +218,17 @@ class FirstOrderReport:
 def check_first_order(prob: ProblemDef, xs) -> FirstOrderReport:
     """Report min |dg(x) f1(x)| over the samples and pass/fail vs the guard.
 
-    An empty sample list passes vacuously with min = +inf.
+    ``xs`` is a sequence of states or a ``(K, n)`` array.  An empty sample
+    list passes vacuously with min = +inf.
     """
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    if not xs:
+    xs = np.asarray(xs, dtype=float).reshape(-1, prob.n)
+    if not xs.shape[0]:
         return FirstOrderReport(min_abs=np.inf, guard=0.0, passed=True)
-    vals = []
-    guards = []
-    for x in xs:
-        dgx = _check_dim(prob.dg(x), prob.n, "dg")
-        f1x = prob.f1(x)
-        vals.append(abs(float(np.dot(dgx, f1x))))
-        guards.append(float(gamma_denominator_guard(dgx, f1x)))
-    vals = np.asarray(vals)
+    dgx = _check_dim(prob.dg(xs), prob.n, "dg")
+    f1x = prob.f1(xs)
+    vals = np.abs(np.einsum("...i,...i->...", dgx, f1x))
     worst = int(np.argmin(vals))
-    guard = guards[worst]
+    guard = float(gamma_denominator_guard(dgx, f1x)[worst])
     return FirstOrderReport(
         min_abs=float(vals[worst]),
         guard=guard,

@@ -230,7 +230,6 @@ def make_regulator() -> ProblemDef:
         bracket_f1f0_f1=bracket_f1f0_f1,
         dgamma=dgamma,
         x0_fixed=np.array([0.0, 1.0, 0.0]),
-        vectorized=True,
         name="regulator",
     )
 
@@ -336,7 +335,6 @@ def make_toy_bang() -> ProblemDef:
         bracket_f1f0_f0=zero_field,
         bracket_f1f0_f1=zero_field,
         x0_fixed=np.array([0.0]),
-        vectorized=True,
         name="toy-bang",
     )
 

@@ -34,9 +34,9 @@ import numpy as np
 
 from .arc_structure import ArcKind, ArcStructure, index_sets
 from .errors import AssemblyError
-from .problem_def import ProblemDef, gamma_control, gamma_gradient
-from .shooting import ShootingVector, _over_nodes
-from .tp_dynamics import propagate_solution
+from .problem_def import ProblemDef, central_diff, fd_steps
+from .shooting import ShootingVector
+from .tp_dynamics import arc_field, propagate_solution
 
 
 # ---------------------------------------------------------------------------
@@ -59,91 +59,39 @@ def _durations(tau, T):
     return hi - lo
 
 
-def _arc_controls(prob, struct, blocks, U):
-    """Control value per arc; singular channels read from U (..., S)."""
-    i_s = index_sets(struct)[0]
-    chan = {k: j for j, k in enumerate(i_s)}
-    ws = []
-    for k, kind in enumerate(struct.kinds, start=1):
-        xk = blocks[k - 1]
-        if kind is ArcKind.BMinus:
-            ws.append(np.broadcast_to(prob.u_min, xk.shape[:-1]))
-        elif kind is ArcKind.BPlus:
-            ws.append(np.broadcast_to(prob.u_max, xk.shape[:-1]))
-        elif kind is ArcKind.Constrained:
-            ws.append(np.asarray(gamma_control(prob, xk)))
-        else:
-            ws.append(U[..., chan[k]])
-    return ws
+def tp_rates(prob: ProblemDef, struct: ArcStructure, U, X, P_arcs):
+    """Field F, Hamiltonian gradient H_X and switching row H_U at (U, X).
 
-
-def tp_field(prob: ProblemDef, struct: ArcStructure, U, X):
-    """Right-hand side of the stacked transformed dynamics (tau rows are zero)."""
-    N, n = struct.N, prob.n
-    blocks, tau = _split_state(np.asarray(X, dtype=float), N, n)
-    dts = _durations(tau, prob.T)
-    ws = _arc_controls(prob, struct, blocks, np.asarray(U, dtype=float))
-    out = np.zeros_like(np.asarray(X, dtype=float))
-    for k in range(N):
-        xk = blocks[k]
-        w = np.asarray(ws[k])
-        wv = w[..., None] if w.ndim > 0 else w
-        dt = dts[..., k : k + 1]
-        out[..., k * n : (k + 1) * n] = dt * (prob.f0(xk) + wv * prob.f1(xk))
-    return out
-
-
-def tp_ham_grad(prob: ProblemDef, struct: ArcStructure, U, X, P_arcs):
-    """Analytic gradient of the pre-Hamiltonian sum_k dt_k H^k in X.
-
-    ``P_arcs`` holds the frozen arc costates (..., N, n); singular controls
-    are frozen at the values in U, so the feedback terms appear only
-    through the constrained-arc substitution.
+    The three are stacked on the last axis, ``(..., 2 D + S)``, so one
+    central difference in X yields A, H_XX and H_UX together.  ``P_arcs``
+    holds the frozen arc costates (..., N, n).  Singular controls are held
+    at the values in U (..., S), so the feedback terms appear only through
+    the constrained-arc substitution.  H is the pre-Hamiltonian
+    sum_k dt_k p^k (f0 + w f1)(x^k); the tau rows of F are zero.
     """
     N, n = struct.N, prob.n
     X = np.asarray(X, dtype=float)
+    U = np.asarray(U, dtype=float)
+    D = X.shape[-1]
+    i_s = index_sets(struct)[0]
     blocks, tau = _split_state(X, N, n)
     dts = _durations(tau, prob.T)
-    ws = _arc_controls(prob, struct, blocks, np.asarray(U, dtype=float))
-    grad = np.zeros_like(X)
+    out = np.zeros(np.broadcast_shapes(X.shape[:-1], U.shape[:-1], P_arcs.shape[:-2])
+                   + (2 * D + len(i_s),))
     h_vals = []
     for k, kind in enumerate(struct.kinds):
-        xk = blocks[k]
-        pk = P_arcs[..., k, :]
-        w = np.asarray(ws[k])
-        wv = w[..., None] if w.ndim > 0 else w
-        wm = w[..., None, None] if w.ndim > 0 else w
-        f0x = prob.f0(xk)
-        f1x = prob.f1(xk)
-        hk = np.einsum("...i,...i->...", pk, f0x + wv * f1x)
-        h_vals.append(hk)
-        hx = np.einsum("...i,...ij->...j", pk, prob.df0(xk) + wm * prob.df1(xk))
-        if kind is ArcKind.Constrained:
-            pf1 = np.einsum("...i,...i->...", pk, f1x)
-            pf1 = pf1[..., None] if np.ndim(pf1) > 0 else pf1
-            hx = hx + pf1 * gamma_gradient(prob, xk)
-        dt = dts[..., k : k + 1]
-        grad[..., k * n : (k + 1) * n] = dt * hx
+        xk, pk, dt = blocks[k], P_arcs[..., k, :], dts[..., k : k + 1]
+        c = i_s.index(k + 1) if kind is ArcKind.Singular else None
+        v, hx = arc_field(prob, kind, xk, pk, None if c is None else U[..., c])
+        out[..., k * n : (k + 1) * n] = dt * v
+        out[..., D + k * n : D + (k + 1) * n] = dt * hx
+        h_vals.append(np.einsum("...i,...i->...", pk, v))
+        if c is not None:
+            out[..., 2 * D + c] = dts[..., k] * np.einsum("...i,...i->...", pk, prob.f1(xk))
     # d dt_k / d tau_j is +1 for k = j, -1 for k = j + 1.
     for j in range(N - 1):
-        grad[..., N * n + j] = h_vals[j] - h_vals[j + 1]
-    return grad
-
-
-def tp_ham_u(prob: ProblemDef, struct: ArcStructure, X, P_arcs):
-    """Switching row per singular channel: dt_k p^k f1(x^k), shape (..., S)."""
-    N, n = struct.N, prob.n
-    i_s = index_sets(struct)[0]
-    blocks, tau = _split_state(np.asarray(X, dtype=float), N, n)
-    dts = _durations(tau, prob.T)
-    cols = []
-    for k in i_s:
-        xk = blocks[k - 1]
-        pk = P_arcs[..., k - 1, :]
-        cols.append(dts[..., k - 1] * np.einsum("...i,...i->...", pk, prob.f1(xk)))
-    if not cols:
-        return np.zeros(np.asarray(X, dtype=float).shape[:-1] + (0,))
-    return np.stack(cols, axis=-1)
+        out[..., D + N * n + j] = h_vals[j] - h_vals[j + 1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +142,6 @@ class TPLinearization:
         return slice(k * n, (k + 1) * n)
 
 
-def _fd_jac_nodes(fn, X, out_dim):
-    """Central-difference Jacobian of fn(X) w.r.t. X, per node; X is (B, D)."""
-    B_, D = X.shape
-    cols = np.empty((B_, out_dim, D))
-    for j in range(D):
-        h = 1e-6 * np.maximum(1.0, np.abs(X[:, j]))
-        up = X.copy(); up[:, j] += h
-        dn = X.copy(); dn[:, j] -= h
-        cols[:, :, j] = (fn(up) - fn(dn)) / (2.0 * h)[:, None]
-    return cols
-
-
 def linearized_matrices(
     prob: ProblemDef,
     struct: ArcStructure,
@@ -237,29 +173,8 @@ def linearized_matrices(
         else np.zeros((m1, 0))
     )
 
-    field_fn = lambda Xb, Ub: tp_field(prob, struct, Ub, Xb)
-    if prob.vectorized:
-        A = _fd_jac_nodes(lambda Xb: field_fn(Xb, U), X, D)
-        grad_fn = lambda Xb: tp_ham_grad(prob, struct, U, Xb, P_arcs)
-        HXX = _fd_jac_nodes(grad_fn, X, D)
-        hu_fn = lambda Xb: tp_ham_u(prob, struct, Xb, P_arcs)
-        HUX = _fd_jac_nodes(hu_fn, X, S)
-    else:
-        A = np.stack([
-            _fd_jac_nodes(lambda Xb, i=i: np.atleast_2d(
-                tp_field(prob, struct, U[i], Xb[0])), X[i : i + 1], D)[0]
-            for i in range(m1)
-        ])
-        HXX = np.stack([
-            _fd_jac_nodes(lambda Xb, i=i: np.atleast_2d(
-                tp_ham_grad(prob, struct, U[i], Xb[0], P_arcs[i])), X[i : i + 1], D)[0]
-            for i in range(m1)
-        ])
-        HUX = np.stack([
-            _fd_jac_nodes(lambda Xb, i=i: np.atleast_2d(
-                tp_ham_u(prob, struct, Xb[0], P_arcs[i])), X[i : i + 1], S)[0]
-            for i in range(m1)
-        ])
+    J = central_diff(lambda Xb: tp_rates(prob, struct, U, Xb, P_arcs), X, fd_steps(X))
+    A, HXX, HUX = J[:, :D], J[:, D : 2 * D], J[:, 2 * D :]
 
     asym = float(np.max(np.abs(HXX - np.swapaxes(HXX, 1, 2)))) if HXX.size else 0.0
     scale = 1.0 + float(np.max(np.abs(HXX))) if HXX.size else 1.0
@@ -271,19 +186,7 @@ def linearized_matrices(
     HXX = 0.5 * (HXX + np.swapaxes(HXX, 1, 2))
 
     # B = F_U by central differences in the channel values.
-    B = np.zeros((m1, D, S))
-    for j in range(S):
-        h = 1e-6 * np.maximum(1.0, np.abs(U[:, j]))
-        up = U.copy(); up[:, j] += h
-        dn = U.copy(); dn[:, j] -= h
-        if prob.vectorized:
-            B[:, :, j] = (field_fn(X, up) - field_fn(X, dn)) / (2.0 * h)[:, None]
-        else:
-            B[:, :, j] = np.stack([
-                (tp_field(prob, struct, up[i], X[i]) - tp_field(prob, struct, dn[i], X[i]))
-                / (2.0 * h[i])
-                for i in range(m1)
-            ])
+    B = central_diff(lambda Ub: tp_rates(prob, struct, Ub, X, P_arcs)[..., :D], U, fd_steps(U))
 
     ds = 1.0 / nodes
     E = np.einsum("tij,tjk->tik", A, B) - _time_derivative(B, ds)
@@ -349,30 +252,24 @@ def _endpoint_lagrangian_hessian(prob, struct, omega, X0, X1):
 
 
 def _endpoint_constraints(prob, struct, X0, X1):
+    """Endpoint map, entry constraints and continuity rows at (X0, X1), (..., D) each."""
     N, n = struct.N, prob.n
     i_c = index_sets(struct)[1]
-    x01 = X0[: n]
-    x1N = X1[(N - 1) * n : N * n]
-    parts = [np.atleast_1d(np.asarray(prob.Phi(x01, x1N), dtype=float))]
+    x01 = X0[..., : n]
+    x1N = X1[..., (N - 1) * n : N * n]
+    parts = [np.asarray(prob.Phi(x01, x1N), dtype=float)]
     for k in i_c:
-        parts.append(np.atleast_1d(float(prob.g(X0[(k - 1) * n : k * n]))))
+        parts.append(np.asarray(prob.g(X0[..., (k - 1) * n : k * n]), dtype=float)[..., None])
     for k in range(N - 1):
-        parts.append(X1[k * n : (k + 1) * n] - X0[(k + 1) * n : (k + 2) * n])
-    return np.concatenate(parts)
+        parts.append(X1[..., k * n : (k + 1) * n] - X0[..., (k + 1) * n : (k + 2) * n])
+    return np.concatenate(parts, axis=-1)
 
 
 def _endpoint_constraint_jacobian(prob, struct, X0, X1):
     D = X0.size
     z = np.concatenate([X0, X1])
-    f = lambda zz: _endpoint_constraints(prob, struct, zz[:D], zz[D:])
-    rows = f(z).size
-    jac = np.empty((rows, 2 * D))
-    for j in range(2 * D):
-        h = 1e-6 * max(1.0, abs(z[j]))
-        up = z.copy(); up[j] += h
-        dn = z.copy(); dn[j] -= h
-        jac[:, j] = (f(up) - f(dn)) / (2.0 * h)
-    return jac
+    f = lambda zz: _endpoint_constraints(prob, struct, zz[..., :D], zz[..., D:])
+    return central_diff(f, z, fd_steps(z))
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +454,7 @@ def assemble_omega(
     rows = [lin.dcons @ np.vstack([Xi0_basis, xi_basis[-1] + lin.B[-1] @ H_basis])]
     for k in index_sets(lin.struct)[1]:
         blk = lin.arc_block(k - 1)
-        dgx = _over_nodes(lin.prob, lin.prob.dg, lin.X[:, blk])
+        dgx = np.asarray(lin.prob.dg(lin.X[:, blk]), dtype=float)
         row = np.einsum("ti,tic->tc", dgx, xi_basis[:, blk, :])
         row[np.arange(m1)[:, None], ys.T] += np.einsum("ti,tis->ts", dgx, lin.B[:, blk, :])
         rows.append(row)

@@ -30,7 +30,7 @@ from .errors import (
     NonFiniteResidual,
     RankDeficientJacobian,
 )
-from .problem_def import BRACKET_F1_F0, ProblemDef, check_first_order, lie_bracket
+from .problem_def import BRACKET_F1_F0, ProblemDef, central_diff, check_first_order, lie_bracket
 from .tp_dynamics import (
     TPTrajectory,
     arc_hamiltonian,
@@ -113,14 +113,14 @@ class ShootingVector:
 
 
 def _unpack_batch(flats: np.ndarray, N: int, n: int, q: int):
-    """Split a (B, m) stack of packed vectors into batched fields."""
-    B = flats.shape[0]
+    """Split packed vectors (..., m) into fields with the same leading axes."""
+    lead = flats.shape[:-1]
     i = 0
-    x0 = flats[:, i : i + N * n].reshape(B, N, n); i += N * n
-    tau = flats[:, i : i + N - 1]; i += N - 1
-    p0 = flats[:, i : i + N * n].reshape(B, N, n); i += N * n
-    psi = flats[:, i : i + q]; i += q
-    gamma = flats[:, i:]
+    x0 = flats[..., i : i + N * n].reshape(lead + (N, n)); i += N * n
+    tau = flats[..., i : i + N - 1]; i += N - 1
+    p0 = flats[..., i : i + N * n].reshape(lead + (N, n)); i += N * n
+    psi = flats[..., i : i + q]; i += q
+    gamma = flats[..., i:]
     return x0, tau, p0, psi, gamma
 
 
@@ -253,16 +253,8 @@ def _assemble(prob, struct, x0, tau, p0, psi, gamma, x1, p1):
     return np.concatenate(blocks, axis=-1)
 
 
-def _residual_flat(prob, struct, flat, M):
-    sv = ShootingVector.unpack(flat, struct.N, prob.n, prob.q, len(index_sets(struct)[1]))
-    x1, p1 = _endpoints(prob, struct, sv.x0, sv.tau, sv.p0, M)
-    r = _assemble(prob, struct, sv.x0, sv.tau, sv.p0, sv.psi, sv.gamma, x1, p1)
-    if not np.all(np.isfinite(r)):
-        raise NonFiniteResidual("shooting residual contains non-finite entries")
-    return r
-
-
 def _residual_flat_batch(prob, struct, flats, M):
+    """Stacked residual of packed vectors (..., m); a 1-D vector is one row."""
     x0, tau, p0, psi, gamma = _unpack_batch(flats, struct.N, prob.n, prob.q)
     x1, p1 = _endpoints(prob, struct, x0, tau, p0, M)
     r = _assemble(prob, struct, x0, tau, p0, psi, gamma, x1, p1)
@@ -283,7 +275,7 @@ def shooting_function(
             f"omega has {flat.size} entries, structure expects "
             f"{unknown_dim(struct, prob.n, prob.q)}"
         )
-    r = _residual_flat(prob, struct, flat, M)
+    r = _residual_flat_batch(prob, struct, flat, M)
     return _split_residual(prob, struct, r)
 
 
@@ -303,32 +295,11 @@ def _split_residual(prob, struct, r) -> ShootingResidual:
 def fd_jacobian(
     prob: ProblemDef, struct: ArcStructure, omega: ShootingVector, steps: int = 1000
 ) -> np.ndarray:
-    """Central-difference Jacobian of the stacked residual.
-
-    Vectorized problems evaluate all stencil points as one batch; otherwise
-    columns are evaluated one by one.
-    """
+    """Central-difference Jacobian of the stacked residual, all stencil rows in one batch."""
     M = steps_per_arc(struct, steps)
     flat = omega.pack()
-    m = flat.size
     h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(flat))
-    if prob.vectorized:
-        stencil = np.repeat(flat[None, :], 2 * m, axis=0)
-        idx = np.arange(m)
-        stencil[2 * idx, idx] += h
-        stencil[2 * idx + 1, idx] -= h
-        res = _residual_flat_batch(prob, struct, stencil, M)
-        return ((res[2 * idx] - res[2 * idx + 1]) / (2.0 * h)[:, None]).T
-    cols = []
-    for i in range(m):
-        try:
-            up = flat.copy(); up[i] += h[i]
-            dn = flat.copy(); dn[i] -= h[i]
-            cols.append((_residual_flat(prob, struct, up, M) - _residual_flat(prob, struct, dn, M))
-                        / (2.0 * h[i]))
-        except ArcshootError as exc:
-            raise ArcshootError(f"FD stencil failed on column {i}: {exc}") from exc
-    return np.stack(cols, axis=1)
+    return central_diff(lambda z: _residual_flat_batch(prob, struct, z, M), flat, h)
 
 
 def _minimum_norm_step(J: np.ndarray, r: np.ndarray):
@@ -412,7 +383,7 @@ def gauss_newton(
     m = flat.size
     report = ConvergenceReport()
 
-    r = _residual_flat(prob, struct, flat, M)
+    r = _residual_flat_batch(prob, struct, flat, M)
     best = (np.linalg.norm(r, np.inf), flat.copy())
     converged = False
     for _ in range(max_iter):
@@ -429,7 +400,7 @@ def gauss_newton(
         for _ in range(MAX_HALVINGS + 1):
             trial = flat + alpha * step
             try:
-                rt = _residual_flat(prob, struct, trial, M)
+                rt = _residual_flat_batch(prob, struct, trial, M)
             except ArcshootError:
                 alpha *= 0.5
                 continue
@@ -511,13 +482,6 @@ class ValidationReport:
         }
 
 
-def _over_nodes(prob: ProblemDef, fn, *arrays) -> np.ndarray:
-    """Evaluate fn over stacked node arrays, batched when the problem allows."""
-    if prob.vectorized:
-        return np.asarray(fn(*arrays))
-    return np.asarray([fn(*row) for row in zip(*arrays)])
-
-
 def validate_solution(
     prob: ProblemDef,
     struct: ArcStructure,
@@ -566,11 +530,8 @@ def validate_solution(
         "first_order_condition_on_c_arcs", fo.passed, fo.min_abs,
         f"min |dg.f1| vs guard {fo.guard:.3e}"))
 
-    lc_vals = [
-        float(np.max(_over_nodes(prob, lambda x, p: legendre_clebsch_value(prob, x, p),
-                                 a.x, a.p)))
-        for a in traj.arcs if a.kind is ArcKind.Singular
-    ]
+    lc_vals = [float(np.max(legendre_clebsch_value(prob, a.x, a.p)))
+               for a in traj.arcs if a.kind is ArcKind.Singular]
     if lc_vals:
         worst = max(lc_vals)
         checks.append(ValidationCheck(
@@ -580,11 +541,8 @@ def validate_solution(
         checks.append(ValidationCheck("legendre_clebsch_sign_on_s_arcs", True, -np.inf,
                                       "no S arcs"))
 
-    nu_vals = [
-        float(np.min(_over_nodes(prob, lambda x, p: constraint_multiplier_density(prob, x, p),
-                                 a.x, a.p)))
-        for a in traj.arcs if a.kind is ArcKind.Constrained
-    ]
+    nu_vals = [float(np.min(constraint_multiplier_density(prob, a.x, a.p)))
+               for a in traj.arcs if a.kind is ArcKind.Constrained]
     if nu_vals:
         worst = min(nu_vals)
         checks.append(ValidationCheck(
@@ -594,13 +552,13 @@ def validate_solution(
         checks.append(ValidationCheck("constraint_multiplier_nonnegative", True, np.inf,
                                       "no C arcs"))
 
-    gmax = max(float(np.max(_over_nodes(prob, prob.g, a.x))) for a in traj.arcs)
+    gmax = max(float(np.max(prob.g(a.x))) for a in traj.arcs)
     checks.append(ValidationCheck(
         "state_constraint_satisfied", gmax <= 1e-6, gmax, "max g(x) over all nodes"))
 
     hdrift = 0.0
     for a in traj.arcs:
-        h = _over_nodes(prob, lambda x, p, k=a.kind: arc_hamiltonian(prob, k, x, p), a.x, a.p)
+        h = arc_hamiltonian(prob, a.kind, a.x, a.p)
         hdrift = max(hdrift, float(np.max(np.abs(h - h[0])) / (1.0 + abs(float(h[0])))))
     checks.append(ValidationCheck(
         "hamiltonian_constant_per_arc", hdrift <= 1e-6, hdrift,

@@ -6,8 +6,8 @@ control is eliminated algebraically per arc kind: fixed to a bound on bang
 arcs, the constraint-preserving feedback on constrained arcs and the
 second-derivative stationarity feedback on singular arcs.
 
-All evaluation helpers broadcast over leading batch axes so that a
-vectorized problem can propagate many shooting iterates at once.
+All evaluation helpers broadcast over leading batch axes, so many shooting
+iterates or grid nodes propagate at once.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .problem_def import (
     BRACKET_F1F0_F1,
     BRACKET_F1_F0,
     ProblemDef,
+    flagged_row,
     gamma_control,
     gamma_denominator_guard,
     gamma_gradient,
@@ -68,9 +69,7 @@ def arc_control(prob: ProblemDef, kind: ArcKind, x: np.ndarray, costate: np.ndar
     guard = singular_denominator_guard(costate, b1)
     bad = np.abs(den) < guard
     if np.any(bad):
-        idx = int(np.argmax(np.atleast_1d(bad)))
-        xb = np.atleast_2d(x)[idx] if np.ndim(x) > 1 else x
-        raise SingularDenominatorError(xb, float(np.atleast_1d(den)[idx]))
+        raise SingularDenominatorError(*flagged_row(bad, np.asarray(x, dtype=float), den))
     return -num / den
 
 
@@ -80,35 +79,38 @@ def legendre_clebsch_value(prob: ProblemDef, x: np.ndarray, costate: np.ndarray)
     return np.einsum("...i,...i->...", costate, b1)
 
 
-def arc_rhs(prob: ProblemDef, kind: ArcKind, dt_k: float, x: np.ndarray, costate: np.ndarray):
-    """Coupled rates (dx, dp) of the rescaled arc dynamics.
+def arc_field(prob: ProblemDef, kind: ArcKind, x: np.ndarray, costate: np.ndarray, w=None):
+    """Arc velocity v = f0 + w f1 and D_x H for H = p (f0 + w f1).
 
-    dx = dt_k (f0 + w f1); dp = -dt_k D_x H with H = p (f0 + w f1).  On
-    constrained arcs D_x H carries the feedback-gradient term
-    (p f1) dGamma; on singular arcs the control is treated as independent
-    (the chain-rule term vanishes at solutions where H_u = 0).
+    ``w`` defaults to the arc's control rule; the second-order code passes
+    the singular control held fixed instead.  On constrained arcs D_x H
+    carries the feedback-gradient term (p f1) dGamma; a singular control is
+    treated as independent of x (the chain-rule term vanishes at solutions
+    where H_u = 0).
     """
-    w = np.asarray(arc_control(prob, kind, x, costate))
-    f0x = prob.f0(x)
+    if w is None:
+        w = arc_control(prob, kind, x, costate)
+    w = np.asarray(w)
     f1x = prob.f1(x)
-    w_vec = w[..., None] if w.ndim > 0 else w
-    w_mat = w[..., None, None] if w.ndim > 0 else w
-    dx = dt_k * (f0x + w_vec * f1x)
-    jac = prob.df0(x) + w_mat * prob.df1(x)
+    v = prob.f0(x) + (w[..., None] if w.ndim > 0 else w) * f1x
+    jac = prob.df0(x) + (w[..., None, None] if w.ndim > 0 else w) * prob.df1(x)
     hx = np.einsum("...i,...ij->...j", costate, jac)
     if kind is ArcKind.Constrained:
         pf1 = np.einsum("...i,...i->...", costate, f1x)
-        pf1 = pf1[..., None] if np.ndim(pf1) > 0 else pf1
-        hx = hx + pf1 * gamma_gradient(prob, x)
-    return dx, -dt_k * hx
+        hx = hx + (pf1[..., None] if np.ndim(pf1) > 0 else pf1) * gamma_gradient(prob, x)
+    return v, hx
+
+
+def arc_rhs(prob: ProblemDef, kind: ArcKind, dt_k: float, x: np.ndarray, costate: np.ndarray):
+    """Coupled rates (dx, dp) = dt_k (v, -D_x H) of the rescaled arc dynamics."""
+    v, hx = arc_field(prob, kind, x, costate)
+    return dt_k * v, -dt_k * hx
 
 
 def arc_hamiltonian(prob: ProblemDef, kind: ArcKind, x: np.ndarray, costate: np.ndarray):
     """H = p (f0 + w f1) with the arc's control rule."""
-    w = np.asarray(arc_control(prob, kind, x, costate))
-    f1x = prob.f1(x)
-    wf1 = (w[..., None] if w.ndim > 0 else w) * f1x
-    return np.einsum("...i,...i->...", costate, prob.f0(x) + wf1)
+    v, _ = arc_field(prob, kind, x, costate)
+    return np.einsum("...i,...i->...", costate, v)
 
 
 def constraint_multiplier_density(prob: ProblemDef, x: np.ndarray, costate: np.ndarray):
@@ -121,9 +123,9 @@ def constraint_multiplier_density(prob: ProblemDef, x: np.ndarray, costate: np.n
     dgx = prob.dg(x)
     f1x = prob.f1(x)
     den = np.einsum("...i,...i->...", dgx, f1x)
-    guard = gamma_denominator_guard(dgx, f1x)
-    if np.any(np.abs(den) < guard):
-        raise FirstOrderViolation(x, float(np.min(np.abs(den))))
+    bad = np.abs(den) < gamma_denominator_guard(dgx, f1x)
+    if np.any(bad):
+        raise FirstOrderViolation(*flagged_row(bad, np.asarray(x, dtype=float), den))
     return num / den
 
 

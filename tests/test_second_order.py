@@ -20,7 +20,7 @@ from arcshoot.second_order import (
     omega_form_value,
     q_form_value,
     rho_value,
-    tp_field,
+    tp_rates,
 )
 from arcshoot.shooting import ShootingVector
 
@@ -74,17 +74,6 @@ class TestLinearization:
     def test_goh_condition_diagnostic(self, reg_lin):
         assert reg_lin.goh_asymmetry <= 1e-10
 
-    def test_vectorized_and_loop_paths_agree(self, regulator, reg_struct,
-                                             reg_omega_exact):
-        fast = linearized_matrices(regulator, reg_struct, reg_omega_exact, nodes=20)
-        slow = linearized_matrices(
-            dataclasses.replace(regulator, vectorized=False), reg_struct,
-            reg_omega_exact, nodes=20,
-        )
-        for name in ("A", "B", "E", "HXX", "HUX", "Mmat", "Rmat"):
-            np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name),
-                                          err_msg=name)
-
     def test_inconsistent_override_triggers_assembly_error(self, regulator, reg_struct,
                                                            reg_solution):
         # A bogus feedback gradient makes the FD Hessian of the Hamiltonian
@@ -116,7 +105,7 @@ def _constant_field_setup():
         Phi=lambda x0, xT: np.asarray(x0, dtype=float),
         dPhi=lambda x0, xT: (np.broadcast_to(np.eye(1), np.asarray(x0).shape[:-1] + (1, 1)),
                              np.zeros(np.asarray(x0).shape[:-1] + (1, 1))),
-        u_min=-1.0, u_max=1.0, vectorized=True,
+        u_min=-1.0, u_max=1.0,
     )
     struct = ArcStructure((B, ArcKind.BPlus), (0.5,))
     omega = ShootingVector(x0=[[0.0], [0.1]], tau=[0.5], p0=[[1.0], [1.0]],
@@ -337,9 +326,18 @@ class TestTpField:
         omega = reg_omega_exact
         X = np.concatenate([omega.x0.ravel(), omega.tau])
         U = np.array([0.2])
-        out = tp_field(regulator, reg_struct, U, X)
-        x3 = omega.x0[2]
+        rates = tp_rates(regulator, reg_struct, U, X, omega.p0)
+        D = X.size
+        out = rates[:D]
+        x3, p3 = omega.x0[2], omega.p0[2]
         np.testing.assert_allclose(
             out[6:9], 2.4 * (regulator.f0(x3) + 0.2 * regulator.f1(x3))
         )
         np.testing.assert_allclose(out[9:], 0.0)
+        # H_X rows of the S arc hold the control at U; H_U is dt p f1.
+        np.testing.assert_allclose(
+            rates[D + 6 : D + 9], 2.4 * p3 @ (regulator.df0(x3) + 0.2 * regulator.df1(x3)),
+            atol=1e-14,
+        )
+        assert rates[2 * D] == pytest.approx(2.4 * p3 @ regulator.f1(x3))
+        assert rates.shape == (2 * D + 1,)

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcshoot import problems as P
@@ -12,10 +12,17 @@ from arcshoot.errors import (
     MaxIterExceeded,
     RankDeficientJacobian,
 )
-from arcshoot.problem_def import ProblemDef
+from arcshoot.problem_def import (
+    BRACKET_F1F0_F0,
+    BRACKET_F1F0_F1,
+    ProblemDef,
+    gamma_gradient,
+    lie_bracket,
+)
 from arcshoot.shooting import (
     ShootingVector,
     _minimum_norm_step,
+    _residual_flat_batch,
     fd_jacobian,
     gauss_newton,
     load_omega,
@@ -28,6 +35,7 @@ from arcshoot.shooting import (
 )
 from arcshoot.tp_dynamics import propagate_arc, propagate_solution
 from conftest import perturbed_start
+from test_tp_dynamics import _curved
 
 B, BP, C, S = ArcKind.BMinus, ArcKind.BPlus, ArcKind.Constrained, ArcKind.Singular
 
@@ -185,7 +193,6 @@ def _affine_problem():
         dPhi=lambda x0, xT: (np.broadcast_to(np.eye(n), np.asarray(x0).shape[:-1] + (n, n)),
                              np.zeros(np.asarray(x0).shape[:-1] + (n, n))),
         u_min=-1.0, u_max=1.0,
-        vectorized=True,
     ), A, b, w
 
 
@@ -224,18 +231,64 @@ class TestJacobian:
         hand[4:6, 2:4] = Q                    # final transversality wrt p0
         np.testing.assert_allclose(J, hand, atol=1e-6)
 
-    def test_vectorized_and_loop_paths_agree(self, regulator, reg_struct,
-                                             reg_omega_exact):
-        slow = dataclasses.replace(regulator, vectorized=False)
-        J_fast = fd_jacobian(regulator, reg_struct, reg_omega_exact, steps=60)
-        J_slow = fd_jacobian(slow, reg_struct, reg_omega_exact, steps=60)
-        np.testing.assert_allclose(J_fast, J_slow, atol=1e-9)
-
     def test_full_rank_at_solution(self, regulator, reg_struct, reg_solution):
         report = reg_solution["report"]
         m = unknown_dim(reg_struct, regulator.n, regulator.q)
         assert report.jacobian_rank == m
         assert report.smallest_singular_value > 1e-6
+
+
+class TestBatchIndependence:
+    """A value must not depend on the other rows of its batch (bit for bit)."""
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(min_value=0.1, max_value=50.0),
+                st.booleans(),
+                st.floats(min_value=-50.0, max_value=50.0),
+            ),
+            min_size=2, max_size=5,
+        )
+    )
+    @example(rows=[(1.3, True, 1.0 / 1.3), (40.0, True, 1.0 / 40.0)])
+    @settings(max_examples=40, deadline=None)
+    def test_gamma_gradient(self, rows):
+        prob = _curved()
+        # |x1| >= 0.1 keeps dg.f1 = x1 clear of the first-order guard.
+        xs = np.array([[a if pos else -a, b] for a, pos, b in rows])
+        batch = gamma_gradient(prob, xs)
+        for i, x in enumerate(xs):
+            np.testing.assert_array_equal(batch[i], gamma_gradient(prob, x))
+
+    @given(
+        xs=st.lists(
+            st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=3, max_size=3),
+            min_size=2, max_size=5,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fd_brackets(self, xs):
+        prob = P.make_regulator_fd_brackets()
+        xs = np.array(xs)
+        for which in (BRACKET_F1F0_F0, BRACKET_F1F0_F1):
+            batch = lie_bracket(prob, which, xs)
+            for i, x in enumerate(xs):
+                np.testing.assert_array_equal(batch[i], lie_bracket(prob, which, x),
+                                              err_msg=which)
+
+    @given(seed=st.integers(min_value=0, max_value=2**31), rows=st.integers(2, 4),
+           scale=st.sampled_from([0.01, 0.05, 0.2]))
+    @settings(max_examples=10, deadline=None)
+    def test_residual(self, regulator, reg_struct, reg_omega_exact, seed, rows, scale):
+        rng = np.random.default_rng(seed)
+        flat = reg_omega_exact.pack()
+        flats = flat * (1.0 + scale * rng.uniform(-1.0, 1.0, (rows, flat.size)))
+        M = 10
+        batch = _residual_flat_batch(regulator, reg_struct, flats, M)
+        for i in range(rows):
+            np.testing.assert_array_equal(
+                batch[i], _residual_flat_batch(regulator, reg_struct, flats[i], M))
 
 
 class TestGaussNewtonCore:

@@ -5,8 +5,8 @@ import pytest
 
 from arcshoot import problems as P
 from arcshoot.arc_structure import ArcKind
-from arcshoot.errors import ConfigurationError, SingularDenominatorError
-from arcshoot.problem_def import ProblemDef
+from arcshoot.errors import ConfigurationError, FirstOrderViolation, SingularDenominatorError
+from arcshoot.problem_def import ProblemDef, gamma_control
 from arcshoot.tp_dynamics import (
     arc_control,
     arc_hamiltonian,
@@ -87,7 +87,6 @@ class TestArcRhs:
         x = np.array([1.0, 1.0])
         p = np.array([0.3, -0.5])
         _, dp = arc_rhs(prob, C, 1.0, x, p)
-        from arcshoot.problem_def import gamma_control
 
         def ham(y):
             return float(p @ (prob.f0(y) + gamma_control(prob, y) * prob.f1(y)))
@@ -115,6 +114,35 @@ def _curved():
         Phi=lambda x0, xT: np.zeros(0),
         dPhi=lambda x0, xT: (np.zeros((0, n)), np.zeros((0, n))),
     )
+
+
+class TestBatchGuards:
+    """A guard failure in a (2, 3, n) batch reports the flagged row itself."""
+
+    def test_gamma_control(self):
+        prob = _curved()                       # dg.f1 = x1
+        x = np.ones((2, 3, 2))
+        x[1, 2] = [0.0, 4.0]
+        with pytest.raises(FirstOrderViolation) as err:
+            gamma_control(prob, x)
+        np.testing.assert_array_equal(err.value.x, [0.0, 4.0])
+        assert err.value.denominator == 0.0
+
+    def test_singular_control(self, regulator):
+        x = np.arange(18.0).reshape(2, 3, 3)
+        p = np.ones((2, 3, 3))
+        p[1, 0, 2] = 0.0                       # p [[f1,f0],f1] = -p3
+        with pytest.raises(SingularDenominatorError) as err:
+            arc_control(regulator, S, x, p)
+        np.testing.assert_array_equal(err.value.x, x[1, 0])
+
+    def test_multiplier_density(self):
+        prob = _curved()
+        x = np.ones((2, 3, 2))
+        x[0, 1] = [0.0, -3.0]
+        with pytest.raises(FirstOrderViolation) as err:
+            constraint_multiplier_density(prob, x, np.ones((2, 3, 2)))
+        np.testing.assert_array_equal(err.value.x, [0.0, -3.0])
 
 
 class TestPropagate:
