@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Check that the CLI outputs of this checkout are byte-identical to REF's.
+
+    python scripts/check_identical.py REF
+
+REF is any git revision of this repository (a commit, branch or tag).  The
+script extracts REF's ``src/`` into a temporary directory with
+``git archive`` and runs the same regulator pipelines on both source trees,
+one subprocess per step:
+
+* ``scripts/run_regulator.py`` of this checkout: the warm solve
+  (``--init analytic --steps 1000``), ``verify --nodes 200`` on it, a
+  ``detect`` and the cold solve (``--structure detect --init direct``);
+* ``verify --nodes 400`` on the warm ``omega.json``;
+* ``verify --nodes 200`` and ``--nodes 400`` on an ``omega.json`` written
+  from ``problems.regulator_analytic_omega()``;
+* a standalone ``detect``.
+
+The exit code of every step goes into ``exit_codes.json``.  The script then
+compares every output file of the two trees byte for byte, lists each one
+that differs or exists on one side only, and exits 1 if there is any such
+file, 0 otherwise.  Both trees run one after the other on this machine, and
+nothing is fetched.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SAVE_ANALYTIC = (
+    "import sys\n"
+    "from arcshoot import problems as P\n"
+    "from arcshoot.shooting import save_omega\n"
+    "save_omega(sys.argv[1], P.regulator_structure(), P.regulator_analytic_omega(),\n"
+    "           P.make_regulator(), 1000)\n"
+)
+
+
+def steps(out: Path) -> list:
+    """(name, argv) of every pipeline step, writing under ``out``."""
+    py, cli = sys.executable, [sys.executable, "-m", "arcshoot.cli"]
+    warm_omega = out / "regulator" / "regulator_warm" / "omega.json"
+    analytic = out / "analytic" / "omega.json"
+    return [
+        ("run_regulator", [py, str(ROOT / "scripts" / "run_regulator.py"),
+                           str(out / "regulator")]),
+        ("verify_warm_400", cli + ["verify", "--problem", "regulator", "--omega", str(warm_omega),
+                                   "--nodes", "400", "--out", str(out / "verify_warm_400")]),
+        ("save_analytic", [py, "-c", SAVE_ANALYTIC, str(analytic)]),
+        *[(f"verify_analytic_{m}", cli + ["verify", "--problem", "regulator",
+                                          "--omega", str(analytic), "--nodes", str(m),
+                                          "--out", str(out / f"verify_analytic_{m}")])
+          for m in (200, 400)],
+        ("detect", cli + ["detect", "--problem", "regulator", "--out", str(out / "detect")]),
+    ]
+
+
+def run_tree(src: Path, out: Path) -> None:
+    """Run every step with ``src`` first on the import path; outputs go under ``out``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    where = subprocess.run([sys.executable, "-c", "import arcshoot; print(arcshoot.__file__)"],
+                           env=env, capture_output=True, text=True, check=True).stdout.strip()
+    if not Path(where).resolve().is_relative_to(src.resolve()):
+        sys.exit(f"check_identical: arcshoot imported from {where}, not from {src}")
+    (out / "analytic").mkdir(parents=True)
+    codes = {}
+    for name, argv in steps(out):
+        proc = subprocess.run(argv, env=env, cwd=out, capture_output=True, text=True)
+        codes[name] = proc.returncode
+        if proc.returncode == 1 or proc.returncode < 0:
+            print(f"  {name} exited {proc.returncode}: {proc.stderr.strip()[-300:]}")
+    (out / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+
+
+def files(root: Path) -> set:
+    return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        sys.exit(__doc__.split("\n\n")[1])
+    ref = sys.argv[1]
+    with tempfile.TemporaryDirectory(prefix="check_identical_") as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref, "src"],
+                                 capture_output=True)
+        if archive.returncode:
+            sys.exit(f"check_identical: {archive.stderr.decode().strip()}")
+        (tmp / "ref").mkdir()
+        subprocess.run(["tar", "-x", "-C", str(tmp / "ref")], input=archive.stdout, check=True)
+        trees = {"ref": tmp / "ref" / "src", "checkout": ROOT / "src"}
+        for side, src in trees.items():
+            print(f"running the pipelines on {ref if side == 'ref' else 'the checkout'}")
+            run_tree(src, tmp / "out" / side)
+        a, b = tmp / "out" / "ref", tmp / "out" / "checkout"
+        names = sorted(files(a) | files(b))
+        bad = []
+        for n in names:
+            if not (b / n).exists():
+                bad.append(f"only in {ref}: {n}")
+            elif not (a / n).exists():
+                bad.append(f"only in the checkout: {n}")
+            elif (a / n).read_bytes() != (b / n).read_bytes():
+                bad.append(f"differs: {n}")
+    for line in bad:
+        print(line)
+    print(f"{len(names)} files compared, {len(bad)} not byte-identical")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -241,7 +241,14 @@ def read_trajectory_csv(path) -> tuple:
         header = next(reader)
         if len(header) < 3 or header[0].strip() != "t" or header[1].strip() != "u":
             raise ConfigurationError(f"expected header t,u,x1,...,xn in {path}, got {header}")
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in filter(None, reader):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ConfigurationError(f"line {reader.line_num} of {path}: {exc}") from exc
     data = np.asarray(rows, dtype=float)
     if data.size == 0:
         raise StructureDetectionError(f"no samples in {path}")

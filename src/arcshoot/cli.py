@@ -145,12 +145,22 @@ def _initial_omega(prob, struct, cfg, dres) -> ShootingVector:
     path = Path(init)
     if not path.exists():
         raise ConfigurationError(f"warm-start file {path} does not exist")
-    file_struct, omega, _ = load_omega(path)
+    file_struct, omega = _load_omega(path, prob)
     if file_struct.kinds != struct.kinds:
         raise ConfigurationError(
             f"warm start has structure {file_struct.tokens()}, requested {struct.tokens()}"
         )
     return omega
+
+
+def _load_omega(path, prob) -> tuple:
+    """(structure, omega) of a warm-start file written for a problem of prob's size."""
+    struct, omega, meta = load_omega(path)
+    if (meta["n"], meta["q"]) != (prob.n, prob.q):
+        raise ConfigurationError(
+            f"{path} holds a solution with n={meta['n']}, q={meta['q']}; "
+            f"the problem has n={prob.n}, q={prob.q}")
+    return struct, omega
 
 
 def _omega_from_direct(prob, struct, dres) -> ShootingVector:
@@ -251,7 +261,7 @@ def cmd_verify(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     prob = resolve_problem(cfg["problem"])
     omega_path = cfg.get("omega", str(out_dir / "omega.json"))
-    struct, omega, _ = load_omega(omega_path)
+    struct, omega = _load_omega(omega_path, prob)
     struct.validate(prob)
     qfd = assemble_omega(prob, struct, omega, nodes=int(cfg.get("nodes", 200)))
     report = check_positivity(qfd)

@@ -11,12 +11,17 @@ Accuracy only needs to support classification and warm starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .problem_def import ProblemDef
+from .tp_dynamics import rk4
+
+# RK4 steps per control cell in the re-integration of the found control.
+SUBSTEPS = 10
 
 
 @dataclass
@@ -179,21 +184,8 @@ def direct_solve(prob: ProblemDef, cfg: Optional[DirectSolveConfig] = None) -> D
     )
 
 
-def _resimulate(prob: ProblemDef, x0: np.ndarray, u: np.ndarray, dt: float,
-                substeps: int = 10) -> np.ndarray:
-    """RK4 re-integration of a piecewise-constant control, cell by cell."""
-    K = u.size
-    xs = np.empty((K + 1, prob.n))
-    xs[0] = x0
-    h = dt / substeps
-    for i in range(K):
-        x = xs[i]
-        rhs = lambda y: prob.f0(y) + u[i] * prob.f1(y)
-        for _ in range(substeps):
-            k1 = rhs(x)
-            k2 = rhs(x + 0.5 * h * k1)
-            k3 = rhs(x + 0.5 * h * k2)
-            k4 = rhs(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        xs[i + 1] = x
-    return xs
+def _resimulate(prob: ProblemDef, x0: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
+    """RK4 re-integration of a piecewise-constant control, SUBSTEPS per cell."""
+    rate = lambda i, c, y: prob.f0(y) + u[i // SUBSTEPS] * prob.f1(y)
+    xs = rk4(rate, np.asarray(x0, dtype=float), u.size * SUBSTEPS, dt / SUBSTEPS)
+    return np.fromiter(islice(xs, None, None, SUBSTEPS), (float, (prob.n,)), u.size + 1)

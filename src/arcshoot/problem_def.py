@@ -180,9 +180,12 @@ def gamma_control(prob: ProblemDef, x: np.ndarray):
     denominator falls under the scale-aware guard.
     """
     x = np.asarray(x, dtype=float)
+    return gamma_from_fields(prob, x, prob.f0(x), prob.f1(x))
+
+
+def gamma_from_fields(prob: ProblemDef, x: np.ndarray, f0x: np.ndarray, f1x: np.ndarray):
+    """The feedback of :func:`gamma_control` from given field values f0(x), f1(x)."""
     dgx = _check_dim(prob.dg(x), prob.n, "dg")
-    f0x = prob.f0(x)
-    f1x = prob.f1(x)
     num = np.einsum("...i,...i->...", dgx, f0x)
     den = np.einsum("...i,...i->...", dgx, f1x)
     guard = gamma_denominator_guard(dgx, f1x)

@@ -36,7 +36,7 @@ from .arc_structure import ArcKind, ArcStructure, index_sets
 from .errors import AssemblyError
 from .problem_def import ProblemDef, central_diff, fd_steps
 from .shooting import ShootingVector
-from .tp_dynamics import arc_field, propagate_solution
+from .tp_dynamics import arc_field, durations, propagate_solution, rk4
 
 
 # ---------------------------------------------------------------------------
@@ -46,17 +46,6 @@ from .tp_dynamics import arc_field, propagate_solution
 
 def _tp_dims(struct: ArcStructure, n: int) -> int:
     return struct.N * n + (struct.N - 1)
-
-
-def _split_state(X, N, n):
-    blocks = [X[..., k * n : (k + 1) * n] for k in range(N)]
-    tau = X[..., N * n :]
-    return blocks, tau
-
-def _durations(tau, T):
-    lo = np.concatenate([np.zeros(tau.shape[:-1] + (1,)), tau], axis=-1)
-    hi = np.concatenate([tau, np.full(tau.shape[:-1] + (1,), T)], axis=-1)
-    return hi - lo
 
 
 def tp_rates(prob: ProblemDef, struct: ArcStructure, U, X, P_arcs):
@@ -74,13 +63,12 @@ def tp_rates(prob: ProblemDef, struct: ArcStructure, U, X, P_arcs):
     U = np.asarray(U, dtype=float)
     D = X.shape[-1]
     i_s = index_sets(struct)[0]
-    blocks, tau = _split_state(X, N, n)
-    dts = _durations(tau, prob.T)
+    dts = durations(X[..., N * n :], prob.T)
     out = np.zeros(np.broadcast_shapes(X.shape[:-1], U.shape[:-1], P_arcs.shape[:-2])
                    + (2 * D + len(i_s),))
     h_vals = []
     for k, kind in enumerate(struct.kinds):
-        xk, pk, dt = blocks[k], P_arcs[..., k, :], dts[..., k : k + 1]
+        xk, pk, dt = X[..., k * n : (k + 1) * n], P_arcs[..., k, :], dts[..., k : k + 1]
         c = i_s.index(k + 1) if kind is ArcKind.Singular else None
         v, hx = arc_field(prob, kind, xk, pk, None if c is None else U[..., c])
         out[..., k * n : (k + 1) * n] = dt * v
@@ -327,28 +315,21 @@ def _propagate_linear(lin: TPLinearization, drive: np.ndarray, Z0: np.ndarray,
     """RK4 for Z' = A Z + (E or B) drive with nodal coefficients.
 
     ``Z0`` may be a matrix of stacked initial columns; ``drive`` holds the
-    per-node channel values with matching trailing columns.
+    per-node channel values with matching trailing columns.  The midpoint
+    stages use the mean of the two nodal values.
     """
-    A = lin.A
     G = lin.E if use_E else lin.B
+    mid = lambda a: 0.5 * (a[:-1] + a[1:])
+    coeffs = {0.0: (lin.A[:-1], G[:-1], drive[:-1]),
+              0.5: (mid(lin.A), mid(G), mid(drive)),
+              1.0: (lin.A[1:], G[1:], drive[1:])}
+
+    def rate(i, c, z):
+        Ai, Gi, di = (a[i] for a in coeffs[c])
+        return Ai @ z + Gi @ di
+
     m1 = lin.s.size
-    ds = lin.s[1] - lin.s[0]
-    Z = np.empty((m1,) + Z0.shape)
-    Z[0] = Z0
-    for i in range(m1 - 1):
-        A0, A1 = A[i], A[i + 1]
-        Am = 0.5 * (A0 + A1)
-        G0, G1 = G[i], G[i + 1]
-        Gm = 0.5 * (G0 + G1)
-        d0, d1 = drive[i], drive[i + 1]
-        dm = 0.5 * (d0 + d1)
-        z = Z[i]
-        k1 = A0 @ z + G0 @ d0
-        k2 = Am @ (z + 0.5 * ds * k1) + Gm @ dm
-        k3 = Am @ (z + 0.5 * ds * k2) + Gm @ dm
-        k4 = A1 @ (z + ds * k3) + G1 @ d1
-        Z[i + 1] = z + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return Z
+    return np.fromiter(rk4(rate, Z0, m1 - 1, lin.s[1] - lin.s[0]), (float, Z0.shape), m1)
 
 
 def integrate_goh(lin: TPLinearization, Xi0: np.ndarray, Y: np.ndarray) -> np.ndarray:

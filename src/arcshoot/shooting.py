@@ -35,6 +35,7 @@ from .tp_dynamics import (
     TPTrajectory,
     arc_hamiltonian,
     constraint_multiplier_density,
+    durations,
     legendre_clebsch_value,
     propagate_endpoint,
 )
@@ -175,14 +176,12 @@ def _gamma_of_arc(struct: ArcStructure, gamma: np.ndarray):
 
 def _endpoints(prob, struct, x0, tau, p0, M):
     """Propagate every arc; returns terminal states/costates, (..., N, n)."""
-    bounds_lo = np.concatenate([np.zeros(tau.shape[:-1] + (1,)), tau], axis=-1)
-    bounds_hi = np.concatenate([tau, np.full(tau.shape[:-1] + (1,), prob.T)], axis=-1)
+    dts = durations(tau, prob.T)
     x1 = np.empty_like(x0)
     p1 = np.empty_like(p0)
     for k, kind in enumerate(struct.kinds):
-        dt_k = bounds_hi[..., k] - bounds_lo[..., k]
-        dt_k = dt_k[..., None] if np.ndim(dt_k) > 0 else dt_k
-        xe, pe = propagate_endpoint(prob, kind, dt_k, x0[..., k, :], p0[..., k, :], M)
+        xe, pe = propagate_endpoint(prob, kind, dts[..., k : k + 1], x0[..., k, :],
+                                    p0[..., k, :], M)
         x1[..., k, :] = xe
         p1[..., k, :] = pe
     return x1, p1

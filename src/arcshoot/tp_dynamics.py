@@ -1,4 +1,4 @@
-"""Per-arc state/costate dynamics on normalized time [0, 1] and RK4 propagation.
+"""Per-arc state/costate dynamics on normalized time [0, 1] and the RK4 stepper.
 
 Each arc of the transformed problem evolves on s in [0, 1] with the physical
 duration ``dt_k = tau_k - tau_{k-1}`` folded into the right-hand side.  The
@@ -31,6 +31,7 @@ from .problem_def import (
     flagged_row,
     gamma_control,
     gamma_denominator_guard,
+    gamma_from_fields,
     gamma_gradient,
     lie_bracket,
 )
@@ -88,11 +89,13 @@ def arc_field(prob: ProblemDef, kind: ArcKind, x: np.ndarray, costate: np.ndarra
     treated as independent of x (the chain-rule term vanishes at solutions
     where H_u = 0).
     """
-    if w is None:
+    f0x, f1x = prob.f0(x), prob.f1(x)
+    if w is None and kind is ArcKind.Constrained:
+        w = gamma_from_fields(prob, np.asarray(x, dtype=float), f0x, f1x)
+    elif w is None:
         w = arc_control(prob, kind, x, costate)
     w = np.asarray(w)
-    f1x = prob.f1(x)
-    v = prob.f0(x) + (w[..., None] if w.ndim > 0 else w) * f1x
+    v = f0x + (w[..., None] if w.ndim > 0 else w) * f1x
     jac = prob.df0(x) + (w[..., None, None] if w.ndim > 0 else w) * prob.df1(x)
     hx = np.einsum("...i,...ij->...j", costate, jac)
     if kind is ArcKind.Constrained:
@@ -135,9 +138,39 @@ class ArcGrid:
 
     kind: ArcKind
     s: np.ndarray        # (M+1,)
-    x: np.ndarray        # (M+1, n)
-    p: np.ndarray        # (M+1, n)
-    w: np.ndarray        # (M+1,)
+    x: np.ndarray        # (M+1, ..., n)
+    p: np.ndarray        # (M+1, ..., n)
+    w: np.ndarray        # (M+1, ...)
+
+
+def rk4(rate, y0, steps: int, h: float):
+    """Classical RK4 for y' = rate(i, c, y); yields y_0, ..., y_steps.
+
+    ``c`` is the stage time inside step ``i`` in units of ``h``: 0 for the
+    first stage, 0.5 for the two midpoint stages, 1 for the last.  This is
+    the one RK4 update of the package.
+    """
+    y = y0
+    yield y
+    for i in range(steps):
+        k1 = rate(i, 0.0, y)
+        k2 = rate(i, 0.5, y + 0.5 * h * k1)
+        k3 = rate(i, 0.5, y + 0.5 * h * k2)
+        k4 = rate(i, 1.0, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        yield y
+
+
+def _arc_nodes(prob, kind, dt_k, x0, p0, M):
+    """RK4 nodes of the stacked (x, p) arc system, step 1/M, as a generator."""
+    if M < 1:
+        raise ConfigurationError(f"step count must be >= 1, got {M}")
+    n = prob.n
+    rate = lambda i, c, y: np.concatenate(arc_rhs(prob, kind, dt_k, y[..., :n], y[..., n:]),
+                                          axis=-1)
+    y0 = np.concatenate(np.broadcast_arrays(np.asarray(x0, dtype=float),
+                                            np.asarray(p0, dtype=float)), axis=-1)
+    return rk4(rate, y0, M, 1.0 / M)
 
 
 def propagate_arc(
@@ -148,46 +181,38 @@ def propagate_arc(
     p0: np.ndarray,
     M: int,
 ) -> ArcGrid:
-    """Classical RK4 with step 1/M on the coupled (x, p) system; full grid."""
-    if M < 1:
-        raise ConfigurationError(f"step count must be >= 1, got {M}")
-    x = np.asarray(x0, dtype=float).copy()
-    p = np.asarray(p0, dtype=float).copy()
-    h = 1.0 / M
-    xs = np.empty((M + 1, prob.n))
-    ps = np.empty((M + 1, prob.n))
-    ws = np.empty(M + 1)
-    xs[0], ps[0] = x, p
-    ws[0] = arc_control(prob, kind, x, p)
-    for i in range(M):
-        x, p = _rk4_step(prob, kind, dt_k, x, p, h)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-            raise NonFiniteState(f"non-finite state at arc node {i + 1} (kind {kind.value})")
-        xs[i + 1], ps[i + 1] = x, p
-        ws[i + 1] = arc_control(prob, kind, x, p)
-    return ArcGrid(kind=kind, s=np.linspace(0.0, 1.0, M + 1), x=xs, p=ps, w=ws)
+    """Classical RK4 with step 1/M on the coupled (x, p) system; full grid.
+
+    Broadcasts over batched initial data; the node axis comes first.
+    """
+    nodes = []
+    for y in _arc_nodes(prob, kind, dt_k, x0, p0, M):
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteState(
+                f"non-finite state at arc node {len(nodes)} (kind {kind.value})")
+        nodes.append(y)
+    y = np.stack(nodes)
+    x, p = y[..., : prob.n], y[..., prob.n :]
+    w = np.empty(y.shape[:-1])
+    w[...] = arc_control(prob, kind, x, p)
+    return ArcGrid(kind=kind, s=np.linspace(0.0, 1.0, M + 1), x=x, p=p, w=w)
 
 
 def propagate_endpoint(prob, kind, dt_k, x0, p0, M):
     """Terminal (x, p) of the arc only; broadcasts over batched initial data."""
-    x = np.asarray(x0, dtype=float).copy()
-    p = np.asarray(p0, dtype=float).copy()
-    h = 1.0 / M
-    for _ in range(M):
-        x, p = _rk4_step(prob, kind, dt_k, x, p, h)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
+    for y in _arc_nodes(prob, kind, dt_k, x0, p0, M):
+        pass
+    if not np.all(np.isfinite(y)):
         raise NonFiniteState(f"non-finite state on arc of kind {kind.value}")
-    return x, p
+    return y[..., : prob.n], y[..., prob.n :]
 
 
-def _rk4_step(prob, kind, dt_k, x, p, h):
-    k1x, k1p = arc_rhs(prob, kind, dt_k, x, p)
-    k2x, k2p = arc_rhs(prob, kind, dt_k, x + 0.5 * h * k1x, p + 0.5 * h * k1p)
-    k3x, k3p = arc_rhs(prob, kind, dt_k, x + 0.5 * h * k2x, p + 0.5 * h * k2p)
-    k4x, k4p = arc_rhs(prob, kind, dt_k, x + h * k3x, p + h * k3p)
-    xn = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    pn = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    return xn, pn
+def durations(tau, T):
+    """Arc durations (..., N) from interior switching times (..., N-1) on [0, T]."""
+    tau = np.asarray(tau, dtype=float)
+    lo = np.concatenate([np.zeros(tau.shape[:-1] + (1,)), tau], axis=-1)
+    hi = np.concatenate([tau, np.full(tau.shape[:-1] + (1,), T)], axis=-1)
+    return hi - lo
 
 
 @dataclass
@@ -197,29 +222,11 @@ class TPTrajectory:
     arcs: list
     tau: np.ndarray      # interior switching times, length N-1
     T: float
-    steps_per_arc: int
-
-    @property
-    def N(self) -> int:
-        return len(self.arcs)
-
-    def boundaries(self) -> np.ndarray:
-        return np.concatenate(([0.0], np.asarray(self.tau, dtype=float), [self.T]))
 
     def arc_times(self, k: int) -> np.ndarray:
         """Original-time nodes of arc k (0-based): t = tau_k + dt_k s."""
-        b = self.boundaries()
-        return b[k] + (b[k + 1] - b[k]) * self.arcs[k].s
-
-    def original_time_samples(self) -> tuple:
-        """Concatenated (t, u, x, p) over all arcs in original time."""
-        ts, us, xs, ps = [], [], [], []
-        for k, arc in enumerate(self.arcs):
-            ts.append(self.arc_times(k))
-            us.append(arc.w)
-            xs.append(arc.x)
-            ps.append(arc.p)
-        return (np.concatenate(ts), np.concatenate(us), np.vstack(xs), np.vstack(ps))
+        start = np.concatenate(([0.0], self.tau))[k]
+        return start + durations(self.tau, self.T)[k] * self.arcs[k].s
 
     def cost(self, prob: ProblemDef) -> float:
         return float(prob.phi(self.arcs[0].x[0], self.arcs[-1].x[-1]))
@@ -229,13 +236,10 @@ def propagate_structure(
     prob: ProblemDef, struct: ArcStructure, x0_arcs, p0_arcs, M: int
 ) -> TPTrajectory:
     """Propagate every arc of a structure from its initial (x, p) pair."""
-    bounds = struct.boundaries(prob.T)
-    arcs = []
-    for k, kind in enumerate(struct.kinds):
-        dt_k = bounds[k + 1] - bounds[k]
-        arcs.append(propagate_arc(prob, kind, dt_k, x0_arcs[k], p0_arcs[k], M))
-    return TPTrajectory(arcs=arcs, tau=np.asarray(struct.tau, dtype=float), T=prob.T,
-                        steps_per_arc=M)
+    dts = durations(struct.tau, prob.T)
+    arcs = [propagate_arc(prob, kind, dts[k], x0_arcs[k], p0_arcs[k], M)
+            for k, kind in enumerate(struct.kinds)]
+    return TPTrajectory(arcs=arcs, tau=np.asarray(struct.tau, dtype=float), T=prob.T)
 
 
 def propagate_solution(prob: ProblemDef, struct: ArcStructure, omega, M: int) -> TPTrajectory:

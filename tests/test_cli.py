@@ -23,6 +23,14 @@ def solved_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def toy_bang_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("toy_bang")
+    assert run(["solve", "--problem", "toy-bang", "--structure", "B-",
+                "--init", "analytic", "--out", out]) == 0
+    return out
+
+
 class TestSolve:
     def test_outputs_and_report(self, solved_dir):
         report = json.loads((solved_dir / "report.json").read_text())
@@ -86,6 +94,11 @@ class TestSolve:
         assert run(["solve", "--problem", "regulator", "--structure", "S",
                     "--init", "analytic", "--out", tmp_path]) == 1
 
+    def test_warm_start_of_other_problem_exits_1(self, tmp_path, toy_bang_dir, capsys):
+        assert run(["solve", "--problem", "regulator", "--structure", "B-", "--tau", "",
+                    "--init", toy_bang_dir / "omega.json", "--out", tmp_path]) == 1
+        assert "solve: error: " in capsys.readouterr().err
+
 
 class TestDetect:
     def test_from_csv(self, tmp_path, regulator):
@@ -104,6 +117,14 @@ class TestDetect:
         csv_path.write_text("t,u,x1,x2,x3\n")
         assert run(["detect", "--problem", "regulator", "--from-csv", csv_path,
                     "--out", tmp_path]) == 1
+
+    @pytest.mark.parametrize("bad_row", ["0.1,abc,0,1,0", "0.1,-1,0,1"])
+    def test_malformed_csv_row_exits_1(self, tmp_path, capsys, bad_row):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(f"t,u,x1,x2,x3\n0,-1,0,1,0\n{bad_row}\n")
+        assert run(["detect", "--problem", "regulator", "--from-csv", csv_path,
+                    "--out", tmp_path]) == 1
+        assert "detect: error: line 3 of " in capsys.readouterr().err
 
 
 class TestVerify:
@@ -131,6 +152,11 @@ class TestVerify:
         eig = doc["smallest_eigenvalues"]
         assert len(eig) == 3 and eig == sorted(eig) and eig[0] == doc["c_est"]
         assert doc["lam_max"] >= abs(eig[-1])
+
+    def test_omega_of_other_problem_exits_1(self, tmp_path, toy_bang_dir, capsys):
+        assert run(["verify", "--problem", "regulator", "--omega",
+                    toy_bang_dir / "omega.json", "--out", tmp_path]) == 1
+        assert "n=1, q=1; the problem has n=3, q=3" in capsys.readouterr().err
 
     def test_missing_omega_exits_1(self, tmp_path):
         assert run(["verify", "--problem", "regulator",

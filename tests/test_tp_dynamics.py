@@ -5,7 +5,12 @@ import pytest
 
 from arcshoot import problems as P
 from arcshoot.arc_structure import ArcKind
-from arcshoot.errors import ConfigurationError, FirstOrderViolation, SingularDenominatorError
+from arcshoot.errors import (
+    ConfigurationError,
+    FirstOrderViolation,
+    NonFiniteState,
+    SingularDenominatorError,
+)
 from arcshoot.problem_def import ProblemDef, gamma_control
 from arcshoot.tp_dynamics import (
     arc_control,
@@ -13,6 +18,7 @@ from arcshoot.tp_dynamics import (
     arc_rhs,
     constraint_multiplier_density,
     propagate_arc,
+    propagate_endpoint,
     propagate_solution,
     write_tp_csv,
 )
@@ -193,6 +199,60 @@ class TestPropagate:
         resid = np.einsum("ti,ti->t", arc.p, lie_bracket(regulator, BRACKET_F1F0_F0, arc.x)) \
             + arc.w * np.einsum("ti,ti->t", arc.p, lie_bracket(regulator, BRACKET_F1F0_F1, arc.x))
         assert np.max(np.abs(resid)) <= 1e-8
+
+
+def _blow_up_problem():
+    """xdot = x^2 under the B- rule with u_min = 0: from x0 = 1 it blows up at t = 1."""
+    return dataclasses.replace(
+        _scalar_growth_problem(),
+        f0=lambda x: np.asarray(x, dtype=float) ** 2,
+        df0=lambda x: 2.0 * np.asarray(x, dtype=float)[..., None],
+    )
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("x0", [[1.0], [[0.1], [1.0]]], ids=["row", "batch"])
+    @pytest.mark.parametrize("propagate", [propagate_arc, propagate_endpoint])
+    def test_blow_up_raises(self, propagate, x0):
+        x0 = np.array(x0)
+        with pytest.raises(NonFiniteState), np.errstate(over="ignore", invalid="ignore"):
+            propagate(_blow_up_problem(), B, 2.0, x0, np.zeros_like(x0), 100)
+
+    def test_batch_row_that_stays_finite(self):
+        x0 = np.array([[0.1], [0.2]])
+        arc = propagate_arc(_blow_up_problem(), B, 2.0, x0, np.zeros_like(x0), 100)
+        assert arc.x.shape == (101, 2, 1) and arc.w.shape == (101, 2)
+        np.testing.assert_allclose(arc.x[-1, :, 0], x0[:, 0] / (1.0 - 2.0 * x0[:, 0]),
+                                   rtol=1e-7)
+        xe, _ = propagate_endpoint(_blow_up_problem(), B, 2.0, x0, np.zeros_like(x0), 100)
+        np.testing.assert_array_equal(xe, arc.x[-1])
+
+
+class TestCallbackCounts:
+    """One arc_rhs evaluates each regulator callback it needs once."""
+
+    @pytest.mark.parametrize("kind, x, p, calls", [
+        (B, [0.3, 0.5, 0.1], [0.2, 0.1, 1.0], 4),
+        (ArcKind.BPlus, [0.3, 0.5, 0.1], [0.2, 0.1, 1.0], 4),
+        (S, [0.17, -0.17, 0.5], [0.17, 0.0, 1.0], 6),
+        (C, [0.4, -0.2, 0.1], [0.45, 0.02, 1.0], 6),
+    ], ids=["B-", "B+", "S", "C"])
+    def test_calls_per_rhs(self, regulator, kind, x, p, calls):
+        counts = {}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args)
+            return wrapper
+
+        names = [f.name for f in dataclasses.fields(regulator)
+                 if callable(getattr(regulator, f.name))]
+        prob = dataclasses.replace(regulator, **{
+            name: counted(name, getattr(regulator, name)) for name in names})
+        arc_rhs(prob, kind, 1.0, np.array(x), np.array(p))
+        assert sum(counts.values()) == calls, counts
+        assert max(counts.values()) == 1, counts
 
 
 class TestHamiltonian:
