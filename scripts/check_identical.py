@@ -14,7 +14,12 @@ one subprocess per step:
 * ``verify --nodes 400`` on the warm ``omega.json``;
 * ``verify --nodes 200`` and ``--nodes 400`` on an ``omega.json`` written
   from ``problems.regulator_analytic_omega()``;
-* a standalone ``detect``.
+* a standalone ``detect``, then ``detect --from-csv`` on its
+  ``direct_trajectory.csv``, with and without ``--min-arc-len 0.3``;
+* the toy-bang ``solve`` and ``verify`` (one arc, no C or S arcs);
+* ``solve`` of ``arcshoot.problems:make_regulator_fd_brackets`` (no analytic
+  brackets and no ``dgamma``, so the finite-difference fallbacks run) from
+  the warm ``omega.json``, then ``verify --nodes 100`` on its result.
 
 The exit code of every step goes into ``exit_codes.json``.  The script then
 compares every output file of the two trees byte for byte, lists each one
@@ -48,6 +53,8 @@ def steps(out: Path) -> list:
     py, cli = sys.executable, [sys.executable, "-m", "arcshoot.cli"]
     warm_omega = out / "regulator" / "regulator_warm" / "omega.json"
     analytic = out / "analytic" / "omega.json"
+    toy = out / "toy_bang"
+    fd = "arcshoot.problems:make_regulator_fd_brackets"
     return [
         ("run_regulator", [py, str(ROOT / "scripts" / "run_regulator.py"),
                            str(out / "regulator")]),
@@ -59,6 +66,21 @@ def steps(out: Path) -> list:
                                           "--out", str(out / f"verify_analytic_{m}")])
           for m in (200, 400)],
         ("detect", cli + ["detect", "--problem", "regulator", "--out", str(out / "detect")]),
+        # Relative to the step's working directory ``out``, so that the
+        # ``source`` key of structure.json is the same for both trees.
+        *[(f"detect_csv{tag}", cli + ["detect", "--problem", "regulator", "--from-csv",
+                                      "detect/direct_trajectory.csv",
+                                      "--out", str(out / f"detect_csv{tag}"), *extra])
+          for tag, extra in (("", []), ("_min_arc_len", ["--min-arc-len", "0.3"]))],
+        ("solve_toy_bang", cli + ["solve", "--problem", "toy-bang", "--structure", "B-",
+                                  "--init", "analytic", "--out", str(toy)]),
+        ("verify_toy_bang", cli + ["verify", "--problem", "toy-bang", "--omega",
+                                   str(toy / "omega.json"), "--out", str(toy)]),
+        ("solve_fd", cli + ["solve", "--problem", fd, "--structure", "B-,C,S",
+                            "--init", str(warm_omega), "--out", str(out / "fd")]),
+        ("verify_fd_100", cli + ["verify", "--problem", fd, "--omega",
+                                 str(out / "fd" / "omega.json"), "--nodes", "100",
+                                 "--out", str(out / "fd")]),
     ]
 
 

@@ -77,10 +77,6 @@ class ArcStructure:
             if kind is ArcKind.BPlus and prob.u_max is None:
                 raise ConfigurationError("B+ arc requires a finite upper control bound")
 
-    def boundaries(self, T: float) -> np.ndarray:
-        """Full switching-time vector (0, tau_1, ..., tau_{N-1}, T)."""
-        return np.concatenate(([0.0], np.asarray(self.tau, dtype=float), [T]))
-
     def with_tau(self, tau) -> "ArcStructure":
         """Same kinds with replaced switching times (e.g. solved values)."""
         return ArcStructure(self.kinds, tuple(float(t) for t in tau))
@@ -106,26 +102,12 @@ def index_sets(s: ArcStructure) -> tuple:
     )
 
 
-@dataclass
-class DetectTolerances:
-    """Thresholds for trajectory classification.
-
-    ``None`` entries are replaced by the scale-aware defaults: tol_u =
-    1e-3 (u_max - u_min) (1e-3 absolute with an absent bound), tol_g =
-    1e-4 (1 + max |g|) over the grid, min_arc_len = 0.02 T.
-    """
-
-    tol_u: Optional[float] = None
-    tol_g: Optional[float] = None
-    min_arc_len: Optional[float] = None
-
-
 def detect_structure(
     prob: ProblemDef,
     grid: np.ndarray,
     u: np.ndarray,
     x: np.ndarray,
-    tols: Optional[DetectTolerances] = None,
+    min_arc_len: Optional[float] = None,
 ) -> ArcStructure:
     """Classify a sampled trajectory into an arc sequence with tau guesses.
 
@@ -134,8 +116,10 @@ def detect_structure(
     point, anything else is singular.  The constraint test is one-sided
     because singular points require g < 0 strictly, while direct-method
     output sits slightly on the infeasible side of an active constraint.
-    Runs shorter than min_arc_len are merged into the longer neighbouring
-    run; switching-time guesses sit at transition midpoints.
+    Runs shorter than ``min_arc_len`` (default 0.02 T) are merged into the
+    longer neighbouring run; switching-time guesses sit at transition
+    midpoints.  The tolerances scale with the data: tol_u = 1e-3 (u_max -
+    u_min) (1e-3 with an absent bound), tol_g = 1e-4 (1 + max |g|).
     """
     grid = np.asarray(grid, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -148,15 +132,11 @@ def detect_structure(
         raise StructureDetectionError(
             f"samples misaligned: grid {grid.shape}, u {u.shape}, x {x.shape}"
         )
-    tols = tols or DetectTolerances()
-
-    if prob.u_min is not None and prob.u_max is not None:
-        tol_u = tols.tol_u if tols.tol_u is not None else 1e-3 * (prob.u_max - prob.u_min)
-    else:
-        tol_u = tols.tol_u if tols.tol_u is not None else 1e-3
+    bounded = prob.u_min is not None and prob.u_max is not None
+    tol_u = 1e-3 * (prob.u_max - prob.u_min if bounded else 1.0)
     gvals = np.asarray(prob.g(x), dtype=float)
-    tol_g = tols.tol_g if tols.tol_g is not None else 1e-4 * (1.0 + float(np.max(np.abs(gvals))))
-    min_len = tols.min_arc_len if tols.min_arc_len is not None else 0.02 * prob.T
+    tol_g = 1e-4 * (1.0 + float(np.max(np.abs(gvals))))
+    min_len = 0.02 * prob.T if min_arc_len is None else min_arc_len
 
     raw = np.empty(grid.size, dtype=object)
     for i in range(grid.size):

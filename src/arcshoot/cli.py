@@ -28,6 +28,7 @@ from .shooting import (
     ShootingVector,
     gauss_newton,
     load_omega,
+    read_json_object,
     save_omega,
     steps_per_arc,
     validate_solution,
@@ -59,35 +60,29 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def resolve_problem(spec: str) -> ProblemDef:
     """Built-in name, or `module:callable` returning a ProblemDef."""
-    if spec in builtin_problems.problem_names():
+    if ":" not in spec:
         return builtin_problems.get_problem(spec)
-    if ":" in spec:
-        mod_name, attr = spec.split(":", 1)
-        try:
-            factory = getattr(importlib.import_module(mod_name), attr)
-        except (ImportError, AttributeError) as exc:
-            raise ConfigurationError(f"cannot import problem factory {spec!r}: {exc}") from exc
-        prob = factory()
-        if not isinstance(prob, ProblemDef):
-            raise ConfigurationError(f"{spec!r} did not return a ProblemDef")
-        return prob
-    raise ConfigurationError(
-        f"unknown problem {spec!r}; built-ins: {', '.join(builtin_problems.problem_names())}"
-    )
+    mod_name, attr = spec.split(":", 1)
+    try:
+        factory = getattr(importlib.import_module(mod_name), attr)
+    except (ImportError, AttributeError) as exc:
+        raise ConfigurationError(f"cannot import problem factory {spec!r}: {exc}") from exc
+    prob = factory()
+    if not isinstance(prob, ProblemDef):
+        raise ConfigurationError(f"{spec!r} did not return a ProblemDef")
+    return prob
 
 
-def _merge_config(args: argparse.Namespace, keys) -> dict:
+def _merge_config(args: argparse.Namespace) -> dict:
+    """The subcommand's flags over the same keys of the ``--config`` file."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
     cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        for k in keys:
-            if k in file_cfg:
-                cfg[k] = file_cfg[k]
-    for k in keys:
-        v = getattr(args, k, None)
-        if v is not None:
-            cfg[k] = v
+    if args.config:
+        file_cfg = read_json_object(args.config)
+        cfg = {k: file_cfg[k] for k in flags if k in file_cfg}
+    cfg.update({k: v for k, v in flags.items() if v is not None})
+    if "problem" not in cfg:
+        raise ConfigurationError("no problem given: use --problem or a 'problem' config key")
     return cfg
 
 
@@ -124,14 +119,13 @@ def _run_direct(prob, cfg):
 def _initial_omega(prob, struct, cfg, dres) -> ShootingVector:
     init = cfg.get("init", "analytic")
     if init == "analytic":
-        name = cfg.get("problem")
         try:
-            omega = builtin_problems.builtin_omega(name)
-            ref = builtin_problems.builtin_structure(name)
+            _, ref_struct, ref_omega = builtin_problems.builtin(cfg["problem"])
         except ConfigurationError as exc:
             raise ConfigurationError(
                 f"init=analytic needs a built-in problem with a reference solution: {exc}"
             ) from exc
+        omega, ref = ref_omega(), ref_struct()
         if ref.kinds != struct.kinds:
             raise ConfigurationError(
                 f"init=analytic provides structure {ref.tokens()}, requested {struct.tokens()}"
@@ -165,8 +159,8 @@ def _load_omega(path, prob) -> tuple:
 
 def _omega_from_direct(prob, struct, dres) -> ShootingVector:
     """Arc states from the direct trajectory, costates from its adjoint."""
-    bounds = struct.boundaries(prob.T)
-    idx = [int(np.argmin(np.abs(dres.t - b))) for b in bounds[:-1]]
+    starts = np.concatenate(([0.0], struct.tau))
+    idx = [int(np.argmin(np.abs(dres.t - b))) for b in starts]
     x0 = np.stack([dres.x[i] for i in idx])
     p0 = np.stack([dres.lam[i] for i in idx])
     n_c = len(index_sets(struct)[1])
@@ -180,8 +174,7 @@ def _omega_from_direct(prob, struct, dres) -> ShootingVector:
 
 
 def cmd_solve(args) -> int:
-    cfg = _merge_config(args, ["problem", "structure", "tau", "init", "steps", "tol",
-                               "max_iter", "out", "grid", "penalty", "direct_iters"])
+    cfg = _merge_config(args)
     out_dir = Path(cfg.get("out", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     prob = resolve_problem(cfg["problem"])
@@ -230,14 +223,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    cfg = _merge_config(args, ["problem", "grid", "penalty", "direct_iters", "out",
-                               "from_csv", "min_arc_len"])
+    cfg = _merge_config(args)
     out_dir = Path(cfg.get("out", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     prob = resolve_problem(cfg["problem"])
-    from .arc_structure import DetectTolerances
-
-    tols = DetectTolerances(min_arc_len=cfg.get("min_arc_len"))
     if cfg.get("from_csv"):
         t, u, x = read_trajectory_csv(cfg["from_csv"])
         doc_extra = {"source": str(cfg["from_csv"])}
@@ -247,7 +236,7 @@ def cmd_detect(args) -> int:
         write_trajectory_csv(out_dir / "direct_trajectory.csv", t, u, x)
         doc_extra = {"source": "direct", "direct_cost": dres.cost,
                      "direct_stalled": dres.stalled}
-    struct = detect_structure(prob, t, u, x, tols)
+    struct = detect_structure(prob, t, u, x, min_arc_len=cfg.get("min_arc_len"))
     doc = {"kinds": struct.tokens(), "tau": [float(v) for v in struct.tau]}
     doc.update(doc_extra)
     _write_json(out_dir / "structure.json", doc)
@@ -256,7 +245,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _merge_config(args, ["problem", "omega", "nodes", "out"])
+    cfg = _merge_config(args)
     out_dir = Path(cfg.get("out", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     prob = resolve_problem(cfg["problem"])

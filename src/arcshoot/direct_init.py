@@ -22,17 +22,18 @@ from .tp_dynamics import rk4
 
 # RK4 steps per control cell in the re-integration of the found control.
 SUBSTEPS = 10
+# Step used when the Barzilai-Borwein quotient is undefined, its shrink
+# factor per backtracking trial and the number of trials.
+STEP_INIT = 1.0
+STEP_SHRINK = 0.5
+MAX_BACKTRACKS = 40
 
 
 @dataclass
 class DirectSolveConfig:
     grid_size: int = 100
     penalty_weight: float = 1e3
-    step_init: float = 1.0
-    step_shrink: float = 0.5
     max_iters: int = 800
-    max_backtracks: int = 40
-    x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.grid_size < 10:
@@ -76,16 +77,15 @@ def _pen_grad(prob, x, rho, dt):
 def direct_solve(prob: ProblemDef, cfg: Optional[DirectSolveConfig] = None) -> DirectSolveResult:
     """Minimize the Euler-discretized penalized cost over piecewise controls.
 
-    A pinned initial state (``cfg.x0`` or ``prob.x0_fixed``) is handled
-    exactly; otherwise the initial state joins the decision variables and
-    the endpoint map is enforced through the same quadratic penalty as the
+    A pinned initial state (``prob.x0_fixed``) is handled exactly;
+    otherwise the initial state joins the decision variables and the
+    endpoint map is enforced through the same quadratic penalty as the
     state constraint.  The reported objective is non-increasing across
     accepted iterations; a stalled flag is set when no backtracked step
     decreases it.
     """
     cfg = cfg or DirectSolveConfig()
-    x0_pinned = cfg.x0 if cfg.x0 is not None else prob.x0_fixed
-    free_x0 = x0_pinned is None
+    free_x0 = prob.x0_fixed is None
     K = cfg.grid_size
     dt = prob.T / K
     rho = cfg.penalty_weight
@@ -125,12 +125,12 @@ def direct_solve(prob: ProblemDef, cfg: Optional[DirectSolveConfig] = None) -> D
         gx0 = lam[0] + extra0 if free_x0 else np.zeros(prob.n)
         return gu, gx0, lam
 
-    x0 = np.zeros(prob.n) if free_x0 else np.asarray(x0_pinned, dtype=float)
+    x0 = np.zeros(prob.n) if free_x0 else np.asarray(prob.x0_fixed, dtype=float)
     u = _clip(prob, np.full(K, _initial_control(prob)))
     xs = forward(x0, u)
     J = objective(xs)
     history = [J]
-    alpha = cfg.step_init
+    alpha = STEP_INIT
     stalled = False
     n_iters = 0
     z_old = None
@@ -144,10 +144,10 @@ def direct_solve(prob: ProblemDef, cfg: Optional[DirectSolveConfig] = None) -> D
             dz = z - z_old
             dg = grad - g_old
             denom = float(dz @ dg)
-            alpha = float(dz @ dz) / denom if denom > 1e-14 else cfg.step_init
+            alpha = float(dz @ dz) / denom if denom > 1e-14 else STEP_INIT
             alpha = float(np.clip(alpha, 1e-4, 1e3))
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             z_t = z - alpha * grad
             u_t = _clip(prob, z_t[:K])
             x0_t = z_t[K:] if free_x0 else x0
@@ -156,7 +156,7 @@ def direct_solve(prob: ProblemDef, cfg: Optional[DirectSolveConfig] = None) -> D
             if J_t < J:
                 accepted = True
                 break
-            alpha *= cfg.step_shrink
+            alpha *= STEP_SHRINK
         if not accepted:
             stalled = True
             break

@@ -25,7 +25,7 @@ BRACKET_F1F0_F0 = "[[f1,f0],f0]"
 BRACKET_F1F0_F1 = "[[f1,f0],f1]"
 _BRACKET_IDS = (BRACKET_F1_F0, BRACKET_F1F0_F0, BRACKET_F1F0_F1)
 
-GAMMA_GUARD_COEFF = 1e-10
+GUARD_COEFF = 1e-10
 
 
 @dataclass(frozen=True)
@@ -110,14 +110,24 @@ def fd_steps(x: np.ndarray) -> np.ndarray:
     return 1e-6 * np.maximum(1.0, np.abs(x))
 
 
-def flagged_row(bad: np.ndarray, x: np.ndarray, den: np.ndarray) -> tuple:
-    """State row and denominator at the first entry that ``bad`` flags.
+def denominator_guard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Scale-invariant floor 1e-10 (1 + |a| |b|) under which a.b counts as zero."""
+    return GUARD_COEFF * (1.0 + np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1))
 
-    ``bad`` and ``den`` have the leading shape of the batch ``x`` (..., n);
-    the row is looked up on the flattened batch, whatever its rank.
+
+def guarded_ratio(num, a: np.ndarray, b: np.ndarray, x: np.ndarray, error: type):
+    """num / (a.b) at every row of the batch ``x`` (..., n).
+
+    Raises ``error(x_row, denominator)`` at the first row where |a.b| is under
+    :func:`denominator_guard`; the row is looked up on the flattened batch.
     """
-    i = int(np.argmax(np.ravel(bad)))
-    return x.reshape(-1, x.shape[-1])[i], float(np.ravel(den)[i])
+    den = np.einsum("...i,...i->...", a, b)
+    bad = np.abs(den) < denominator_guard(a, b)
+    if np.any(bad):
+        i = int(np.argmax(np.ravel(bad)))
+        x = np.asarray(x, dtype=float)
+        raise error(x.reshape(-1, x.shape[-1])[i], float(np.ravel(den)[i]))
+    return num / den
 
 
 def lie_bracket(prob: ProblemDef, which: str, x: np.ndarray) -> np.ndarray:
@@ -165,14 +175,6 @@ def _bracket_f1_f0(prob: ProblemDef, x: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j->...i", d1, f0x) - np.einsum("...ij,...j->...i", d0, f1x)
 
 
-def gamma_denominator_guard(dgx: np.ndarray, f1x: np.ndarray) -> np.ndarray:
-    """Scale-invariant lower bound below which dg.f1 counts as a violation."""
-    return GAMMA_GUARD_COEFF * (
-        1.0
-        + np.linalg.norm(np.atleast_1d(dgx), axis=-1) * np.linalg.norm(np.atleast_1d(f1x), axis=-1)
-    )
-
-
 def gamma_control(prob: ProblemDef, x: np.ndarray):
     """Feedback control keeping d/dt g = 0 on a constrained arc.
 
@@ -186,13 +188,8 @@ def gamma_control(prob: ProblemDef, x: np.ndarray):
 def gamma_from_fields(prob: ProblemDef, x: np.ndarray, f0x: np.ndarray, f1x: np.ndarray):
     """The feedback of :func:`gamma_control` from given field values f0(x), f1(x)."""
     dgx = _check_dim(prob.dg(x), prob.n, "dg")
-    num = np.einsum("...i,...i->...", dgx, f0x)
-    den = np.einsum("...i,...i->...", dgx, f1x)
-    guard = gamma_denominator_guard(dgx, f1x)
-    bad = np.abs(den) < guard
-    if np.any(bad):
-        raise FirstOrderViolation(*flagged_row(bad, x, den))
-    return -num / den
+    return guarded_ratio(-np.einsum("...i,...i->...", dgx, f0x), dgx, f1x, x,
+                         FirstOrderViolation)
 
 
 def gamma_gradient(prob: ProblemDef, x: np.ndarray) -> np.ndarray:
@@ -231,7 +228,7 @@ def check_first_order(prob: ProblemDef, xs) -> FirstOrderReport:
     f1x = prob.f1(xs)
     vals = np.abs(np.einsum("...i,...i->...", dgx, f1x))
     worst = int(np.argmin(vals))
-    guard = float(gamma_denominator_guard(dgx, f1x)[worst])
+    guard = float(denominator_guard(dgx, f1x)[worst])
     return FirstOrderReport(
         min_abs=float(vals[worst]),
         guard=guard,

@@ -363,22 +363,15 @@ def problem_names() -> list:
     return sorted(_REGISTRY)
 
 
-def get_problem(name: str) -> ProblemDef:
+def builtin(name: str) -> tuple:
+    """(problem factory, reference structure, reference omega) of a built-in problem."""
     try:
-        return _REGISTRY[name][0]()
+        return _REGISTRY[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown problem {name!r}; built-ins: {', '.join(problem_names())}"
         ) from None
 
 
-def builtin_structure(name: str) -> ArcStructure:
-    if name not in _REGISTRY:
-        raise ConfigurationError(f"unknown problem {name!r}")
-    return _REGISTRY[name][1]()
-
-
-def builtin_omega(name: str) -> ShootingVector:
-    if name not in _REGISTRY:
-        raise ConfigurationError(f"unknown problem {name!r}")
-    return _REGISTRY[name][2]()
+def get_problem(name: str) -> ProblemDef:
+    return builtin(name)[0]()

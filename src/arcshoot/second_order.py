@@ -35,7 +35,7 @@ import numpy as np
 from .arc_structure import ArcKind, ArcStructure, index_sets
 from .errors import AssemblyError
 from .problem_def import ProblemDef, central_diff, fd_steps
-from .shooting import ShootingVector
+from .shooting import ShootingVector, constraint_rows
 from .tp_dynamics import arc_field, durations, propagate_solution, rk4
 
 
@@ -239,25 +239,13 @@ def _endpoint_lagrangian_hessian(prob, struct, omega, X0, X1):
     return hess
 
 
-def _endpoint_constraints(prob, struct, X0, X1):
-    """Endpoint map, entry constraints and continuity rows at (X0, X1), (..., D) each."""
-    N, n = struct.N, prob.n
-    i_c = index_sets(struct)[1]
-    x01 = X0[..., : n]
-    x1N = X1[..., (N - 1) * n : N * n]
-    parts = [np.asarray(prob.Phi(x01, x1N), dtype=float)]
-    for k in i_c:
-        parts.append(np.asarray(prob.g(X0[..., (k - 1) * n : k * n]), dtype=float)[..., None])
-    for k in range(N - 1):
-        parts.append(X1[..., k * n : (k + 1) * n] - X0[..., (k + 1) * n : (k + 2) * n])
-    return np.concatenate(parts, axis=-1)
-
-
 def _endpoint_constraint_jacobian(prob, struct, X0, X1):
-    D = X0.size
+    """Jacobian over (X0, X1) of :func:`shooting.constraint_rows` at their arc states."""
+    D, Nn = X0.size, struct.N * prob.n
+    arcs = lambda Z: Z[..., :Nn].reshape(Z.shape[:-1] + (struct.N, prob.n))
     z = np.concatenate([X0, X1])
-    f = lambda zz: _endpoint_constraints(prob, struct, zz[..., :D], zz[..., D:])
-    return central_diff(f, z, fd_steps(z))
+    rows = lambda zz: constraint_rows(prob, struct, arcs(zz[..., :D]), arcs(zz[..., D:]))
+    return central_diff(rows, z, fd_steps(z))
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +322,7 @@ def _propagate_linear(lin: TPLinearization, drive: np.ndarray, Z0: np.ndarray,
 
 def integrate_goh(lin: TPLinearization, Xi0: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Integrate Xi' = A Xi + E Y from Xi0; Y is nodal, (M+1, S)."""
-    return _propagate_linear(lin, Y[:, :, None] if Y.ndim == 2 else Y, Xi0[:, None],
-                             use_E=True)[:, :, 0]
+    return _propagate_linear(lin, Y[:, :, None], Xi0[:, None], use_E=True)[:, :, 0]
 
 
 def integrate_lineq(lin: TPLinearization, Z0: np.ndarray, V: np.ndarray) -> np.ndarray:

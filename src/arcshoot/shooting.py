@@ -104,13 +104,7 @@ class ShootingVector:
         expect = 2 * N * n + (N - 1) + q + n_c
         if flat.size != expect:
             raise ConfigurationError(f"packed length {flat.size}, expected {expect}")
-        i = 0
-        x0 = flat[i : i + N * n].reshape(N, n); i += N * n
-        tau = flat[i : i + N - 1]; i += N - 1
-        p0 = flat[i : i + N * n].reshape(N, n); i += N * n
-        psi = flat[i : i + q]; i += q
-        gamma = flat[i:]
-        return cls(x0=x0, tau=tau, p0=p0, psi=psi, gamma=gamma)
+        return cls(*_unpack_batch(flat, N, n, q))
 
 
 def _unpack_batch(flats: np.ndarray, N: int, n: int, q: int):
@@ -167,13 +161,6 @@ def steps_per_arc(struct: ArcStructure, steps: int) -> int:
     return max(1, round(steps / struct.N))
 
 
-def _gamma_of_arc(struct: ArcStructure, gamma: np.ndarray):
-    """Map arc index (1-based) to its entry multiplier, batched-friendly."""
-    _, i_c, _, _ = index_sets(struct)
-    pos = {k: j for j, k in enumerate(i_c)}
-    return lambda k: gamma[..., pos[k]] if k in pos else None
-
-
 def _endpoints(prob, struct, x0, tau, p0, M):
     """Propagate every arc; returns terminal states/costates, (..., N, n)."""
     dts = durations(tau, prob.T)
@@ -187,68 +174,51 @@ def _endpoints(prob, struct, x0, tau, p0, M):
     return x1, p1
 
 
+def constraint_rows(prob, struct, x0, x1):
+    """Endpoint map, constrained-arc entry values and state continuity, (..., rows).
+
+    ``x0`` and ``x1`` hold the initial and terminal states of every arc,
+    (..., N, n).  These are the first three residual blocks, and the
+    constraints whose Jacobian the second-order certificate linearizes.
+    """
+    N, n = struct.N, prob.n
+    xc = x1[..., : N - 1, :] - x0[..., 1:, :]
+    return np.concatenate(
+        [np.asarray(prob.Phi(x0[..., 0, :], x1[..., N - 1, :]), dtype=float)]
+        + [np.asarray(prob.g(x0[..., k - 1, :]), dtype=float)[..., None]
+           for k in index_sets(struct)[1]]
+        + [xc.reshape(xc.shape[:-2] + (n * (N - 1),))],
+        axis=-1,
+    )
+
+
 def _assemble(prob, struct, x0, tau, p0, psi, gamma, x1, p1):
     """Stack the residual blocks; works for single and batched leading axes."""
     N, n = struct.N, prob.n
     i_s, i_c, _, _ = index_sets(struct)
-    gam = _gamma_of_arc(struct, gamma)
     x01 = x0[..., 0, :]
     x1N = x1[..., N - 1, :]
-    blocks = []
-
-    blocks.append(np.asarray(prob.Phi(x01, x1N), dtype=float))
-    for k in i_c:
-        blocks.append(np.asarray(prob.g(x0[..., k - 1, :]), dtype=float)[..., None])
-    if N > 1:
-        xc = x1[..., : N - 1, :] - x0[..., 1:, :]
-        blocks.append(xc.reshape(xc.shape[:-2] + (n * (N - 1),)))
 
     d0, dT = prob.dphi(x01, x1N)
     D0, DT = prob.dPhi(x01, x1N)
     t0 = p0[..., 0, :] + d0 + np.einsum("...q,...qi->...i", psi, D0)
-    g1 = gam(1)
-    if g1 is not None:
-        t0 = t0 + (g1[..., None] if np.ndim(g1) > 0 else g1) * prob.dg(x01)
-    blocks.append(t0)
+    jumps = p1[..., : N - 1, :] - p0[..., 1:, :]
+    for j, k in enumerate(i_c):
+        jump = gamma[..., j, None] * prob.dg(x0[..., k - 1, :])
+        if k == 1:
+            t0 = t0 + jump
+        else:
+            jumps[..., k - 2, :] -= jump
 
-    if N > 1:
-        jumps = p1[..., : N - 1, :] - p0[..., 1:, :]
-        for k in range(2, N + 1):
-            gk = gam(k)
-            if gk is not None:
-                dgx = prob.dg(x0[..., k - 1, :])
-                jumps[..., k - 2, :] -= (gk[..., None] if np.ndim(gk) > 0 else gk) * dgx
-        blocks.append(jumps.reshape(jumps.shape[:-2] + (n * (N - 1),)))
-
-    blocks.append(p1[..., N - 1, :] - dT - np.einsum("...q,...qi->...i", psi, DT))
-
-    if N > 1:
-        h1 = np.stack(
-            [
-                np.asarray(arc_hamiltonian(prob, struct.kinds[k], x1[..., k, :], p1[..., k, :]))
-                for k in range(N - 1)
-            ],
-            axis=-1,
-        )
-        h0 = np.stack(
-            [
-                np.asarray(arc_hamiltonian(prob, struct.kinds[k], x0[..., k, :], p0[..., k, :]))
-                for k in range(1, N)
-            ],
-            axis=-1,
-        )
-        blocks.append(h1 - h0)
-
-    for k in i_s:
-        xk = x0[..., k - 1, :]
-        pk = p0[..., k - 1, :]
-        blocks.append(np.einsum("...i,...i->...", pk, prob.f1(xk))[..., None])
-    for k in i_s:
-        xk = x0[..., k - 1, :]
-        pk = p0[..., k - 1, :]
-        blocks.append(
-            np.einsum("...i,...i->...", pk, lie_bracket(prob, BRACKET_F1_F0, xk))[..., None]
-        )
+    blocks = [constraint_rows(prob, struct, x0, x1), t0,
+              jumps.reshape(jumps.shape[:-2] + (n * (N - 1),)),
+              p1[..., N - 1, :] - dT - np.einsum("...q,...qi->...i", psi, DT)]
+    ham = lambda k, x, p: arc_hamiltonian(prob, struct.kinds[k], x[..., k, :], p[..., k, :])
+    blocks += [(ham(k, x1, p1) - ham(k + 1, x0, p0))[..., None] for k in range(N - 1)]
+    sing = [(x0[..., k - 1, :], p0[..., k - 1, :]) for k in i_s]
+    blocks += [np.einsum("...i,...i->...", p, prob.f1(x))[..., None] for x, p in sing]
+    blocks += [np.einsum("...i,...i->...", p, lie_bracket(prob, BRACKET_F1_F0, x))[..., None]
+               for x, p in sing]
     return np.concatenate(blocks, axis=-1)
 
 
@@ -381,6 +351,8 @@ def gauss_newton(
     flat = omega0.pack().copy()
     m = flat.size
     report = ConvergenceReport()
+    unpack = lambda f: ShootingVector.unpack(f, struct.N, prob.n, prob.q,
+                                             len(index_sets(struct)[1]))
 
     r = _residual_flat_batch(prob, struct, flat, M)
     best = (np.linalg.norm(r, np.inf), flat.copy())
@@ -390,8 +362,7 @@ def gauss_newton(
         if rinf <= tol:
             converged = True
             break
-        J = fd_jacobian(prob, struct, ShootingVector.unpack(
-            flat, struct.N, prob.n, prob.q, len(index_sets(struct)[1])), steps)
+        J = fd_jacobian(prob, struct, unpack(flat), steps)
         step, _, _ = _minimum_norm_step(J, r)
         r2 = np.linalg.norm(r)
         alpha = 1.0
@@ -421,8 +392,7 @@ def gauss_newton(
     rinf = float(np.linalg.norm(r, np.inf))
     converged = converged or rinf <= tol
 
-    omega_star = ShootingVector.unpack(flat, struct.N, prob.n, prob.q,
-                                       len(index_sets(struct)[1]))
+    omega_star = unpack(flat)
     J = fd_jacobian(prob, struct, omega_star, steps)
     _, svals, rank = _minimum_norm_step(J, r)
     report.converged = converged
@@ -434,11 +404,9 @@ def gauss_newton(
     report.order_estimate = _order_estimate(report.residual_history)
 
     if not converged:
-        best_omega = ShootingVector.unpack(best[1], struct.N, prob.n, prob.q,
-                                           len(index_sets(struct)[1]))
         raise MaxIterExceeded(
             f"no convergence after {report.n_iter} iterations, best |S|_inf = {best[0]:.3e}",
-            omega=best_omega,
+            omega=unpack(best[1]),
             report=report,
         )
     if rank < m:
@@ -490,66 +458,39 @@ def validate_solution(
 
     Failures are findings, not exceptions.
     """
-    checks = []
+    def worst_check(name, vals, worst, test, detail, vacuous):
+        """``test`` on the worst of ``vals``; with no values it passes at +-inf."""
+        if not vals:
+            return ValidationCheck(name, True, np.inf if worst is min else -np.inf, vacuous)
+        v = float(worst(vals))
+        return ValidationCheck(name, bool(test(v)), v, detail)
 
-    interior = [(k, a) for k, a in enumerate(traj.arcs)
-                if a.kind in (ArcKind.Constrained, ArcKind.Singular)]
-    if interior:
-        margins = []
-        for _, arc in interior:
-            m_lo = arc.w - prob.u_min if prob.u_min is not None else np.inf
-            m_hi = prob.u_max - arc.w if prob.u_max is not None else np.inf
-            margins.append(np.minimum(m_lo, m_hi).min())
-        margin = float(min(margins))
-        checks.append(ValidationCheck(
-            "bound_margin_on_interior_arcs", margin > 0.0, margin,
-            "min distance of u to its bounds over C and S arcs"))
-    else:
-        checks.append(ValidationCheck("bound_margin_on_interior_arcs", True, np.inf,
-                                      "no C or S arcs"))
-
-    cs_jumps = []
-    for k in range(struct.N - 1):
-        pair = {struct.kinds[k], struct.kinds[k + 1]}
-        if pair == {ArcKind.Constrained, ArcKind.Singular}:
-            cs_jumps.append(abs(float(traj.arcs[k].w[-1] - traj.arcs[k + 1].w[0])))
-    if cs_jumps:
-        jump = min(cs_jumps)
-        checks.append(ValidationCheck(
-            "control_jump_at_cs_junctions", jump > 1e-6, jump,
-            "control must be discontinuous across CS/SC junctions"))
-    else:
-        checks.append(ValidationCheck("control_jump_at_cs_junctions", True, np.inf,
-                                      "no CS or SC junctions"))
-
-    c_nodes = [x for k, a in enumerate(traj.arcs) if a.kind is ArcKind.Constrained
-               for x in a.x]
-    fo = check_first_order(prob, c_nodes)
-    checks.append(ValidationCheck(
-        "first_order_condition_on_c_arcs", fo.passed, fo.min_abs,
-        f"min |dg.f1| vs guard {fo.guard:.3e}"))
-
-    lc_vals = [float(np.max(legendre_clebsch_value(prob, a.x, a.p)))
-               for a in traj.arcs if a.kind is ArcKind.Singular]
-    if lc_vals:
-        worst = max(lc_vals)
-        checks.append(ValidationCheck(
-            "legendre_clebsch_sign_on_s_arcs", worst < 0.0, worst,
-            "p [[f1,f0],f1] must stay negative"))
-    else:
-        checks.append(ValidationCheck("legendre_clebsch_sign_on_s_arcs", True, -np.inf,
-                                      "no S arcs"))
-
-    nu_vals = [float(np.min(constraint_multiplier_density(prob, a.x, a.p)))
-               for a in traj.arcs if a.kind is ArcKind.Constrained]
-    if nu_vals:
-        worst = min(nu_vals)
-        checks.append(ValidationCheck(
-            "constraint_multiplier_nonnegative", worst >= -1e-8, worst,
-            "complementarity requires nu >= 0 on C arcs"))
-    else:
-        checks.append(ValidationCheck("constraint_multiplier_nonnegative", True, np.inf,
-                                      "no C arcs"))
+    kinds = struct.kinds
+    margins = [np.minimum(a.w - prob.u_min if prob.u_min is not None else np.inf,
+                          prob.u_max - a.w if prob.u_max is not None else np.inf).min()
+               for a in traj.arcs if a.kind in (ArcKind.Constrained, ArcKind.Singular)]
+    cs_jumps = [abs(float(traj.arcs[k].w[-1] - traj.arcs[k + 1].w[0]))
+                for k in range(struct.N - 1)
+                if {kinds[k], kinds[k + 1]} == {ArcKind.Constrained, ArcKind.Singular}]
+    c_arcs = [a for a in traj.arcs if a.kind is ArcKind.Constrained]
+    fo = check_first_order(prob, [x for a in c_arcs for x in a.x])
+    checks = [
+        worst_check("bound_margin_on_interior_arcs", margins, min, lambda v: v > 0.0,
+                    "min distance of u to its bounds over C and S arcs", "no C or S arcs"),
+        worst_check("control_jump_at_cs_junctions", cs_jumps, min, lambda v: v > 1e-6,
+                    "control must be discontinuous across CS/SC junctions",
+                    "no CS or SC junctions"),
+        ValidationCheck("first_order_condition_on_c_arcs", fo.passed, fo.min_abs,
+                        f"min |dg.f1| vs guard {fo.guard:.3e}"),
+        worst_check("legendre_clebsch_sign_on_s_arcs",
+                    [float(np.max(legendre_clebsch_value(prob, a.x, a.p)))
+                     for a in traj.arcs if a.kind is ArcKind.Singular],
+                    max, lambda v: v < 0.0, "p [[f1,f0],f1] must stay negative", "no S arcs"),
+        worst_check("constraint_multiplier_nonnegative",
+                    [float(np.min(constraint_multiplier_density(prob, a.x, a.p))) for a in c_arcs],
+                    min, lambda v: v >= -1e-8, "complementarity requires nu >= 0 on C arcs",
+                    "no C arcs"),
+    ]
 
     gmax = max(float(np.max(prob.g(a.x))) for a in traj.arcs)
     checks.append(ValidationCheck(
@@ -591,16 +532,34 @@ def save_omega(path, struct: ArcStructure, omega: ShootingVector, prob: ProblemD
         fh.write("\n")
 
 
+def read_json_object(path) -> dict:
+    """The JSON object in ``path``; anything else is a :class:`ConfigurationError`."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{path} must hold a JSON object, not {type(doc).__name__}")
+    return doc
+
+
 def load_omega(path) -> tuple:
     """Read a warm-start file; returns (structure, omega, meta)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    meta = doc["meta"]
-    struct = ArcStructure.from_tokens(doc["structure"]["kinds"], doc["structure"]["tau"])
+    doc = read_json_object(path)
+
+    def get(key):
+        val = doc
+        for k in key.split("."):
+            if not isinstance(val, dict) or k not in val:
+                raise ConfigurationError(f"{path} has no key {key!r}")
+            val = val[k]
+        return val
+
+    N, n, q, n_c, n_s = (get(f"meta.{k}") for k in ("N", "n", "q", "n_constrained", "n_singular"))
+    struct = ArcStructure.from_tokens(get("structure.kinds"), get("structure.tau"))
     i_s, i_c, _, _ = index_sets(struct)
-    if struct.N != meta["N"] or len(i_c) != meta["n_constrained"] or len(i_s) != meta["n_singular"]:
+    if struct.N != N or len(i_c) != n_c or len(i_s) != n_s:
         raise ConfigurationError(f"warm-start metadata inconsistent with structure in {path}")
-    omega = ShootingVector.unpack(
-        np.asarray(doc["omega"], dtype=float), meta["N"], meta["n"], meta["q"], len(i_c)
-    )
-    return struct, omega, meta
+    omega = ShootingVector.unpack(np.asarray(get("omega"), dtype=float), N, n, q, len(i_c))
+    return struct, omega, get("meta")

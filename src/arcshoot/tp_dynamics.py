@@ -28,21 +28,12 @@ from .problem_def import (
     BRACKET_F1F0_F1,
     BRACKET_F1_F0,
     ProblemDef,
-    flagged_row,
     gamma_control,
-    gamma_denominator_guard,
     gamma_from_fields,
     gamma_gradient,
+    guarded_ratio,
     lie_bracket,
 )
-
-SINGULAR_GUARD_COEFF = 1e-10
-
-
-def singular_denominator_guard(p: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    return SINGULAR_GUARD_COEFF * (
-        1.0 + np.linalg.norm(np.atleast_1d(p), axis=-1) * np.linalg.norm(np.atleast_1d(b2), axis=-1)
-    )
 
 
 def arc_control(prob: ProblemDef, kind: ArcKind, x: np.ndarray, costate: np.ndarray):
@@ -63,15 +54,9 @@ def arc_control(prob: ProblemDef, kind: ArcKind, x: np.ndarray, costate: np.ndar
         return prob.u_max
     if kind is ArcKind.Constrained:
         return gamma_control(prob, x)
-    b0 = lie_bracket(prob, BRACKET_F1F0_F0, x)
-    b1 = lie_bracket(prob, BRACKET_F1F0_F1, x)
-    num = np.einsum("...i,...i->...", costate, b0)
-    den = np.einsum("...i,...i->...", costate, b1)
-    guard = singular_denominator_guard(costate, b1)
-    bad = np.abs(den) < guard
-    if np.any(bad):
-        raise SingularDenominatorError(*flagged_row(bad, np.asarray(x, dtype=float), den))
-    return -num / den
+    num = -np.einsum("...i,...i->...", costate, lie_bracket(prob, BRACKET_F1F0_F0, x))
+    return guarded_ratio(num, costate, lie_bracket(prob, BRACKET_F1F0_F1, x), x,
+                         SingularDenominatorError)
 
 
 def legendre_clebsch_value(prob: ProblemDef, x: np.ndarray, costate: np.ndarray):
@@ -95,12 +80,11 @@ def arc_field(prob: ProblemDef, kind: ArcKind, x: np.ndarray, costate: np.ndarra
     elif w is None:
         w = arc_control(prob, kind, x, costate)
     w = np.asarray(w)
-    v = f0x + (w[..., None] if w.ndim > 0 else w) * f1x
-    jac = prob.df0(x) + (w[..., None, None] if w.ndim > 0 else w) * prob.df1(x)
-    hx = np.einsum("...i,...ij->...j", costate, jac)
+    v = f0x + w[..., None] * f1x
+    hx = np.einsum("...i,...ij->...j", costate, prob.df0(x) + w[..., None, None] * prob.df1(x))
     if kind is ArcKind.Constrained:
         pf1 = np.einsum("...i,...i->...", costate, f1x)
-        hx = hx + (pf1[..., None] if np.ndim(pf1) > 0 else pf1) * gamma_gradient(prob, x)
+        hx = hx + pf1[..., None] * gamma_gradient(prob, x)
     return v, hx
 
 
@@ -121,15 +105,8 @@ def constraint_multiplier_density(prob: ProblemDef, x: np.ndarray, costate: np.n
 
     Complementarity requires nu >= 0; used as a post-solve sign diagnostic.
     """
-    b = lie_bracket(prob, BRACKET_F1_F0, x)
-    num = np.einsum("...i,...i->...", costate, b)
-    dgx = prob.dg(x)
-    f1x = prob.f1(x)
-    den = np.einsum("...i,...i->...", dgx, f1x)
-    bad = np.abs(den) < gamma_denominator_guard(dgx, f1x)
-    if np.any(bad):
-        raise FirstOrderViolation(*flagged_row(bad, np.asarray(x, dtype=float), den))
-    return num / den
+    num = np.einsum("...i,...i->...", costate, lie_bracket(prob, BRACKET_F1_F0, x))
+    return guarded_ratio(num, prob.dg(x), prob.f1(x), x, FirstOrderViolation)
 
 
 @dataclass

@@ -41,6 +41,7 @@ from arcshoot.shooting import (
 )
 from arcshoot.tp_dynamics import (
     constraint_multiplier_density,
+    durations,
     propagate_arc,
     propagate_solution,
 )
@@ -245,7 +246,7 @@ def test_criterion6_closed_form_match(regulator, reg_struct, reg_qfd):
     pin[1, lin.D - 1] = 1.0
     Z = constraint_nullspace(np.vstack([qfd.cons, pin]), qfd.ncoord)
     rng = np.random.default_rng(606)
-    dts = np.diff(reg_struct.with_tau(lin.omega.tau).boundaries(regulator.T))
+    dts = durations(lin.omega.tau, regulator.T)
     w = lin.weights
     rel = []
     quoted_rel = []

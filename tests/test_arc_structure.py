@@ -5,7 +5,6 @@ from arcshoot import problems as P
 from arcshoot.arc_structure import (
     ArcKind,
     ArcStructure,
-    DetectTolerances,
     detect_structure,
     index_sets,
     read_trajectory_csv,
@@ -110,7 +109,7 @@ class TestDetect:
 
     def test_explicit_tolerances(self, regulator):
         t, u, x = P.sample_regulator(400)
-        s = detect_structure(regulator, t, u, x, DetectTolerances(min_arc_len=0.3))
+        s = detect_structure(regulator, t, u, x, min_arc_len=0.3)
         assert s.kinds == (B, C, S)
 
 

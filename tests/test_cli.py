@@ -13,6 +13,10 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
 @pytest.fixture(scope="module")
 def solved_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("solved")
@@ -94,6 +98,43 @@ class TestSolve:
         assert run(["solve", "--problem", "regulator", "--structure", "S",
                     "--init", "analytic", "--out", tmp_path]) == 1
 
+    def test_validation_checks_without_c_or_s_arcs(self, toy_bang_dir):
+        # One B- arc: the four checks over C/S arcs and CS junctions pass
+        # vacuously at +-inf, and first-order passes on an empty sample.
+        checks = json.loads((toy_bang_dir / "report.json").read_text())["validation"]["checks"]
+        inf = float("inf")
+        assert checks == [
+            {"name": "bound_margin_on_interior_arcs", "passed": True, "value": inf,
+             "detail": "no C or S arcs"},
+            {"name": "control_jump_at_cs_junctions", "passed": True, "value": inf,
+             "detail": "no CS or SC junctions"},
+            {"name": "first_order_condition_on_c_arcs", "passed": True, "value": inf,
+             "detail": "min |dg.f1| vs guard 0.000e+00"},
+            {"name": "legendre_clebsch_sign_on_s_arcs", "passed": True, "value": -inf,
+             "detail": "no S arcs"},
+            {"name": "constraint_multiplier_nonnegative", "passed": True, "value": inf,
+             "detail": "no C arcs"},
+            {"name": "state_constraint_satisfied", "passed": True, "value": -10.0,
+             "detail": "max g(x) over all nodes"},
+            {"name": "hamiltonian_constant_per_arc", "passed": True, "value": 0.0,
+             "detail": "max relative drift of H along each arc"},
+        ]
+
+    @pytest.mark.parametrize("text, what", [
+        ("{not json", "is not valid JSON"),
+        ('["problem", "toy-bang"]', "must hold a JSON object, not list"),
+    ], ids=["not_json", "list"])
+    def test_malformed_config_exits_1(self, tmp_path, capsys, text, what):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run(["solve", "--config", cfg, "--problem", "toy-bang", "--structure", "B-",
+                    "--init", "analytic", "--out", tmp_path]) == 1
+        assert f"solve: error: {cfg} {what}" in capsys.readouterr().err
+
+    def test_no_problem_exits_1(self, tmp_path, capsys):
+        assert run(["solve", "--structure", "B-", "--out", tmp_path]) == 1
+        assert "solve: error: no problem given" in capsys.readouterr().err
+
     def test_warm_start_of_other_problem_exits_1(self, tmp_path, toy_bang_dir, capsys):
         assert run(["solve", "--problem", "regulator", "--structure", "B-", "--tau", "",
                     "--init", toy_bang_dir / "omega.json", "--out", tmp_path]) == 1
@@ -157,6 +198,19 @@ class TestVerify:
         assert run(["verify", "--problem", "regulator", "--omega",
                     toy_bang_dir / "omega.json", "--out", tmp_path]) == 1
         assert "n=1, q=1; the problem has n=3, q=3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, what", [
+        (lambda doc: "not json", "is not valid JSON"),
+        (lambda doc: json.dumps({**doc, "meta": _without(doc["meta"], "N")}),
+         "has no key 'meta.N'"),
+        (lambda doc: json.dumps(_without(doc, "structure")),
+         "has no key 'structure.kinds'"),
+    ], ids=["not_json", "no_meta_N", "no_structure"])
+    def test_malformed_omega_exits_1(self, tmp_path, toy_bang_dir, capsys, edit, what):
+        path = tmp_path / "omega.json"
+        path.write_text(edit(json.loads((toy_bang_dir / "omega.json").read_text())))
+        assert run(["verify", "--problem", "toy-bang", "--omega", path, "--out", tmp_path]) == 1
+        assert f"verify: error: {path} {what}" in capsys.readouterr().err
 
     def test_missing_omega_exits_1(self, tmp_path):
         assert run(["verify", "--problem", "regulator",

@@ -23,6 +23,7 @@ from arcshoot.second_order import (
     tp_rates,
 )
 from arcshoot.shooting import ShootingVector
+from arcshoot.tp_dynamics import durations
 
 B, C, S = ArcKind.BMinus, ArcKind.Constrained, ArcKind.Singular
 
@@ -45,7 +46,7 @@ class TestLinearization:
         D = lin.D
         X = lin.X[i]
         hand = np.zeros((D, D))
-        dts = np.diff(reg_struct.with_tau(lin.omega.tau).boundaries(regulator.T))
+        dts = durations(lin.omega.tau, regulator.T)
         for k, kind in enumerate(reg_struct.kinds):
             xk = X[3 * k : 3 * k + 3]
             jac = regulator.df0(xk)  # df1 = 0 and dGamma = 0 for this problem
@@ -242,7 +243,7 @@ class TestClosedFormComparison:
         pin[1, lin.D - 1] = 1.0
         Z = constraint_nullspace(np.vstack([qfd.cons, pin]), qfd.ncoord)
         rng = np.random.default_rng(13)
-        dts = np.diff(reg_struct.with_tau(lin.omega.tau).boundaries(regulator.T))
+        dts = durations(lin.omega.tau, regulator.T)
         w = lin.weights
         for _ in range(20):
             c = Z @ rng.normal(size=Z.shape[1])

@@ -33,7 +33,7 @@ from arcshoot.shooting import (
     unknown_dim,
     validate_solution,
 )
-from arcshoot.tp_dynamics import propagate_arc, propagate_solution
+from arcshoot.tp_dynamics import durations, propagate_arc, propagate_solution
 from conftest import perturbed_start
 from test_tp_dynamics import _curved
 
@@ -144,12 +144,11 @@ class TestResidualStructure:
         # Chain each arc start to the previous propagated endpoint: both
         # continuity blocks must be exactly zero.
         omega = P.regulator_analytic_omega()
-        bounds = reg_struct.boundaries(regulator.T)
+        dts = durations(reg_struct.tau, regulator.T)
         x0 = [omega.x0[0]]
         p0 = [omega.p0[0] + 0.1]  # junk costate start; chaining still exact
         for k, kind in enumerate(reg_struct.kinds[:-1]):
-            arc = propagate_arc(regulator, kind, bounds[k + 1] - bounds[k],
-                                x0[k], p0[k], 40)
+            arc = propagate_arc(regulator, kind, dts[k], x0[k], p0[k], 40)
             x0.append(arc.x[-1])
             p0.append(arc.p[-1])
         chained = ShootingVector(
