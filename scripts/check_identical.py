@@ -19,7 +19,12 @@ one subprocess per step:
 * the toy-bang ``solve`` and ``verify`` (one arc, no C or S arcs);
 * ``solve`` of ``arcshoot.problems:make_regulator_fd_brackets`` (no analytic
   brackets and no ``dgamma``, so the finite-difference fallbacks run) from
-  the warm ``omega.json``, then ``verify --nodes 100`` on its result.
+  the warm ``omega.json``, then ``verify --nodes 100`` on its result;
+* ``solve`` from an ``omega.json`` whose entries are the analytic ones
+  scaled by ``1 + 0.4 U(-1, 1)`` (seed 1), where Gauss-Newton iterates and
+  rejects one full step before it converges (20 % starts converge without a
+  halving), and the same solve with ``--max-iter 1``, which stops with
+  ``MaxIterExceeded`` and exit code 1.
 
 The exit code of every step goes into ``exit_codes.json``.  The script then
 compares every output file of the two trees byte for byte, lists each one
@@ -46,6 +51,16 @@ SAVE_ANALYTIC = (
     "save_omega(sys.argv[1], P.regulator_structure(), P.regulator_analytic_omega(),\n"
     "           P.make_regulator(), 1000)\n"
 )
+SAVE_PERTURBED = (
+    "import sys\n"
+    "import numpy as np\n"
+    "from arcshoot import problems as P\n"
+    "from arcshoot.shooting import ShootingVector, save_omega\n"
+    "flat = P.regulator_analytic_omega().pack()\n"
+    "flat = flat * (1.0 + 0.4 * np.random.default_rng(1).uniform(-1.0, 1.0, flat.size))\n"
+    "save_omega(sys.argv[1], P.regulator_structure(), ShootingVector.unpack(flat, 3, 3, 3, 1),\n"
+    "           P.make_regulator(), 1000)\n"
+)
 
 
 def steps(out: Path) -> list:
@@ -54,6 +69,7 @@ def steps(out: Path) -> list:
     warm_omega = out / "regulator" / "regulator_warm" / "omega.json"
     analytic = out / "analytic" / "omega.json"
     toy = out / "toy_bang"
+    perturbed = out / "perturbed_start" / "omega.json"
     fd = "arcshoot.problems:make_regulator_fd_brackets"
     return [
         ("run_regulator", [py, str(ROOT / "scripts" / "run_regulator.py"),
@@ -81,6 +97,11 @@ def steps(out: Path) -> list:
         ("verify_fd_100", cli + ["verify", "--problem", fd, "--omega",
                                  str(out / "fd" / "omega.json"), "--nodes", "100",
                                  "--out", str(out / "fd")]),
+        ("save_perturbed", [py, "-c", SAVE_PERTURBED, str(perturbed)]),
+        *[(f"solve_perturbed{tag}", cli + ["solve", "--problem", "regulator",
+                                           "--structure", "B-,C,S", "--init", str(perturbed),
+                                           "--out", str(out / f"solve_perturbed{tag}"), *extra])
+          for tag, extra in (("", []), ("_max_iter_1", ["--max-iter", "1"]))],
     ]
 
 
@@ -92,6 +113,7 @@ def run_tree(src: Path, out: Path) -> None:
     if not Path(where).resolve().is_relative_to(src.resolve()):
         sys.exit(f"check_identical: arcshoot imported from {where}, not from {src}")
     (out / "analytic").mkdir(parents=True)
+    (out / "perturbed_start").mkdir()
     codes = {}
     for name, argv in steps(out):
         proc = subprocess.run(argv, env=env, cwd=out, capture_output=True, text=True)

@@ -30,10 +30,9 @@ from .shooting import (
     load_omega,
     read_json_object,
     save_omega,
-    steps_per_arc,
     validate_solution,
 )
-from .tp_dynamics import propagate_solution, write_tp_csv
+from .tp_dynamics import write_tp_csv
 from . import problems as builtin_problems
 
 
@@ -73,13 +72,28 @@ def resolve_problem(spec: str) -> ProblemDef:
     return prob
 
 
+def float_list(text: str) -> list:
+    """Comma-separated floats; empty entries are skipped."""
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
-    """The subcommand's flags over the same keys of the ``--config`` file."""
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
+    """The subcommand's flags over the same keys of the ``--config`` file.
+
+    A file value is read as the flag's text would be, by the flag's own type;
+    a JSON list stands for its comma-joined entries, null for no value.
+    """
+    types = {a.dest: a.type or str for a in args.parser._actions if a.dest in vars(args)}
+    flags = {k: v for k, v in vars(args).items() if k in types and k != "config"}
     cfg = {}
-    if args.config:
-        file_cfg = read_json_object(args.config)
-        cfg = {k: file_cfg[k] for k in flags if k in file_cfg}
+    file_cfg = read_json_object(args.config) if args.config else {}
+    for k, v in file_cfg.items():
+        try:
+            if k in flags and v is not None:
+                cfg[k] = types[k](",".join(map(str, v)) if isinstance(v, list) else str(v))
+        except ValueError as exc:
+            raise ConfigurationError(f"{args.config} key {k!r}: invalid "
+                                     f"{types[k].__name__} value: {v!r}") from exc
     cfg.update({k: v for k, v in flags.items() if v is not None})
     if "problem" not in cfg:
         raise ConfigurationError("no problem given: use --problem or a 'problem' config key")
@@ -93,27 +107,20 @@ def _resolve_structure(prob, cfg) -> tuple:
         dres = _run_direct(prob, cfg)
         struct = detect_structure(prob, dres.t, dres.u, dres.x)
         return struct, dres
-    names = [t for t in str(tokens).split(",") if t.strip()]
-    tau_raw = cfg.get("tau")
-    if tau_raw is None:
+    names = [t for t in tokens.split(",") if t.strip()]
+    tau = cfg.get("tau")
+    if tau is None:
         N = len(names)
         tau = [prob.T * k / N for k in range(1, N)]
-    elif isinstance(tau_raw, str):
-        tau = [float(v) for v in tau_raw.split(",") if v.strip()]
-    else:
-        tau = [float(v) for v in tau_raw]
     struct = ArcStructure.from_tokens(names, tau)
     struct.validate(prob)
     return struct, None
 
 
 def _run_direct(prob, cfg):
-    dcfg = DirectSolveConfig(
-        grid_size=int(cfg.get("grid", 100)),
-        penalty_weight=float(cfg.get("penalty", 1e3)),
-        max_iters=int(cfg.get("direct_iters", 800)),
-    )
-    return direct_solve(prob, dcfg)
+    return direct_solve(prob, DirectSolveConfig(
+        grid_size=cfg.get("grid", 100), penalty_weight=cfg.get("penalty", 1e3),
+        max_iters=cfg.get("direct_iters", 800)))
 
 
 def _initial_omega(prob, struct, cfg, dres) -> ShootingVector:
@@ -178,7 +185,7 @@ def cmd_solve(args) -> int:
     out_dir = Path(cfg.get("out", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     prob = resolve_problem(cfg["problem"])
-    steps = int(cfg.get("steps", 1000))
+    steps = cfg.get("steps", 1000)
     struct, dres = _resolve_structure(prob, cfg)
     omega0 = _initial_omega(prob, struct, cfg, dres)
 
@@ -186,7 +193,7 @@ def cmd_solve(args) -> int:
     try:
         omega, report = gauss_newton(
             prob, struct, omega0, steps=steps,
-            tol=float(cfg.get("tol", 1e-8)), max_iter=int(cfg.get("max_iter", 50)),
+            tol=cfg.get("tol", 1e-8), max_iter=cfg.get("max_iter", 50),
         )
     except RankDeficientJacobian as exc:
         omega, report = exc.omega, exc.report
@@ -198,7 +205,8 @@ def cmd_solve(args) -> int:
         _write_json(out_dir / "report.json", doc)
         return 1
 
-    traj = propagate_solution(prob, struct, omega, steps_per_arc(struct, steps))
+    struct = struct.with_tau(omega.tau)  # solved switching times out of order are an error
+    traj = report.trajectory
     validation = validate_solution(prob, struct, traj)
     write_tp_csv(out_dir / "trajectory.csv", traj)
     save_omega(out_dir / "omega.json", struct, omega, prob, steps)
@@ -252,7 +260,7 @@ def cmd_verify(args) -> int:
     omega_path = cfg.get("omega", str(out_dir / "omega.json"))
     struct, omega = _load_omega(omega_path, prob)
     struct.validate(prob)
-    qfd = assemble_omega(prob, struct, omega, nodes=int(cfg.get("nodes", 200)))
+    qfd = assemble_omega(prob, struct, omega, nodes=cfg.get("nodes", 200))
     report = check_positivity(qfd)
     _write_json(out_dir / "positivity.json", report.to_json_dict())
     print(
@@ -272,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="run the shooting pipeline")
     ps.add_argument("--problem", help="built-in name or module:callable")
     ps.add_argument("--structure", help="comma tokens B-,B+,C,S or 'detect'")
-    ps.add_argument("--tau", help="comma-separated interior switching times")
+    ps.add_argument("--tau", type=float_list, help="comma-separated interior switching times")
     ps.add_argument("--init", help="analytic | direct | path to omega.json")
     ps.add_argument("--steps", type=int, help="total integration steps (default 1000)")
     ps.add_argument("--tol", type=float, help="residual tolerance (default 1e-8)")
@@ -282,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--direct-iters", dest="direct_iters", type=int)
     ps.add_argument("--out", help="output directory (default out)")
     ps.add_argument("--config", help="JSON config file; flags win")
-    ps.set_defaults(func=cmd_solve)
+    ps.set_defaults(func=cmd_solve, parser=ps)
 
     pd = sub.add_parser("detect", help="direct solve and arc-structure detection")
     pd.add_argument("--problem")
@@ -293,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--min-arc-len", dest="min_arc_len", type=float)
     pd.add_argument("--out")
     pd.add_argument("--config")
-    pd.set_defaults(func=cmd_detect)
+    pd.set_defaults(func=cmd_detect, parser=pd)
 
     pv = sub.add_parser("verify", help="second-order positivity certificate")
     pv.add_argument("--problem")
@@ -301,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--nodes", type=int, help="grid cells per arc (default 200)")
     pv.add_argument("--out")
     pv.add_argument("--config")
-    pv.set_defaults(func=cmd_verify)
+    pv.set_defaults(func=cmd_verify, parser=pv)
     return parser
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arc_structure import ArcKind, ArcStructure, index_sets
+from .arc_structure import ArcStructure, index_sets
 from .errors import AssemblyError
 from .problem_def import ProblemDef, central_diff, fd_steps
 from .shooting import ShootingVector, constraint_rows
@@ -60,26 +60,17 @@ def tp_rates(prob: ProblemDef, struct: ArcStructure, U, X, P_arcs):
     """
     N, n = struct.N, prob.n
     X = np.asarray(X, dtype=float)
-    U = np.asarray(U, dtype=float)
-    D = X.shape[-1]
-    i_s = index_sets(struct)[0]
-    dts = durations(X[..., N * n :], prob.T)
-    out = np.zeros(np.broadcast_shapes(X.shape[:-1], U.shape[:-1], P_arcs.shape[:-2])
-                   + (2 * D + len(i_s),))
-    h_vals = []
-    for k, kind in enumerate(struct.kinds):
-        xk, pk, dt = X[..., k * n : (k + 1) * n], P_arcs[..., k, :], dts[..., k : k + 1]
-        c = i_s.index(k + 1) if kind is ArcKind.Singular else None
-        v, hx = arc_field(prob, kind, xk, pk, None if c is None else U[..., c])
-        out[..., k * n : (k + 1) * n] = dt * v
-        out[..., D + k * n : D + (k + 1) * n] = dt * hx
-        h_vals.append(np.einsum("...i,...i->...", pk, v))
-        if c is not None:
-            out[..., 2 * D + c] = dts[..., k] * np.einsum("...i,...i->...", pk, prob.f1(xk))
+    x = X[..., : N * n].reshape(X.shape[:-1] + (N, n))
+    dts = durations(X[..., N * n :], prob.T)[..., None]
+    v, hx = arc_field(prob, struct.kinds, x, P_arcs, U)
+    h = np.einsum("...i,...i->...", P_arcs, v)
+    s = [k - 1 for k in index_sets(struct)[0]]
+    switching = dts[..., s, 0] * np.einsum("...i,...i->...", P_arcs, prob.f1(x))[..., s]
+    flat = lambda a: a.reshape(a.shape[:-2] + (N * n,))
     # d dt_k / d tau_j is +1 for k = j, -1 for k = j + 1.
-    for j in range(N - 1):
-        out[..., D + N * n + j] = h_vals[j] - h_vals[j + 1]
-    return out
+    rows = [flat(dts * v), np.zeros(N - 1), flat(dts * hx), h[..., :-1] - h[..., 1:], switching]
+    return np.concatenate([np.broadcast_to(r, v.shape[:-2] + r.shape[-1:]) for r in rows],
+                          axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -144,22 +135,15 @@ def linearized_matrices(
     struct.validate(prob)
     N, n = struct.N, prob.n
     D = _tp_dims(struct, n)
-    i_s, i_c, _, _ = index_sets(struct)
+    i_s = index_sets(struct)[0]
     S = len(i_s)
     traj = propagate_solution(prob, struct, omega, nodes)
     m1 = nodes + 1
 
-    X = np.empty((m1, D))
-    P_arcs = np.empty((m1, N, n))
-    for k, arc in enumerate(traj.arcs):
-        X[:, k * n : (k + 1) * n] = arc.x
-        P_arcs[:, k, :] = arc.p
-    X[:, N * n :] = np.asarray(omega.tau)[None, :]
-    U = (
-        np.stack([traj.arcs[k - 1].w for k in i_s], axis=-1)
-        if S
-        else np.zeros((m1, 0))
-    )
+    tau = np.broadcast_to(omega.tau, (m1, N - 1))
+    X = np.concatenate([traj.stacked("x").reshape(m1, N * n), tau], axis=1)
+    P_arcs = traj.stacked("p")
+    U = traj.stacked("w")[:, [k - 1 for k in i_s]]
 
     J = central_diff(lambda Xb: tp_rates(prob, struct, U, Xb, P_arcs), X, fd_steps(X))
     A, HXX, HUX = J[:, :D], J[:, D : 2 * D], J[:, 2 * D :]

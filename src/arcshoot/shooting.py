@@ -18,7 +18,7 @@ Gauss-Newton with a rank-revealing (SVD) step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .tp_dynamics import (
     constraint_multiplier_density,
     durations,
     legendre_clebsch_value,
+    propagate_arc,
     propagate_endpoint,
 )
 
@@ -140,38 +141,13 @@ class ShootingResidual:
 
     @property
     def stacked(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                self.endpoint,
-                self.constraint_entry,
-                self.state_continuity,
-                self.transversality_0,
-                self.costate_jumps,
-                self.transversality_T,
-                self.hamiltonian_continuity,
-                self.singular_stationarity,
-                self.singular_rate,
-            ]
-        )
+        return np.concatenate([getattr(self, f.name) for f in fields(self)])
 
 
 def steps_per_arc(struct: ArcStructure, steps: int) -> int:
     if steps < struct.N:
         raise ConfigurationError(f"need at least one step per arc, got {steps} for N={struct.N}")
     return max(1, round(steps / struct.N))
-
-
-def _endpoints(prob, struct, x0, tau, p0, M):
-    """Propagate every arc; returns terminal states/costates, (..., N, n)."""
-    dts = durations(tau, prob.T)
-    x1 = np.empty_like(x0)
-    p1 = np.empty_like(p0)
-    for k, kind in enumerate(struct.kinds):
-        xe, pe = propagate_endpoint(prob, kind, dts[..., k : k + 1], x0[..., k, :],
-                                    p0[..., k, :], M)
-        x1[..., k, :] = xe
-        p1[..., k, :] = pe
-    return x1, p1
 
 
 def constraint_rows(prob, struct, x0, x1):
@@ -213,8 +189,10 @@ def _assemble(prob, struct, x0, tau, p0, psi, gamma, x1, p1):
     blocks = [constraint_rows(prob, struct, x0, x1), t0,
               jumps.reshape(jumps.shape[:-2] + (n * (N - 1),)),
               p1[..., N - 1, :] - dT - np.einsum("...q,...qi->...i", psi, DT)]
-    ham = lambda k, x, p: arc_hamiltonian(prob, struct.kinds[k], x[..., k, :], p[..., k, :])
-    blocks += [(ham(k, x1, p1) - ham(k + 1, x0, p0))[..., None] for k in range(N - 1)]
+    if N > 1:
+        kinds = struct.kinds
+        blocks.append(arc_hamiltonian(prob, kinds[:-1], x1[..., :-1, :], p1[..., :-1, :])
+                      - arc_hamiltonian(prob, kinds[1:], x0[..., 1:, :], p0[..., 1:, :]))
     sing = [(x0[..., k - 1, :], p0[..., k - 1, :]) for k in i_s]
     blocks += [np.einsum("...i,...i->...", p, prob.f1(x))[..., None] for x, p in sing]
     blocks += [np.einsum("...i,...i->...", p, lie_bracket(prob, BRACKET_F1_F0, x))[..., None]
@@ -222,14 +200,27 @@ def _assemble(prob, struct, x0, tau, p0, psi, gamma, x1, p1):
     return np.concatenate(blocks, axis=-1)
 
 
-def _residual_flat_batch(prob, struct, flats, M):
-    """Stacked residual of packed vectors (..., m); a 1-D vector is one row."""
-    x0, tau, p0, psi, gamma = _unpack_batch(flats, struct.N, prob.n, prob.q)
-    x1, p1 = _endpoints(prob, struct, x0, tau, p0, M)
-    r = _assemble(prob, struct, x0, tau, p0, psi, gamma, x1, p1)
+def _residual(prob, struct, flats, x1, p1):
+    """Stacked residual of packed vectors (..., m) whose arcs end at (x1, p1)."""
+    r = _assemble(prob, struct, *_unpack_batch(flats, struct.N, prob.n, prob.q), x1, p1)
     if not np.all(np.isfinite(r)):
         raise NonFiniteResidual("shooting residual contains non-finite entries")
     return r
+
+
+def _residual_flat_batch(prob, struct, flats, M):
+    """Stacked residual of packed vectors (..., m); a 1-D vector is one row."""
+    x0, tau, p0, _, _ = _unpack_batch(flats, struct.N, prob.n, prob.q)
+    ends = propagate_endpoint(prob, struct.kinds, durations(tau, prob.T), x0, p0, M)
+    return _residual(prob, struct, flats, *ends)
+
+
+def _residual_and_grid(prob, struct, flat, M):
+    """One-row residual of a packed vector and its full grid; the arcs end at its last node."""
+    x0, tau, p0, _, _ = _unpack_batch(flat, struct.N, prob.n, prob.q)
+    traj = TPTrajectory(propagate_arc(prob, struct.kinds, durations(tau, prob.T), x0, p0, M),
+                        tau=tau, T=prob.T)
+    return _residual(prob, struct, flat, traj.stacked("x")[-1], traj.stacked("p")[-1]), traj
 
 
 def shooting_function(
@@ -294,6 +285,7 @@ class ConvergenceReport:
     smallest_singular_value: float = 0.0
     singular_values: np.ndarray = field(default_factory=lambda: np.empty(0))
     order_estimate: float = float("nan")
+    trajectory: TPTrajectory = None   # grid of the last iterate (the one returned); not in JSON
 
     @property
     def residual_history(self) -> list:
@@ -354,7 +346,7 @@ def gauss_newton(
     unpack = lambda f: ShootingVector.unpack(f, struct.N, prob.n, prob.q,
                                              len(index_sets(struct)[1]))
 
-    r = _residual_flat_batch(prob, struct, flat, M)
+    r, traj = _residual_and_grid(prob, struct, flat, M)
     best = (np.linalg.norm(r, np.inf), flat.copy())
     converged = False
     for _ in range(max_iter):
@@ -370,7 +362,7 @@ def gauss_newton(
         for _ in range(MAX_HALVINGS + 1):
             trial = flat + alpha * step
             try:
-                rt = _residual_flat_batch(prob, struct, trial, M)
+                rt, traj_t = _residual_and_grid(prob, struct, trial, M)
             except ArcshootError:
                 alpha *= 0.5
                 continue
@@ -384,7 +376,7 @@ def gauss_newton(
         step_norm = alpha * float(np.linalg.norm(step))
         report.iterations.append({"residual_norm": float(rinf), "step_norm": step_norm})
         report.n_iter += 1
-        flat, r = trial, rt
+        flat, r, traj = trial, rt, traj_t
         if np.linalg.norm(r, np.inf) < best[0]:
             best = (np.linalg.norm(r, np.inf), flat.copy())
         if step_norm <= STEP_FLOOR:
@@ -402,6 +394,7 @@ def gauss_newton(
     report.singular_values = svals
     report.smallest_singular_value = float(svals[-1]) if svals.size else 0.0
     report.order_estimate = _order_estimate(report.residual_history)
+    report.trajectory = traj
 
     if not converged:
         raise MaxIterExceeded(
@@ -449,11 +442,8 @@ class ValidationReport:
         }
 
 
-def validate_solution(
-    prob: ProblemDef,
-    struct: ArcStructure,
-    traj: TPTrajectory,
-) -> ValidationReport:
+def validate_solution(prob: ProblemDef, struct: ArcStructure,
+                      traj: TPTrajectory) -> ValidationReport:
     """Post-solve structural checks on the propagated solution ``traj``.
 
     Failures are findings, not exceptions.
@@ -492,14 +482,12 @@ def validate_solution(
                     "no C arcs"),
     ]
 
-    gmax = max(float(np.max(prob.g(a.x))) for a in traj.arcs)
+    gmax = float(np.max(prob.g(traj.stacked("x"))))
     checks.append(ValidationCheck(
         "state_constraint_satisfied", gmax <= 1e-6, gmax, "max g(x) over all nodes"))
 
-    hdrift = 0.0
-    for a in traj.arcs:
-        h = arc_hamiltonian(prob, a.kind, a.x, a.p)
-        hdrift = max(hdrift, float(np.max(np.abs(h - h[0])) / (1.0 + abs(float(h[0])))))
+    h = arc_hamiltonian(prob, kinds, traj.stacked("x"), traj.stacked("p"))
+    hdrift = float(np.max(np.max(np.abs(h - h[0]), axis=0) / (1.0 + np.abs(h[0]))))
     checks.append(ValidationCheck(
         "hamiltonian_constant_per_arc", hdrift <= 1e-6, hdrift,
         "max relative drift of H along each arc"))
@@ -561,5 +549,9 @@ def load_omega(path) -> tuple:
     i_s, i_c, _, _ = index_sets(struct)
     if struct.N != N or len(i_c) != n_c or len(i_s) != n_s:
         raise ConfigurationError(f"warm-start metadata inconsistent with structure in {path}")
-    omega = ShootingVector.unpack(np.asarray(get("omega"), dtype=float), N, n, q, len(i_c))
+    try:
+        flat = np.asarray(get("omega"), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path} key 'omega' is not a list of numbers: {exc}") from exc
+    omega = ShootingVector.unpack(flat, N, n, q, len(i_c))
     return struct, omega, get("meta")

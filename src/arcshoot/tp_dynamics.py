@@ -1,4 +1,4 @@
-"""Per-arc state/costate dynamics on normalized time [0, 1] and the RK4 stepper.
+"""Arc state/costate dynamics on normalized time [0, 1] and the RK4 stepper.
 
 Each arc of the transformed problem evolves on s in [0, 1] with the physical
 duration ``dt_k = tau_k - tau_{k-1}`` folded into the right-hand side.  The
@@ -6,8 +6,11 @@ control is eliminated algebraically per arc kind: fixed to a bound on bang
 arcs, the constraint-preserving feedback on constrained arcs and the
 second-derivative stationarity feedback on singular arcs.
 
-All evaluation helpers broadcast over leading batch axes, so many shooting
-iterates or grid nodes propagate at once.
+Once their initial (x, p) and durations are known the arcs are independent,
+so all arcs of a structure step together: the field takes states
+(..., N, n), one row of the arc axis per arc kind, and one RK4 pass
+propagates every arc.  All helpers broadcast over the leading batch axes as
+well, so many shooting iterates or grid nodes propagate at once.
 """
 
 from __future__ import annotations
@@ -17,12 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arc_structure import ArcKind, ArcStructure
-from .errors import (
-    ConfigurationError,
-    FirstOrderViolation,
-    NonFiniteState,
-    SingularDenominatorError,
-)
+from .errors import (ConfigurationError, FirstOrderViolation, NonFiniteState,
+                     SingularDenominatorError)
 from .problem_def import (
     BRACKET_F1F0_F0,
     BRACKET_F1F0_F1,
@@ -65,38 +64,63 @@ def legendre_clebsch_value(prob: ProblemDef, x: np.ndarray, costate: np.ndarray)
     return np.einsum("...i,...i->...", costate, b1)
 
 
-def arc_field(prob: ProblemDef, kind: ArcKind, x: np.ndarray, costate: np.ndarray, w=None):
-    """Arc velocity v = f0 + w f1 and D_x H for H = p (f0 + w f1).
+def _arcs_of(kinds, kind):
+    """Index of the arcs of ``kind`` on the arc axis: a slice (a view) for one arc."""
+    ks = [k for k, kd in enumerate(kinds) if kd is kind]
+    return slice(ks[0], ks[0] + 1) if len(ks) == 1 else ks
 
-    ``w`` defaults to the arc's control rule; the second-order code passes
-    the singular control held fixed instead.  On constrained arcs D_x H
-    carries the feedback-gradient term (p f1) dGamma; a singular control is
-    treated as independent of x (the chain-rule term vanishes at solutions
-    where H_u = 0).
+
+def arc_controls(prob: ProblemDef, kinds, x: np.ndarray, costate: np.ndarray, f0x, f1x,
+                 singular=None):
+    """Control of every arc, (..., N), from states and costates (..., N, n).
+
+    Each kind's rule runs on its own arcs' slice only, so a guard never sees
+    another kind's rows.  Constrained arcs use the field values f0x, f1x;
+    ``singular`` (..., S), if given, replaces the rule on the S arcs.
     """
+    extra = () if singular is None else np.shape(singular)[:-1] + (len(kinds),)
+    w = np.empty(np.broadcast_shapes(x.shape[:-1], costate.shape[:-1], extra))
+    for kind in dict.fromkeys(kinds):
+        i = _arcs_of(kinds, kind)
+        if kind is ArcKind.Constrained:
+            w[..., i] = gamma_from_fields(prob, x[..., i, :], f0x[..., i, :], f1x[..., i, :])
+        elif kind is ArcKind.Singular and singular is not None:
+            w[..., i] = singular
+        else:
+            w[..., i] = arc_control(prob, kind, x[..., i, :], costate[..., i, :])
+    return w
+
+
+def arc_field(prob: ProblemDef, kinds, x: np.ndarray, costate: np.ndarray, singular=None):
+    """Velocity v = f0 + w f1 and D_x H for H = p (f0 + w f1) of all arcs, (..., N, n) each.
+
+    f0, f1, df0 and df1 are evaluated once on the stack.  On constrained arcs
+    D_x H carries the feedback-gradient term (p f1) dGamma; a singular control,
+    from its rule or held fixed by ``singular``, is treated as independent of
+    x (the chain-rule term vanishes at solutions where H_u = 0).
+    """
+    x = np.asarray(x, dtype=float)
     f0x, f1x = prob.f0(x), prob.f1(x)
-    if w is None and kind is ArcKind.Constrained:
-        w = gamma_from_fields(prob, np.asarray(x, dtype=float), f0x, f1x)
-    elif w is None:
-        w = arc_control(prob, kind, x, costate)
-    w = np.asarray(w)
+    w = arc_controls(prob, kinds, x, costate, f0x, f1x, singular)
     v = f0x + w[..., None] * f1x
     hx = np.einsum("...i,...ij->...j", costate, prob.df0(x) + w[..., None, None] * prob.df1(x))
-    if kind is ArcKind.Constrained:
-        pf1 = np.einsum("...i,...i->...", costate, f1x)
-        hx = hx + pf1[..., None] * gamma_gradient(prob, x)
+    if ArcKind.Constrained in kinds:
+        c = _arcs_of(kinds, ArcKind.Constrained)
+        pf1 = np.einsum("...i,...i->...", costate[..., c, :], f1x[..., c, :])
+        hx[..., c, :] = hx[..., c, :] + pf1[..., None] * gamma_gradient(prob, x[..., c, :])
     return v, hx
 
 
-def arc_rhs(prob: ProblemDef, kind: ArcKind, dt_k: float, x: np.ndarray, costate: np.ndarray):
-    """Coupled rates (dx, dp) = dt_k (v, -D_x H) of the rescaled arc dynamics."""
-    v, hx = arc_field(prob, kind, x, costate)
-    return dt_k * v, -dt_k * hx
+def arc_rhs(prob: ProblemDef, kinds, dts, x: np.ndarray, costate: np.ndarray):
+    """Coupled rates (dx, dp) = dt_k (v, -D_x H) of the rescaled arcs; ``dts`` is (..., N)."""
+    v, hx = arc_field(prob, kinds, x, costate)
+    dts = np.asarray(dts, dtype=float)[..., None]
+    return dts * v, -dts * hx
 
 
-def arc_hamiltonian(prob: ProblemDef, kind: ArcKind, x: np.ndarray, costate: np.ndarray):
-    """H = p (f0 + w f1) with the arc's control rule."""
-    v, _ = arc_field(prob, kind, x, costate)
+def arc_hamiltonian(prob: ProblemDef, kinds, x: np.ndarray, costate: np.ndarray):
+    """H = p (f0 + w f1) of every arc with its control rule, (..., N)."""
+    v, _ = arc_field(prob, kinds, x, costate)
     return np.einsum("...i,...i->...", costate, v)
 
 
@@ -138,49 +162,44 @@ def rk4(rate, y0, steps: int, h: float):
         yield y
 
 
-def _arc_nodes(prob, kind, dt_k, x0, p0, M):
-    """RK4 nodes of the stacked (x, p) arc system, step 1/M, as a generator."""
+def _arc_nodes(prob, kinds, dts, x0, p0, M):
+    """RK4 nodes of the stacked (x, p) system of all arcs, step 1/M, as a generator."""
     if M < 1:
         raise ConfigurationError(f"step count must be >= 1, got {M}")
     n = prob.n
-    rate = lambda i, c, y: np.concatenate(arc_rhs(prob, kind, dt_k, y[..., :n], y[..., n:]),
+    rate = lambda i, c, y: np.concatenate(arc_rhs(prob, kinds, dts, y[..., :n], y[..., n:]),
                                           axis=-1)
     y0 = np.concatenate(np.broadcast_arrays(np.asarray(x0, dtype=float),
                                             np.asarray(p0, dtype=float)), axis=-1)
     return rk4(rate, y0, M, 1.0 / M)
 
 
-def propagate_arc(
-    prob: ProblemDef,
-    kind: ArcKind,
-    dt_k: float,
-    x0: np.ndarray,
-    p0: np.ndarray,
-    M: int,
-) -> ArcGrid:
-    """Classical RK4 with step 1/M on the coupled (x, p) system; full grid.
+def _check_finite(y, kinds, where: str) -> None:
+    """Raise :class:`NonFiniteState` naming the kind of the first non-finite arc."""
+    if not np.all(np.isfinite(y)):
+        bad = np.nonzero(~np.all(np.isfinite(y), axis=-1))[-1][0]
+        raise NonFiniteState(f"non-finite state {where} (kind {kinds[bad].value})")
 
-    Broadcasts over batched initial data; the node axis comes first.
-    """
+
+def propagate_arc(prob: ProblemDef, kinds, dts, x0: np.ndarray, p0: np.ndarray, M: int) -> list:
+    """One RK4 pass, step 1/M, over every arc from (x0, p0), (..., N, n); one ArcGrid each."""
     nodes = []
-    for y in _arc_nodes(prob, kind, dt_k, x0, p0, M):
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteState(
-                f"non-finite state at arc node {len(nodes)} (kind {kind.value})")
+    for y in _arc_nodes(prob, kinds, dts, x0, p0, M):
+        _check_finite(y, kinds, f"at arc node {len(nodes)}")
         nodes.append(y)
     y = np.stack(nodes)
     x, p = y[..., : prob.n], y[..., prob.n :]
-    w = np.empty(y.shape[:-1])
-    w[...] = arc_control(prob, kind, x, p)
-    return ArcGrid(kind=kind, s=np.linspace(0.0, 1.0, M + 1), x=x, p=p, w=w)
+    w = arc_controls(prob, kinds, x, p, prob.f0(x), prob.f1(x))
+    s = np.linspace(0.0, 1.0, M + 1)
+    return [ArcGrid(kind=kind, s=s, x=x[..., k, :], p=p[..., k, :], w=w[..., k])
+            for k, kind in enumerate(kinds)]
 
 
-def propagate_endpoint(prob, kind, dt_k, x0, p0, M):
-    """Terminal (x, p) of the arc only; broadcasts over batched initial data."""
-    for y in _arc_nodes(prob, kind, dt_k, x0, p0, M):
+def propagate_endpoint(prob, kinds, dts, x0, p0, M):
+    """Terminal (x, p) of every arc, (..., N, n) each, from one RK4 pass."""
+    for y in _arc_nodes(prob, kinds, dts, x0, p0, M):
         pass
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteState(f"non-finite state on arc of kind {kind.value}")
+    _check_finite(y, kinds, "at the arc ends")
     return y[..., : prob.n], y[..., prob.n :]
 
 
@@ -208,14 +227,15 @@ class TPTrajectory:
     def cost(self, prob: ProblemDef) -> float:
         return float(prob.phi(self.arcs[0].x[0], self.arcs[-1].x[-1]))
 
+    def stacked(self, field: str) -> np.ndarray:
+        """One ArcGrid field of every arc, with the arc axis after the node axis."""
+        return np.stack([getattr(a, field) for a in self.arcs], axis=1)
 
-def propagate_structure(
-    prob: ProblemDef, struct: ArcStructure, x0_arcs, p0_arcs, M: int
-) -> TPTrajectory:
-    """Propagate every arc of a structure from its initial (x, p) pair."""
-    dts = durations(struct.tau, prob.T)
-    arcs = [propagate_arc(prob, kind, dts[k], x0_arcs[k], p0_arcs[k], M)
-            for k, kind in enumerate(struct.kinds)]
+
+def propagate_structure(prob: ProblemDef, struct: ArcStructure, x0_arcs, p0_arcs,
+                        M: int) -> TPTrajectory:
+    """Propagate every arc of a structure from its initial (x, p), (N, n) each."""
+    arcs = propagate_arc(prob, struct.kinds, durations(struct.tau, prob.T), x0_arcs, p0_arcs, M)
     return TPTrajectory(arcs=arcs, tau=np.asarray(struct.tau, dtype=float), T=prob.T)
 
 
@@ -231,12 +251,8 @@ def write_tp_csv(path, traj: TPTrajectory) -> None:
     header += [f"x{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
     lines = [",".join(header)]
     for k, arc in enumerate(traj.arcs):
-        t = traj.arc_times(k)
-        for i in range(arc.s.size):
-            row = [arc.kind.value, str(k + 1), f"{arc.s[i]:.9g}", f"{t[i]:.9g}",
-                   f"{arc.w[i]:.9g}"]
-            row += [f"{v:.9g}" for v in arc.x[i]]
-            row += [f"{v:.9g}" for v in arc.p[i]]
-            lines.append(",".join(row))
+        rows = np.column_stack([arc.s, traj.arc_times(k), arc.w, arc.x, arc.p])
+        lines += [",".join([arc.kind.value, str(k + 1)] + [f"{v:.9g}" for v in row])
+                  for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -217,7 +217,7 @@ def test_criterion5_hamiltonian_invariants(regulator, reg_struct, reg_solution,
     drift = 0.0
     ends = []
     for arc in solved_traj.arcs:
-        h = arc_hamiltonian(regulator, arc.kind, arc.x, arc.p)
+        h = arc_hamiltonian(regulator, (arc.kind,), arc.x[:, None], arc.p[:, None])[:, 0]
         drift = max(drift, float(np.max(np.abs(h - h[0]))))
         ends.append((float(h[0]), float(h[-1])))
     junction = max(abs(ends[k][1] - ends[k + 1][0]) for k in range(len(ends) - 1))
@@ -349,7 +349,7 @@ def test_criterion8_property_suite(regulator, toy_bang):
     growth = ttd._scalar_growth_problem()
     e = []
     for M in (50, 100):
-        arc = propagate_arc(growth, B, 1.0, np.array([1.0]), np.array([0.0]), M)
+        arc, = propagate_arc(growth, (B,), [1.0], np.array([[1.0]]), np.array([[0.0]]), M)
         e.append(abs(arc.x[-1, 0] - np.e))
     ratio = e[0] / e[1]
     details.append(f"RK4 halving ratio={ratio:.1f}")

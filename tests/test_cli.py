@@ -131,6 +131,37 @@ class TestSolve:
                     "--init", "analytic", "--out", tmp_path]) == 1
         assert f"solve: error: {cfg} {what}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, what", [
+        ({"steps": "many"}, "key 'steps': invalid int value: 'many'"),
+        ({"tau": "1.2,late"}, "key 'tau': invalid float_list value: '1.2,late'"),
+    ], ids=["steps", "tau"])
+    def test_mistyped_config_value_exits_1(self, tmp_path, capsys, entry, what):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "toy-bang", "structure": "B-", **entry}))
+        assert run(["solve", "--config", cfg, "--out", tmp_path]) == 1
+        assert f"solve: error: {cfg} {what}" in capsys.readouterr().err
+
+    def test_non_string_problem_in_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": 5, "structure": "B-"}))
+        assert run(["solve", "--config", cfg, "--out", tmp_path]) == 1
+        assert "solve: error: unknown problem '5'" in capsys.readouterr().err
+
+    def test_config_values_read_like_flags(self, tmp_path):
+        # The same run from flags and from a file of JSON numbers and a tau
+        # list writes the same bytes.
+        flags = ["--problem", "regulator", "--structure", "B-,C,S", "--init", "analytic"]
+        assert run(["solve", *flags, "--tau", "1.25,2.55", "--steps", "120",
+                    "--tol", "1e-6", "--out", tmp_path / "flags"]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "regulator", "structure": "B-,C,S",
+                                   "init": "analytic", "tau": [1.25, 2.55], "steps": 120,
+                                   "tol": 1e-6, "out": str(tmp_path / "file")}))
+        assert run(["solve", "--config", cfg]) == 0
+        for name in ("trajectory.csv", "omega.json", "report.json"):
+            assert ((tmp_path / "flags" / name).read_bytes()
+                    == (tmp_path / "file" / name).read_bytes()), name
+
     def test_no_problem_exits_1(self, tmp_path, capsys):
         assert run(["solve", "--structure", "B-", "--out", tmp_path]) == 1
         assert "solve: error: no problem given" in capsys.readouterr().err
@@ -205,7 +236,9 @@ class TestVerify:
          "has no key 'meta.N'"),
         (lambda doc: json.dumps(_without(doc, "structure")),
          "has no key 'structure.kinds'"),
-    ], ids=["not_json", "no_meta_N", "no_structure"])
+        (lambda doc: json.dumps({**doc, "omega": ["x"] + doc["omega"][1:]}),
+         "key 'omega' is not a list of numbers"),
+    ], ids=["not_json", "no_meta_N", "no_structure", "non_numeric_omega"])
     def test_malformed_omega_exits_1(self, tmp_path, toy_bang_dir, capsys, edit, what):
         path = tmp_path / "omega.json"
         path.write_text(edit(json.loads((toy_bang_dir / "omega.json").read_text())))

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcshoot import problems as P
+from arcshoot import shooting
 from arcshoot.arc_structure import ArcKind, ArcStructure, index_sets
 from arcshoot.errors import (
     ArcshootError,
@@ -148,7 +149,7 @@ class TestResidualStructure:
         x0 = [omega.x0[0]]
         p0 = [omega.p0[0] + 0.1]  # junk costate start; chaining still exact
         for k, kind in enumerate(reg_struct.kinds[:-1]):
-            arc = propagate_arc(regulator, kind, dts[k], x0[k], p0[k], 40)
+            arc, = propagate_arc(regulator, (kind,), dts[k : k + 1], x0[k][None], p0[k][None], 40)
             x0.append(arc.x[-1])
             p0.append(arc.p[-1])
         chained = ShootingVector(
@@ -342,6 +343,25 @@ class TestGaussNewtonCore:
         with pytest.raises(RankDeficientJacobian) as exc:
             gauss_newton(degenerate, struct, start, steps=50)
         assert exc.value.report.converged
+
+    def test_trajectory_is_that_of_the_returned_iterate(self, regulator, reg_struct,
+                                                        reg_omega_exact, monkeypatch):
+        # From this 40 % start GN halves its step once (no 20 % start tried
+        # halves); the grid it keeps must be the returned iterate's, bit for bit.
+        omega0 = perturbed_start(regulator, reg_struct, reg_omega_exact, scale=0.4, seed=1)
+        passes = []
+        one_row = shooting._residual_and_grid
+        monkeypatch.setattr(shooting, "_residual_and_grid",
+                            lambda *a: passes.append(a) or one_row(*a))
+        omega, report = gauss_newton(regulator, reg_struct, omega0, steps=300)
+        assert len(passes) > report.n_iter + 1
+        ref = propagate_solution(regulator, reg_struct, omega, steps_per_arc(reg_struct, 300))
+        np.testing.assert_array_equal(report.trajectory.tau, ref.tau)
+        assert report.trajectory.T == ref.T
+        for got, want in zip(report.trajectory.arcs, ref.arcs, strict=True):
+            assert got.kind is want.kind
+            for f in "sxpw":
+                np.testing.assert_array_equal(getattr(got, f), getattr(want, f))
 
     def test_regulator_converges_from_perturbation(self, reg_solution):
         report = reg_solution["report"]

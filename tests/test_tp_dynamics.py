@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arcshoot import problems as P
-from arcshoot.arc_structure import ArcKind
+from arcshoot.arc_structure import ArcKind, ArcStructure
 from arcshoot.errors import (
     ConfigurationError,
     FirstOrderViolation,
@@ -17,13 +17,39 @@ from arcshoot.tp_dynamics import (
     arc_hamiltonian,
     arc_rhs,
     constraint_multiplier_density,
+    durations,
     propagate_arc,
     propagate_endpoint,
     propagate_solution,
+    propagate_structure,
     write_tp_csv,
 )
 
 B, C, S = ArcKind.BMinus, ArcKind.Constrained, ArcKind.Singular
+
+
+# One-arc structures: the joint-pass functions with the single arc kind ``kind``
+# and an arc axis of length 1, unpacked to that arc's values.
+
+def _arc(prob, kind, dt, x0, p0, M):
+    return propagate_arc(prob, (kind,), [dt], np.asarray(x0)[..., None, :],
+                         np.asarray(p0)[..., None, :], M)[0]
+
+
+def _endpoint(prob, kind, dt, x0, p0, M):
+    xe, pe = propagate_endpoint(prob, (kind,), [dt], np.asarray(x0)[..., None, :],
+                                np.asarray(p0)[..., None, :], M)
+    return xe[..., 0, :], pe[..., 0, :]
+
+
+def _rhs(prob, kind, dt, x, p):
+    dx, dp = arc_rhs(prob, (kind,), [dt], x[..., None, :], p[..., None, :])
+    return dx[..., 0, :], dp[..., 0, :]
+
+
+def _ham(prob, kind, x, p):
+    return arc_hamiltonian(prob, (kind,), np.asarray(x)[..., None, :],
+                           np.asarray(p)[..., None, :])[..., 0]
 
 
 def _scalar_growth_problem():
@@ -71,19 +97,19 @@ class TestArcControl:
 class TestArcRhs:
     def test_bminus_state_rate(self, regulator):
         x = np.array([0.4, 0.7, 0.0])
-        dx, _ = arc_rhs(regulator, B, 1.2, x, np.zeros(3))
+        dx, _ = _rhs(regulator, B, 1.2, x, np.zeros(3))
         np.testing.assert_allclose(dx, 1.2 * np.array([0.7, -1.0, 0.5 * (0.16 + 0.49)]))
 
     def test_zero_fields(self):
         prob = _scalar_growth_problem()
         zero = dataclasses.replace(prob, f0=prob.f1, df0=prob.df1)
-        dx, dp = arc_rhs(zero, B, 0.7, np.array([2.0]), np.array([3.0]))
+        dx, dp = _rhs(zero, B, 0.7, np.array([2.0]), np.array([3.0]))
         assert dx == pytest.approx(0.0) and dp == pytest.approx(0.0)
 
     def test_singular_costate_rate(self, regulator):
         x = np.array([0.2, -0.2, 0.1])
         p = np.array([0.2, 0.0, 1.0])
-        _, dp = arc_rhs(regulator, S, 2.4, x, p)
+        _, dp = _rhs(regulator, S, 2.4, x, p)
         # D_x H with u independent: (p3 x1, p1 + p3 x2, 0)
         np.testing.assert_allclose(dp, -2.4 * np.array([0.2, 0.0, 0.0]), atol=1e-14)
 
@@ -92,7 +118,7 @@ class TestArcRhs:
         prob = _curved()
         x = np.array([1.0, 1.0])
         p = np.array([0.3, -0.5])
-        _, dp = arc_rhs(prob, C, 1.0, x, p)
+        _, dp = _rhs(prob, C, 1.0, x, p)
 
         def ham(y):
             return float(p @ (prob.f0(y) + gamma_control(prob, y) * prob.f1(y)))
@@ -153,7 +179,7 @@ class TestBatchGuards:
 
 class TestPropagate:
     def test_bminus_polynomials_exact(self, regulator):
-        arc = propagate_arc(regulator, B, 1.2, np.array([0.0, 1.0, 0.0]), np.zeros(3), 200)
+        arc = _arc(regulator, B, 1.2, np.array([0.0, 1.0, 0.0]), np.zeros(3), 200)
         t = 1.2 * arc.s
         np.testing.assert_allclose(arc.x[:, 1], 1.0 - t, atol=1e-12)
         np.testing.assert_allclose(arc.x[:, 0], t - 0.5 * t**2, atol=1e-12)
@@ -161,33 +187,33 @@ class TestPropagate:
     def test_zero_duration(self, regulator):
         x0 = np.array([0.3, -0.1, 0.2])
         p0 = np.array([1.0, 2.0, 3.0])
-        arc = propagate_arc(regulator, B, 0.0, x0, p0, 10)
+        arc = _arc(regulator, B, 0.0, x0, p0, 10)
         np.testing.assert_array_equal(arc.x[-1], x0)
         np.testing.assert_array_equal(arc.p[-1], p0)
 
     def test_exponential_oracle(self):
-        arc = propagate_arc(_scalar_growth_problem(), B, 1.0, np.array([1.0]),
-                            np.array([0.0]), 100)
+        arc = _arc(_scalar_growth_problem(), B, 1.0, np.array([1.0]),
+                   np.array([0.0]), 100)
         assert abs(arc.x[-1, 0] - np.e) < 1e-8
 
     def test_step_count_guard(self, regulator):
         with pytest.raises(ConfigurationError):
-            propagate_arc(regulator, B, 1.0, np.zeros(3), np.zeros(3), 0)
+            _arc(regulator, B, 1.0, np.zeros(3), np.zeros(3), 0)
 
     def test_rk4_order(self, regulator):
         # terminal-state error vs a quadruple-resolution reference shrinks ~16x
         x0, p0, _ = P.regulator_solution(2.6)
         p0 = np.array([0.2, 0.0, 1.0])
         x0 = np.array([0.2, -0.2, 0.37250133])
-        ref = propagate_arc(regulator, S, 2.4, x0, p0, 640).x[-1]
-        e1 = np.linalg.norm(propagate_arc(regulator, S, 2.4, x0, p0, 40).x[-1] - ref)
-        e2 = np.linalg.norm(propagate_arc(regulator, S, 2.4, x0, p0, 80).x[-1] - ref)
+        ref = _arc(regulator, S, 2.4, x0, p0, 640).x[-1]
+        e1 = np.linalg.norm(_arc(regulator, S, 2.4, x0, p0, 40).x[-1] - ref)
+        e2 = np.linalg.norm(_arc(regulator, S, 2.4, x0, p0, 80).x[-1] - ref)
         assert 10.0 < e1 / e2 < 22.0
 
     def test_constraint_preserved_on_c_arc(self):
         prob = _curved()
         x0 = np.array([1.0, 1.0])  # on g = 0
-        arc = propagate_arc(prob, C, 0.8, x0, np.array([0.1, 0.1]), 800)
+        arc = _arc(prob, C, 0.8, x0, np.array([0.1, 0.1]), 800)
         gvals = np.array([prob.g(x) for x in arc.x])
         assert np.max(np.abs(gvals)) <= 1e-8
 
@@ -212,7 +238,8 @@ def _blow_up_problem():
 
 class TestNonFinite:
     @pytest.mark.parametrize("x0", [[1.0], [[0.1], [1.0]]], ids=["row", "batch"])
-    @pytest.mark.parametrize("propagate", [propagate_arc, propagate_endpoint])
+    @pytest.mark.parametrize("propagate", [_arc, _endpoint],
+                             ids=["propagate_arc", "propagate_endpoint"])
     def test_blow_up_raises(self, propagate, x0):
         x0 = np.array(x0)
         with pytest.raises(NonFiniteState), np.errstate(over="ignore", invalid="ignore"):
@@ -220,11 +247,11 @@ class TestNonFinite:
 
     def test_batch_row_that_stays_finite(self):
         x0 = np.array([[0.1], [0.2]])
-        arc = propagate_arc(_blow_up_problem(), B, 2.0, x0, np.zeros_like(x0), 100)
+        arc = _arc(_blow_up_problem(), B, 2.0, x0, np.zeros_like(x0), 100)
         assert arc.x.shape == (101, 2, 1) and arc.w.shape == (101, 2)
         np.testing.assert_allclose(arc.x[-1, :, 0], x0[:, 0] / (1.0 - 2.0 * x0[:, 0]),
                                    rtol=1e-7)
-        xe, _ = propagate_endpoint(_blow_up_problem(), B, 2.0, x0, np.zeros_like(x0), 100)
+        xe, _ = _endpoint(_blow_up_problem(), B, 2.0, x0, np.zeros_like(x0), 100)
         np.testing.assert_array_equal(xe, arc.x[-1])
 
 
@@ -250,26 +277,26 @@ class TestCallbackCounts:
                  if callable(getattr(regulator, f.name))]
         prob = dataclasses.replace(regulator, **{
             name: counted(name, getattr(regulator, name)) for name in names})
-        arc_rhs(prob, kind, 1.0, np.array(x), np.array(p))
+        _rhs(prob, kind, 1.0, np.array(x), np.array(p))
         assert sum(counts.values()) == calls, counts
         assert max(counts.values()) == 1, counts
 
 
 class TestHamiltonian:
     def test_zero_costate(self, regulator):
-        assert arc_hamiltonian(regulator, B, np.array([1.0, 2.0, 3.0]), np.zeros(3)) == 0.0
+        assert _ham(regulator, B, np.array([1.0, 2.0, 3.0]), np.zeros(3)) == 0.0
 
     def test_constrained_value(self, regulator):
         x = np.array([0.4, -0.2, 0.1])
         p = np.array([0.7, 9.0, 2.0])  # p2 must not contribute since w = 0
         expect = 0.7 * (-0.2) + 0.5 * 2.0 * (0.16 + 0.04)
-        assert arc_hamiltonian(regulator, C, x, p) == pytest.approx(expect)
+        assert _ham(regulator, C, x, p) == pytest.approx(expect)
 
     def test_constant_along_arcs_and_junctions(self, regulator, reg_struct, reg_omega_exact):
         traj = propagate_solution(regulator, reg_struct, reg_omega_exact, 300)
         values = []
         for arc in traj.arcs:
-            h = np.array([arc_hamiltonian(regulator, arc.kind, x, p)
+            h = np.array([_ham(regulator, arc.kind, x, p)
                           for x, p in zip(arc.x, arc.p)])
             assert np.max(np.abs(h - h[0])) <= 1e-6 * (1 + abs(h[0]))
             values.append((h[0], h[-1]))
@@ -304,3 +331,51 @@ class TestExport:
         assert len(lines) == 1 + 3 * 6
         first = lines[1].split(",")
         assert first[0] == "B-" and first[1] == "1"
+
+
+class TestJointPass:
+    """All arcs step in one RK4 pass; the arc axis couples nothing."""
+
+    @pytest.mark.parametrize("make", [P.make_regulator, P.make_regulator_fd_brackets],
+                             ids=["analytic", "fd_brackets"])
+    @pytest.mark.parametrize("struct", [
+        P.regulator_structure(),
+        ArcStructure((B, S, C, S, ArcKind.BPlus), (0.8, 1.7, 2.9, 4.1)),
+    ], ids=["B-,C,S", "B-,S,C,S,B+"])
+    def test_arcs_independent_of_each_other(self, make, struct):
+        # Each arc of a joint pass equals a pass over that arc alone, bit for bit.
+        prob = make()
+        rng = np.random.default_rng(3)
+        x0 = rng.uniform(-0.5, 0.5, (struct.N, 3))
+        p0 = rng.uniform(0.5, 1.5, (struct.N, 3))   # p3 > 0 keeps S arcs off their guard
+        traj = propagate_structure(prob, struct, x0, p0, 60)
+        dts = durations(struct.tau, prob.T)
+        for k, kind in enumerate(struct.kinds):
+            alone = _arc(prob, kind, dts[k], x0[k], p0[k], 60)
+            for f in "xpws":
+                np.testing.assert_array_equal(getattr(traj.arcs[k], f), getattr(alone, f))
+
+    def test_guards_see_their_own_kind_only(self):
+        # dg.f1 = x1 vanishes along the whole B- arc (x1 stays 0) and is 1 on
+        # the C arc; the constrained feedback must only run on the C arc.
+        prob = ProblemDef(
+            n=2, q=0, T=1.0,
+            f0=lambda x: np.stack([x[..., 0], np.ones_like(x[..., 0])], axis=-1),
+            f1=lambda x: np.broadcast_to(np.array([0.0, 1.0]), x.shape),
+            df0=lambda x: np.broadcast_to(np.array([[1.0, 0.0], [0.0, 0.0]]), x.shape + (2,)),
+            df1=lambda x: np.zeros(x.shape + (2,)),
+            g=lambda x: x[..., 0] * x[..., 1] - 1.0,
+            dg=lambda x: np.stack([x[..., 1], x[..., 0]], axis=-1),
+            phi=lambda x0, xT: 0.0,
+            dphi=lambda x0, xT: (np.zeros(2), np.zeros(2)),
+            Phi=lambda x0, xT: np.zeros(0),
+            dPhi=lambda x0, xT: (np.zeros((0, 2)), np.zeros((0, 2))),
+            u_min=-1.0, u_max=1.0,
+        )
+        x0 = np.array([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(FirstOrderViolation):
+            gamma_control(prob, x0[0])
+        traj = propagate_structure(prob, ArcStructure((B, C), (0.5,)), x0, np.ones((2, 2)), 10)
+        np.testing.assert_array_equal(traj.arcs[0].x[:, 0], 0.0)
+        np.testing.assert_array_equal(traj.arcs[0].w, -1.0)
+        assert np.all(np.isfinite(traj.arcs[1].w))
