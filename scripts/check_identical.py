@@ -24,7 +24,10 @@ one subprocess per step:
   scaled by ``1 + 0.4 U(-1, 1)`` (seed 1), where Gauss-Newton iterates and
   rejects one full step before it converges (20 % starts converge without a
   halving), and the same solve with ``--max-iter 1``, which stops with
-  ``MaxIterExceeded`` and exit code 1.
+  ``MaxIterExceeded`` and exit code 1;
+* ``multi_arc``: the regulator's ``B-,S,C,S,B+`` structure propagated over 60
+  steps from seeded (seed 3) arc starts, written as ``trajectory.csv`` and a
+  full-precision validation JSON, so that repeated arc kinds are covered.
 
 The exit code of every step goes into ``exit_codes.json``.  The script then
 compares every output file of the two trees byte for byte, lists each one
@@ -60,6 +63,25 @@ SAVE_PERTURBED = (
     "flat = flat * (1.0 + 0.4 * np.random.default_rng(1).uniform(-1.0, 1.0, flat.size))\n"
     "save_omega(sys.argv[1], P.regulator_structure(), ShootingVector.unpack(flat, 3, 3, 3, 1),\n"
     "           P.make_regulator(), 1000)\n"
+)
+
+MULTI_ARC = (
+    "import json, sys\n"
+    "from pathlib import Path\n"
+    "import numpy as np\n"
+    "from arcshoot import problems as P\n"
+    "from arcshoot.arc_structure import ArcStructure\n"
+    "from arcshoot.shooting import ShootingVector, validate_solution\n"
+    "from arcshoot.tp_dynamics import propagate_solution, write_tp_csv\n"
+    "prob, out = P.make_regulator(), Path(sys.argv[1])\n"
+    "struct = ArcStructure.from_tokens(['B-', 'S', 'C', 'S', 'B+'], (0.8, 1.7, 2.9, 4.1))\n"
+    "rng = np.random.default_rng(3)\n"
+    "x0, p0 = rng.uniform(-0.5, 0.5, (5, 3)), rng.uniform(0.5, 1.5, (5, 3))\n"
+    "omega = ShootingVector(x0, struct.tau, p0, np.zeros(3), np.zeros(1))\n"
+    "traj = propagate_solution(prob, struct, omega, 60)\n"
+    "write_tp_csv(out / 'trajectory.csv', traj)\n"
+    "doc = validate_solution(prob, struct, traj).to_json_dict()\n"
+    "(out / 'validation.json').write_text(json.dumps(doc, indent=1, sort_keys=True) + '\\n')\n"
 )
 
 
@@ -102,6 +124,7 @@ def steps(out: Path) -> list:
                                            "--structure", "B-,C,S", "--init", str(perturbed),
                                            "--out", str(out / f"solve_perturbed{tag}"), *extra])
           for tag, extra in (("", []), ("_max_iter_1", ["--max-iter", "1"]))],
+        ("multi_arc", [py, "-c", MULTI_ARC, str(out / "multi_arc")]),
     ]
 
 
@@ -114,6 +137,7 @@ def run_tree(src: Path, out: Path) -> None:
         sys.exit(f"check_identical: arcshoot imported from {where}, not from {src}")
     (out / "analytic").mkdir(parents=True)
     (out / "perturbed_start").mkdir()
+    (out / "multi_arc").mkdir()
     codes = {}
     for name, argv in steps(out):
         proc = subprocess.run(argv, env=env, cwd=out, capture_output=True, text=True)

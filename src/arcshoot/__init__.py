@@ -23,7 +23,6 @@ from .tp_dynamics import (
     constraint_multiplier_density,
     propagate_arc,
     propagate_solution,
-    propagate_structure,
 )
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "problem_names",
     "propagate_arc",
     "propagate_solution",
-    "propagate_structure",
     "save_omega",
     "shooting_function",
     "validate_solution",

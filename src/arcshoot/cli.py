@@ -146,22 +146,12 @@ def _initial_omega(prob, struct, cfg, dres) -> ShootingVector:
     path = Path(init)
     if not path.exists():
         raise ConfigurationError(f"warm-start file {path} does not exist")
-    file_struct, omega = _load_omega(path, prob)
+    file_struct, omega, _ = load_omega(path, prob)
     if file_struct.kinds != struct.kinds:
         raise ConfigurationError(
             f"warm start has structure {file_struct.tokens()}, requested {struct.tokens()}"
         )
     return omega
-
-
-def _load_omega(path, prob) -> tuple:
-    """(structure, omega) of a warm-start file written for a problem of prob's size."""
-    struct, omega, meta = load_omega(path)
-    if (meta["n"], meta["q"]) != (prob.n, prob.q):
-        raise ConfigurationError(
-            f"{path} holds a solution with n={meta['n']}, q={meta['q']}; "
-            f"the problem has n={prob.n}, q={prob.q}")
-    return struct, omega
 
 
 def _omega_from_direct(prob, struct, dres) -> ShootingVector:
@@ -180,11 +170,7 @@ def _omega_from_direct(prob, struct, dres) -> ShootingVector:
     )
 
 
-def cmd_solve(args) -> int:
-    cfg = _merge_config(args)
-    out_dir = Path(cfg.get("out", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    prob = resolve_problem(cfg["problem"])
+def cmd_solve(cfg, out_dir, prob) -> int:
     steps = cfg.get("steps", 1000)
     struct, dres = _resolve_structure(prob, cfg)
     omega0 = _initial_omega(prob, struct, cfg, dres)
@@ -230,11 +216,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_detect(args) -> int:
-    cfg = _merge_config(args)
-    out_dir = Path(cfg.get("out", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    prob = resolve_problem(cfg["problem"])
+def cmd_detect(cfg, out_dir, prob) -> int:
     if cfg.get("from_csv"):
         t, u, x = read_trajectory_csv(cfg["from_csv"])
         doc_extra = {"source": str(cfg["from_csv"])}
@@ -252,13 +234,9 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = _merge_config(args)
-    out_dir = Path(cfg.get("out", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    prob = resolve_problem(cfg["problem"])
+def cmd_verify(cfg, out_dir, prob) -> int:
     omega_path = cfg.get("omega", str(out_dir / "omega.json"))
-    struct, omega = _load_omega(omega_path, prob)
+    struct, omega, _ = load_omega(omega_path, prob)
     struct.validate(prob)
     qfd = assemble_omega(prob, struct, omega, nodes=cfg.get("nodes", 200))
     report = check_positivity(qfd)
@@ -276,52 +254,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Shooting solver for bang / constrained / singular arc structures",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--problem", help="built-in name or module:callable")
+    common.add_argument("--out", help="output directory (default out)")
+    common.add_argument("--config", help="JSON config file; flags win")
+    direct = argparse.ArgumentParser(add_help=False)
+    direct.add_argument("--grid", type=int, help="direct-solve grid size")
+    direct.add_argument("--penalty", type=float, help="direct-solve penalty weight")
+    direct.add_argument("--direct-iters", dest="direct_iters", type=int)
 
-    ps = sub.add_parser("solve", help="run the shooting pipeline")
-    ps.add_argument("--problem", help="built-in name or module:callable")
+    ps = sub.add_parser("solve", parents=[common, direct], help="run the shooting pipeline")
     ps.add_argument("--structure", help="comma tokens B-,B+,C,S or 'detect'")
     ps.add_argument("--tau", type=float_list, help="comma-separated interior switching times")
     ps.add_argument("--init", help="analytic | direct | path to omega.json")
     ps.add_argument("--steps", type=int, help="total integration steps (default 1000)")
     ps.add_argument("--tol", type=float, help="residual tolerance (default 1e-8)")
     ps.add_argument("--max-iter", dest="max_iter", type=int)
-    ps.add_argument("--grid", type=int, help="direct-solve grid size")
-    ps.add_argument("--penalty", type=float, help="direct-solve penalty weight")
-    ps.add_argument("--direct-iters", dest="direct_iters", type=int)
-    ps.add_argument("--out", help="output directory (default out)")
-    ps.add_argument("--config", help="JSON config file; flags win")
     ps.set_defaults(func=cmd_solve, parser=ps)
 
-    pd = sub.add_parser("detect", help="direct solve and arc-structure detection")
-    pd.add_argument("--problem")
-    pd.add_argument("--grid", type=int)
-    pd.add_argument("--penalty", type=float)
-    pd.add_argument("--direct-iters", dest="direct_iters", type=int)
+    pd = sub.add_parser("detect", parents=[common, direct],
+                        help="direct solve and arc-structure detection")
     pd.add_argument("--from-csv", dest="from_csv", help="classify an existing t,u,x CSV")
     pd.add_argument("--min-arc-len", dest="min_arc_len", type=float)
-    pd.add_argument("--out")
-    pd.add_argument("--config")
     pd.set_defaults(func=cmd_detect, parser=pd)
 
-    pv = sub.add_parser("verify", help="second-order positivity certificate")
-    pv.add_argument("--problem")
+    pv = sub.add_parser("verify", parents=[common], help="second-order positivity certificate")
     pv.add_argument("--omega", help="solved omega.json (default <out>/omega.json)")
     pv.add_argument("--nodes", type=int, help="grid cells per arc (default 200)")
-    pv.add_argument("--out")
-    pv.add_argument("--config")
     pv.set_defaults(func=cmd_verify, parser=pv)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ArcshootError as exc:
-        print(f"{args.command}: error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+        cfg = _merge_config(args)
+        out_dir = Path(cfg.get("out", "out"))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return args.func(cfg, out_dir, resolve_problem(cfg["problem"]))
+    except (ArcshootError, FileNotFoundError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -112,7 +112,8 @@ def fd_steps(x: np.ndarray) -> np.ndarray:
 
 def denominator_guard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Scale-invariant floor 1e-10 (1 + |a| |b|) under which a.b counts as zero."""
-    return GUARD_COEFF * (1.0 + np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1))
+    norm = lambda v: np.sqrt(np.add.reduce(np.square(v), axis=-1))  # np.linalg.norm's arithmetic
+    return GUARD_COEFF * (1.0 + norm(a) * norm(b))
 
 
 def guarded_ratio(num, a: np.ndarray, b: np.ndarray, x: np.ndarray, error: type):

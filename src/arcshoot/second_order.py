@@ -141,9 +141,9 @@ def linearized_matrices(
     m1 = nodes + 1
 
     tau = np.broadcast_to(omega.tau, (m1, N - 1))
-    X = np.concatenate([traj.stacked("x").reshape(m1, N * n), tau], axis=1)
-    P_arcs = traj.stacked("p")
-    U = traj.stacked("w")[:, [k - 1 for k in i_s]]
+    X = np.concatenate([traj.x.reshape(m1, N * n), tau], axis=1)
+    P_arcs = traj.p
+    U = traj.w[:, [k - 1 for k in i_s]]
 
     J = central_diff(lambda Xb: tp_rates(prob, struct, U, Xb, P_arcs), X, fd_steps(X))
     A, HXX, HUX = J[:, :D], J[:, D : 2 * D], J[:, 2 * D :]

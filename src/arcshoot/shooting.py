@@ -33,9 +33,9 @@ from .errors import (
 from .problem_def import BRACKET_F1_F0, ProblemDef, central_diff, check_first_order, lie_bracket
 from .tp_dynamics import (
     TPTrajectory,
+    _arcs_of,
     arc_hamiltonian,
     constraint_multiplier_density,
-    durations,
     legendre_clebsch_value,
     propagate_arc,
     propagate_endpoint,
@@ -211,16 +211,15 @@ def _residual(prob, struct, flats, x1, p1):
 def _residual_flat_batch(prob, struct, flats, M):
     """Stacked residual of packed vectors (..., m); a 1-D vector is one row."""
     x0, tau, p0, _, _ = _unpack_batch(flats, struct.N, prob.n, prob.q)
-    ends = propagate_endpoint(prob, struct.kinds, durations(tau, prob.T), x0, p0, M)
+    ends = propagate_endpoint(prob, struct.kinds, tau, x0, p0, M)
     return _residual(prob, struct, flats, *ends)
 
 
 def _residual_and_grid(prob, struct, flat, M):
     """One-row residual of a packed vector and its full grid; the arcs end at its last node."""
     x0, tau, p0, _, _ = _unpack_batch(flat, struct.N, prob.n, prob.q)
-    traj = TPTrajectory(propagate_arc(prob, struct.kinds, durations(tau, prob.T), x0, p0, M),
-                        tau=tau, T=prob.T)
-    return _residual(prob, struct, flat, traj.stacked("x")[-1], traj.stacked("p")[-1]), traj
+    traj = propagate_arc(prob, struct.kinds, tau, x0, p0, M)
+    return _residual(prob, struct, flat, traj.x[-1], traj.p[-1]), traj
 
 
 def shooting_function(
@@ -456,14 +455,16 @@ def validate_solution(prob: ProblemDef, struct: ArcStructure,
         return ValidationCheck(name, bool(test(v)), v, detail)
 
     kinds = struct.kinds
-    margins = [np.minimum(a.w - prob.u_min if prob.u_min is not None else np.inf,
-                          prob.u_max - a.w if prob.u_max is not None else np.inf).min()
-               for a in traj.arcs if a.kind in (ArcKind.Constrained, ArcKind.Singular)]
-    cs_jumps = [abs(float(traj.arcs[k].w[-1] - traj.arcs[k + 1].w[0]))
-                for k in range(struct.N - 1)
-                if {kinds[k], kinds[k + 1]} == {ArcKind.Constrained, ArcKind.Singular}]
-    c_arcs = [a for a in traj.arcs if a.kind is ArcKind.Constrained]
-    fo = check_first_order(prob, [x for a in c_arcs for x in a.x])
+    C, S = ArcKind.Constrained, ArcKind.Singular
+    # (x, p, w) of the arcs of each interior kind, arc-major: (arcs, M+1, ...).
+    on = {kind: [np.swapaxes(a[:, _arcs_of(kinds, kind)], 0, 1) for a in (traj.x, traj.p, traj.w)]
+          for kind in (C, S) if kind in kinds}
+    margins = [np.minimum(w - prob.u_min if prob.u_min is not None else np.inf,
+                          prob.u_max - w if prob.u_max is not None else np.inf).min()
+               for _, _, w in on.values()]
+    jumps = np.abs(traj.w[-1, :-1] - traj.w[0, 1:])
+    cs_jumps = [jumps[k] for k in range(struct.N - 1) if {kinds[k], kinds[k + 1]} == {C, S}]
+    fo = check_first_order(prob, on[C][0] if C in on else [])
     checks = [
         worst_check("bound_margin_on_interior_arcs", margins, min, lambda v: v > 0.0,
                     "min distance of u to its bounds over C and S arcs", "no C or S arcs"),
@@ -473,20 +474,19 @@ def validate_solution(prob: ProblemDef, struct: ArcStructure,
         ValidationCheck("first_order_condition_on_c_arcs", fo.passed, fo.min_abs,
                         f"min |dg.f1| vs guard {fo.guard:.3e}"),
         worst_check("legendre_clebsch_sign_on_s_arcs",
-                    [float(np.max(legendre_clebsch_value(prob, a.x, a.p)))
-                     for a in traj.arcs if a.kind is ArcKind.Singular],
+                    [np.max(legendre_clebsch_value(prob, *on[S][:2]))] if S in on else [],
                     max, lambda v: v < 0.0, "p [[f1,f0],f1] must stay negative", "no S arcs"),
         worst_check("constraint_multiplier_nonnegative",
-                    [float(np.min(constraint_multiplier_density(prob, a.x, a.p))) for a in c_arcs],
+                    [np.min(constraint_multiplier_density(prob, *on[C][:2]))] if C in on else [],
                     min, lambda v: v >= -1e-8, "complementarity requires nu >= 0 on C arcs",
                     "no C arcs"),
     ]
 
-    gmax = float(np.max(prob.g(traj.stacked("x"))))
+    gmax = float(np.max(prob.g(traj.x)))
     checks.append(ValidationCheck(
         "state_constraint_satisfied", gmax <= 1e-6, gmax, "max g(x) over all nodes"))
 
-    h = arc_hamiltonian(prob, kinds, traj.stacked("x"), traj.stacked("p"))
+    h = arc_hamiltonian(prob, kinds, traj.x, traj.p)
     hdrift = float(np.max(np.max(np.abs(h - h[0]), axis=0) / (1.0 + np.abs(h[0]))))
     checks.append(ValidationCheck(
         "hamiltonian_constant_per_arc", hdrift <= 1e-6, hdrift,
@@ -532,8 +532,8 @@ def read_json_object(path) -> dict:
     return doc
 
 
-def load_omega(path) -> tuple:
-    """Read a warm-start file; returns (structure, omega, meta)."""
+def load_omega(path, prob: ProblemDef) -> tuple:
+    """Read a warm-start file for a problem of prob's size; returns (structure, omega, meta)."""
     doc = read_json_object(path)
 
     def get(key):
@@ -544,7 +544,15 @@ def load_omega(path) -> tuple:
             val = val[k]
         return val
 
-    N, n, q, n_c, n_s = (get(f"meta.{k}") for k in ("N", "n", "q", "n_constrained", "n_singular"))
+    sizes = {k: get(f"meta.{k}") for k in ("N", "n", "q", "n_constrained", "n_singular")}
+    for k, v in sizes.items():
+        if type(v) is not int:
+            raise ConfigurationError(f"{path} key 'meta.{k}' must be an integer, got {v!r}")
+    N, n, q, n_c, n_s = sizes.values()
+    if (n, q) != (prob.n, prob.q):
+        raise ConfigurationError(
+            f"{path} holds a solution with n={n}, q={q}; "
+            f"the problem has n={prob.n}, q={prob.q}")
     struct = ArcStructure.from_tokens(get("structure.kinds"), get("structure.tau"))
     i_s, i_c, _, _ = index_sets(struct)
     if struct.N != N or len(i_c) != n_c or len(i_s) != n_s:

@@ -133,17 +133,6 @@ def constraint_multiplier_density(prob: ProblemDef, x: np.ndarray, costate: np.n
     return guarded_ratio(num, prob.dg(x), prob.f1(x), x, FirstOrderViolation)
 
 
-@dataclass
-class ArcGrid:
-    """One propagated arc: nodes s_i with states, costates and controls."""
-
-    kind: ArcKind
-    s: np.ndarray        # (M+1,)
-    x: np.ndarray        # (M+1, ..., n)
-    p: np.ndarray        # (M+1, ..., n)
-    w: np.ndarray        # (M+1, ...)
-
-
 def rk4(rate, y0, steps: int, h: float):
     """Classical RK4 for y' = rate(i, c, y); yields y_0, ..., y_steps.
 
@@ -162,11 +151,19 @@ def rk4(rate, y0, steps: int, h: float):
         yield y
 
 
-def _arc_nodes(prob, kinds, dts, x0, p0, M):
+def durations(tau, T):
+    """Arc durations (..., N) from interior switching times (..., N-1) on [0, T]."""
+    tau = np.asarray(tau, dtype=float)
+    lo = np.concatenate([np.zeros(tau.shape[:-1] + (1,)), tau], axis=-1)
+    hi = np.concatenate([tau, np.full(tau.shape[:-1] + (1,), T)], axis=-1)
+    return hi - lo
+
+
+def _arc_nodes(prob, kinds, tau, x0, p0, M):
     """RK4 nodes of the stacked (x, p) system of all arcs, step 1/M, as a generator."""
     if M < 1:
         raise ConfigurationError(f"step count must be >= 1, got {M}")
-    n = prob.n
+    n, dts = prob.n, durations(tau, prob.T)
     rate = lambda i, c, y: np.concatenate(arc_rhs(prob, kinds, dts, y[..., :n], y[..., n:]),
                                           axis=-1)
     y0 = np.concatenate(np.broadcast_arrays(np.asarray(x0, dtype=float),
@@ -181,78 +178,71 @@ def _check_finite(y, kinds, where: str) -> None:
         raise NonFiniteState(f"non-finite state {where} (kind {kinds[bad].value})")
 
 
-def propagate_arc(prob: ProblemDef, kinds, dts, x0: np.ndarray, p0: np.ndarray, M: int) -> list:
-    """One RK4 pass, step 1/M, over every arc from (x0, p0), (..., N, n); one ArcGrid each."""
+@dataclass
+class TPTrajectory:
+    """Every arc of the transformed problem on the shared grid s_i = i / M.
+
+    Node axis first, arc axis next: ``x[:, k]`` is arc k.  A batched
+    propagation puts its batch axes between the two.
+    """
+
+    kinds: tuple
+    tau: np.ndarray      # interior switching times, (..., N-1)
+    T: float
+    x: np.ndarray        # (M+1, ..., N, n)
+    p: np.ndarray        # (M+1, ..., N, n)
+    w: np.ndarray        # (M+1, ..., N)
+
+    @property
+    def s(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, self.x.shape[0])
+
+    def times(self) -> np.ndarray:
+        """Original-time nodes (M+1, N) of one trajectory: t = tau_{k-1} + dt_k s."""
+        start = np.concatenate(([0.0], self.tau))
+        return start + durations(self.tau, self.T) * self.s[:, None]
+
+    def cost(self, prob: ProblemDef) -> float:
+        return float(prob.phi(self.x[0, 0], self.x[-1, -1]))
+
+
+def propagate_arc(prob: ProblemDef, kinds, tau, x0: np.ndarray, p0: np.ndarray,
+                  M: int) -> TPTrajectory:
+    """One RK4 pass, step 1/M, over every arc from (x0, p0), (..., N, n), with times ``tau``."""
     nodes = []
-    for y in _arc_nodes(prob, kinds, dts, x0, p0, M):
+    for y in _arc_nodes(prob, kinds, tau, x0, p0, M):
         _check_finite(y, kinds, f"at arc node {len(nodes)}")
         nodes.append(y)
     y = np.stack(nodes)
     x, p = y[..., : prob.n], y[..., prob.n :]
-    w = arc_controls(prob, kinds, x, p, prob.f0(x), prob.f1(x))
-    s = np.linspace(0.0, 1.0, M + 1)
-    return [ArcGrid(kind=kind, s=s, x=x[..., k, :], p=p[..., k, :], w=w[..., k])
-            for k, kind in enumerate(kinds)]
+    return TPTrajectory(kinds=tuple(kinds), tau=np.asarray(tau, dtype=float), T=prob.T, x=x, p=p,
+                        w=arc_controls(prob, kinds, x, p, prob.f0(x), prob.f1(x)))
 
 
-def propagate_endpoint(prob, kinds, dts, x0, p0, M):
-    """Terminal (x, p) of every arc, (..., N, n) each, from one RK4 pass."""
-    for y in _arc_nodes(prob, kinds, dts, x0, p0, M):
+def propagate_endpoint(prob, kinds, tau, x0, p0, M):
+    """Terminal (x, p) of every arc, (..., N, n) each, from one RK4 pass with times ``tau``."""
+    for y in _arc_nodes(prob, kinds, tau, x0, p0, M):
         pass
     _check_finite(y, kinds, "at the arc ends")
     return y[..., : prob.n], y[..., prob.n :]
 
 
-def durations(tau, T):
-    """Arc durations (..., N) from interior switching times (..., N-1) on [0, T]."""
-    tau = np.asarray(tau, dtype=float)
-    lo = np.concatenate([np.zeros(tau.shape[:-1] + (1,)), tau], axis=-1)
-    hi = np.concatenate([tau, np.full(tau.shape[:-1] + (1,), T)], axis=-1)
-    return hi - lo
-
-
-@dataclass
-class TPTrajectory:
-    """Per-arc grids of the transformed problem plus its switching times."""
-
-    arcs: list
-    tau: np.ndarray      # interior switching times, length N-1
-    T: float
-
-    def arc_times(self, k: int) -> np.ndarray:
-        """Original-time nodes of arc k (0-based): t = tau_k + dt_k s."""
-        start = np.concatenate(([0.0], self.tau))[k]
-        return start + durations(self.tau, self.T)[k] * self.arcs[k].s
-
-    def cost(self, prob: ProblemDef) -> float:
-        return float(prob.phi(self.arcs[0].x[0], self.arcs[-1].x[-1]))
-
-    def stacked(self, field: str) -> np.ndarray:
-        """One ArcGrid field of every arc, with the arc axis after the node axis."""
-        return np.stack([getattr(a, field) for a in self.arcs], axis=1)
-
-
-def propagate_structure(prob: ProblemDef, struct: ArcStructure, x0_arcs, p0_arcs,
-                        M: int) -> TPTrajectory:
-    """Propagate every arc of a structure from its initial (x, p), (N, n) each."""
-    arcs = propagate_arc(prob, struct.kinds, durations(struct.tau, prob.T), x0_arcs, p0_arcs, M)
-    return TPTrajectory(arcs=arcs, tau=np.asarray(struct.tau, dtype=float), T=prob.T)
-
-
 def propagate_solution(prob: ProblemDef, struct: ArcStructure, omega, M: int) -> TPTrajectory:
     """Propagate a shooting vector: arc kinds from the structure, times from omega."""
-    return propagate_structure(prob, struct.with_tau(omega.tau), omega.x0, omega.p0, M)
+    struct.with_tau(omega.tau)  # switching times out of order are an error
+    return propagate_arc(prob, struct.kinds, omega.tau, omega.x0, omega.p0, M)
 
 
 def write_tp_csv(path, traj: TPTrajectory) -> None:
     """Export `arc,k,s,t,u,x1..xn,p1..pn` with t mapped back to original time."""
-    n = traj.arcs[0].x.shape[1]
+    n = traj.x.shape[-1]
     header = ["arc", "k", "s", "t", "u"]
     header += [f"x{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
     lines = [",".join(header)]
-    for k, arc in enumerate(traj.arcs):
-        rows = np.column_stack([arc.s, traj.arc_times(k), arc.w, arc.x, arc.p])
-        lines += [",".join([arc.kind.value, str(k + 1)] + [f"{v:.9g}" for v in row])
+    t = traj.times()
+    for k, kind in enumerate(traj.kinds):
+        rows = np.column_stack([traj.s, t[:, k], traj.w[:, k], traj.x[:, k], traj.p[:, k]])
+        lines += [",".join([kind.value, str(k + 1)] + [f"{v:.9g}" for v in row])
                   for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

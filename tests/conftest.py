@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from arcshoot import problems as P
-from arcshoot.arc_structure import index_sets
+from arcshoot.arc_structure import ArcStructure, index_sets
 from arcshoot.direct_init import DirectSolveConfig, direct_solve
 from arcshoot.second_order import assemble_omega, linearized_matrices
 from arcshoot.shooting import ShootingVector, gauss_newton
+from arcshoot.tp_dynamics import propagate_solution
 
 PERTURB_SEED = 20240817
 
@@ -45,7 +46,6 @@ def perturbed_start(prob, struct, omega, scale=0.05, seed=PERTURB_SEED):
 def reg_solution(regulator, reg_struct, reg_omega_exact):
     """Converged 1000-step run from the seeded +-5% perturbed analytic start."""
     from arcshoot.shooting import steps_per_arc
-    from arcshoot.tp_dynamics import propagate_solution
 
     omega0 = perturbed_start(regulator, reg_struct, reg_omega_exact)
     t0 = time.perf_counter()
@@ -75,3 +75,17 @@ def reg_lin(regulator, reg_struct, reg_solution):
 @pytest.fixture(scope="session")
 def reg_qfd(regulator, reg_struct, reg_solution, reg_lin):
     return assemble_omega(regulator, reg_struct, reg_solution["omega"], lin=reg_lin)
+
+
+@pytest.fixture(scope="session")
+def multi_arc(regulator):
+    """(structure, trajectory) of B-,S,C,S,B+ over 60 steps from seeded (x0, p0).
+
+    Two S arcs, one CS and one SC junction: kinds repeat on the arc axis.
+    """
+    struct = ArcStructure.from_tokens(["B-", "S", "C", "S", "B+"], (0.8, 1.7, 2.9, 4.1))
+    rng = np.random.default_rng(3)
+    x0 = rng.uniform(-0.5, 0.5, (struct.N, 3))
+    p0 = rng.uniform(0.5, 1.5, (struct.N, 3))   # p3 > 0 keeps S arcs off their guard
+    omega = ShootingVector(x0, struct.tau, p0, np.zeros(3), np.zeros(1))
+    return struct, propagate_solution(regulator, struct, omega, 60)

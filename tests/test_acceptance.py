@@ -130,16 +130,13 @@ def solved_traj(regulator, reg_struct, reg_solution):
 
 def test_criterion2_analytic_arcs(regulator, reg_solution, solved_traj):
     traj = solved_traj
-    t_b = traj.arc_times(0)
-    arc_b = traj.arcs[0]
-    err_x2 = np.max(np.abs(arc_b.x[:, 1] - (1.0 - t_b)))
-    err_x1 = np.max(np.abs(arc_b.x[:, 0] - (t_b - 0.5 * t_b**2)))
-    t_c = traj.arc_times(1)
-    arc_c = traj.arcs[1]
-    err_x1c = np.max(np.abs(arc_c.x[:, 0] - (0.72 - t_c / 5.0)))
-    err_p3 = max(np.max(np.abs(a.p[:, 2] - 1.0)) for a in traj.arcs)
-    arc_s = traj.arcs[2]
-    err_us = np.max(np.abs(arc_s.w - arc_s.x[:, 0]))
+    t = traj.times()
+    t_b, x_b = t[:, 0], traj.x[:, 0]
+    err_x2 = np.max(np.abs(x_b[:, 1] - (1.0 - t_b)))
+    err_x1 = np.max(np.abs(x_b[:, 0] - (t_b - 0.5 * t_b**2)))
+    err_x1c = np.max(np.abs(traj.x[:, 1, 0] - (0.72 - t[:, 1] / 5.0)))
+    err_p3 = np.max(np.abs(traj.p[:, :, 2] - 1.0))
+    err_us = np.max(np.abs(traj.w[:, 2] - traj.x[:, 2, 0]))
     p1_tau1 = float(reg_solution["omega"].p0[1][0])
     ok = err_x2 <= 1e-9 and err_x1 <= 1e-9 and err_x1c <= 1e-6
     ok &= err_p3 <= 1e-8 and err_us <= 1e-8
@@ -216,8 +213,9 @@ def test_criterion5_hamiltonian_invariants(regulator, reg_struct, reg_solution,
 
     drift = 0.0
     ends = []
-    for arc in solved_traj.arcs:
-        h = arc_hamiltonian(regulator, (arc.kind,), arc.x[:, None], arc.p[:, None])[:, 0]
+    for k, kind in enumerate(solved_traj.kinds):
+        h = arc_hamiltonian(regulator, (kind,), solved_traj.x[:, k : k + 1],
+                            solved_traj.p[:, k : k + 1])[:, 0]
         drift = max(drift, float(np.max(np.abs(h - h[0]))))
         ends.append((float(h[0]), float(h[-1])))
     junction = max(abs(ends[k][1] - ends[k + 1][0]) for k in range(len(ends) - 1))
@@ -349,8 +347,8 @@ def test_criterion8_property_suite(regulator, toy_bang):
     growth = ttd._scalar_growth_problem()
     e = []
     for M in (50, 100):
-        arc, = propagate_arc(growth, (B,), [1.0], np.array([[1.0]]), np.array([[0.0]]), M)
-        e.append(abs(arc.x[-1, 0] - np.e))
+        traj = propagate_arc(growth, (B,), [], np.array([[1.0]]), np.array([[0.0]]), M)
+        e.append(abs(traj.x[-1, 0, 0] - np.e))
     ratio = e[0] / e[1]
     details.append(f"RK4 halving ratio={ratio:.1f}")
     ok &= 12.0 <= ratio <= 20.0

@@ -63,7 +63,7 @@ class TestSolve:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_round_trip_warm_start(self, solved_dir, regulator):
-        struct, omega, meta = load_omega(solved_dir / "omega.json")
+        struct, omega, meta = load_omega(solved_dir / "omega.json", regulator)
         _, report = gauss_newton(regulator, struct, omega, steps=meta["steps"])
         assert report.n_iter <= 2
 
@@ -238,7 +238,12 @@ class TestVerify:
          "has no key 'structure.kinds'"),
         (lambda doc: json.dumps({**doc, "omega": ["x"] + doc["omega"][1:]}),
          "key 'omega' is not a list of numbers"),
-    ], ids=["not_json", "no_meta_N", "no_structure", "non_numeric_omega"])
+        (lambda doc: json.dumps({**doc, "meta": {**doc["meta"], "n": "1"}}),
+         "key 'meta.n' must be an integer, got '1'"),
+        (lambda doc: json.dumps({**doc, "meta": {**doc["meta"], "n_singular": 0.0}}),
+         "key 'meta.n_singular' must be an integer, got 0.0"),
+    ], ids=["not_json", "no_meta_N", "no_structure", "non_numeric_omega", "string_meta_n",
+            "float_meta_n_singular"])
     def test_malformed_omega_exits_1(self, tmp_path, toy_bang_dir, capsys, edit, what):
         path = tmp_path / "omega.json"
         path.write_text(edit(json.loads((toy_bang_dir / "omega.json").read_text())))

@@ -21,7 +21,6 @@ from arcshoot.tp_dynamics import (
     propagate_arc,
     propagate_endpoint,
     propagate_solution,
-    propagate_structure,
     write_tp_csv,
 )
 
@@ -29,16 +28,17 @@ B, C, S = ArcKind.BMinus, ArcKind.Constrained, ArcKind.Singular
 
 
 # One-arc structures: the joint-pass functions with the single arc kind ``kind``
-# and an arc axis of length 1, unpacked to that arc's values.
+# and an arc axis of length 1.  The propagators take the arc of duration dt as
+# the whole horizon T = dt of a one-arc structure (no switching times).
 
 def _arc(prob, kind, dt, x0, p0, M):
-    return propagate_arc(prob, (kind,), [dt], np.asarray(x0)[..., None, :],
-                         np.asarray(p0)[..., None, :], M)[0]
+    return propagate_arc(dataclasses.replace(prob, T=dt), (kind,), [],
+                         np.asarray(x0)[..., None, :], np.asarray(p0)[..., None, :], M)
 
 
 def _endpoint(prob, kind, dt, x0, p0, M):
-    xe, pe = propagate_endpoint(prob, (kind,), [dt], np.asarray(x0)[..., None, :],
-                                np.asarray(p0)[..., None, :], M)
+    xe, pe = propagate_endpoint(dataclasses.replace(prob, T=dt), (kind,), [],
+                                np.asarray(x0)[..., None, :], np.asarray(p0)[..., None, :], M)
     return xe[..., 0, :], pe[..., 0, :]
 
 
@@ -180,21 +180,23 @@ class TestBatchGuards:
 class TestPropagate:
     def test_bminus_polynomials_exact(self, regulator):
         arc = _arc(regulator, B, 1.2, np.array([0.0, 1.0, 0.0]), np.zeros(3), 200)
-        t = 1.2 * arc.s
-        np.testing.assert_allclose(arc.x[:, 1], 1.0 - t, atol=1e-12)
-        np.testing.assert_allclose(arc.x[:, 0], t - 0.5 * t**2, atol=1e-12)
+        t = arc.times()[:, 0]
+        np.testing.assert_array_equal(t, 1.2 * arc.s)
+        np.testing.assert_allclose(arc.x[:, 0, 1], 1.0 - t, atol=1e-12)
+        np.testing.assert_allclose(arc.x[:, 0, 0], t - 0.5 * t**2, atol=1e-12)
 
     def test_zero_duration(self, regulator):
-        x0 = np.array([0.3, -0.1, 0.2])
-        p0 = np.array([1.0, 2.0, 3.0])
-        arc = _arc(regulator, B, 0.0, x0, p0, 10)
-        np.testing.assert_array_equal(arc.x[-1], x0)
-        np.testing.assert_array_equal(arc.p[-1], p0)
+        # The first arc ends where it starts: tau_1 = 0.
+        x0 = np.array([[0.3, -0.1, 0.2], [0.1, 0.2, 0.3]])
+        p0 = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]])
+        traj = propagate_arc(regulator, (B, ArcKind.BPlus), [0.0], x0, p0, 10)
+        np.testing.assert_array_equal(traj.x[-1, 0], x0[0])
+        np.testing.assert_array_equal(traj.p[-1, 0], p0[0])
 
     def test_exponential_oracle(self):
         arc = _arc(_scalar_growth_problem(), B, 1.0, np.array([1.0]),
                    np.array([0.0]), 100)
-        assert abs(arc.x[-1, 0] - np.e) < 1e-8
+        assert abs(arc.x[-1, 0, 0] - np.e) < 1e-8
 
     def test_step_count_guard(self, regulator):
         with pytest.raises(ConfigurationError):
@@ -205,25 +207,25 @@ class TestPropagate:
         x0, p0, _ = P.regulator_solution(2.6)
         p0 = np.array([0.2, 0.0, 1.0])
         x0 = np.array([0.2, -0.2, 0.37250133])
-        ref = _arc(regulator, S, 2.4, x0, p0, 640).x[-1]
-        e1 = np.linalg.norm(_arc(regulator, S, 2.4, x0, p0, 40).x[-1] - ref)
-        e2 = np.linalg.norm(_arc(regulator, S, 2.4, x0, p0, 80).x[-1] - ref)
+        ref = _arc(regulator, S, 2.4, x0, p0, 640).x[-1, 0]
+        e1 = np.linalg.norm(_arc(regulator, S, 2.4, x0, p0, 40).x[-1, 0] - ref)
+        e2 = np.linalg.norm(_arc(regulator, S, 2.4, x0, p0, 80).x[-1, 0] - ref)
         assert 10.0 < e1 / e2 < 22.0
 
     def test_constraint_preserved_on_c_arc(self):
         prob = _curved()
         x0 = np.array([1.0, 1.0])  # on g = 0
         arc = _arc(prob, C, 0.8, x0, np.array([0.1, 0.1]), 800)
-        gvals = np.array([prob.g(x) for x in arc.x])
+        gvals = np.array([prob.g(x) for x in arc.x[:, 0]])
         assert np.max(np.abs(gvals)) <= 1e-8
 
     def test_singular_feedback_consistency(self, regulator, reg_struct, reg_omega_exact):
         traj = propagate_solution(regulator, reg_struct, reg_omega_exact, 300)
-        arc = traj.arcs[2]
+        x, p, w = traj.x[:, 2], traj.p[:, 2], traj.w[:, 2]
         from arcshoot.problem_def import BRACKET_F1F0_F0, BRACKET_F1F0_F1, lie_bracket
 
-        resid = np.einsum("ti,ti->t", arc.p, lie_bracket(regulator, BRACKET_F1F0_F0, arc.x)) \
-            + arc.w * np.einsum("ti,ti->t", arc.p, lie_bracket(regulator, BRACKET_F1F0_F1, arc.x))
+        resid = np.einsum("ti,ti->t", p, lie_bracket(regulator, BRACKET_F1F0_F0, x)) \
+            + w * np.einsum("ti,ti->t", p, lie_bracket(regulator, BRACKET_F1F0_F1, x))
         assert np.max(np.abs(resid)) <= 1e-8
 
 
@@ -248,11 +250,11 @@ class TestNonFinite:
     def test_batch_row_that_stays_finite(self):
         x0 = np.array([[0.1], [0.2]])
         arc = _arc(_blow_up_problem(), B, 2.0, x0, np.zeros_like(x0), 100)
-        assert arc.x.shape == (101, 2, 1) and arc.w.shape == (101, 2)
-        np.testing.assert_allclose(arc.x[-1, :, 0], x0[:, 0] / (1.0 - 2.0 * x0[:, 0]),
+        assert arc.x.shape == (101, 2, 1, 1) and arc.w.shape == (101, 2, 1)
+        np.testing.assert_allclose(arc.x[-1, :, 0, 0], x0[:, 0] / (1.0 - 2.0 * x0[:, 0]),
                                    rtol=1e-7)
         xe, _ = _endpoint(_blow_up_problem(), B, 2.0, x0, np.zeros_like(x0), 100)
-        np.testing.assert_array_equal(xe, arc.x[-1])
+        np.testing.assert_array_equal(xe, arc.x[-1, :, 0])
 
 
 class TestCallbackCounts:
@@ -295,9 +297,9 @@ class TestHamiltonian:
     def test_constant_along_arcs_and_junctions(self, regulator, reg_struct, reg_omega_exact):
         traj = propagate_solution(regulator, reg_struct, reg_omega_exact, 300)
         values = []
-        for arc in traj.arcs:
-            h = np.array([_ham(regulator, arc.kind, x, p)
-                          for x, p in zip(arc.x, arc.p)])
+        for k, kind in enumerate(traj.kinds):
+            h = np.array([_ham(regulator, kind, x, p)
+                          for x, p in zip(traj.x[:, k], traj.p[:, k])])
             assert np.max(np.abs(h - h[0])) <= 1e-6 * (1 + abs(h[0]))
             values.append((h[0], h[-1]))
         for (h_prev, h_prev_end), (h_next, _) in zip(values, values[1:]):
@@ -332,6 +334,19 @@ class TestExport:
         first = lines[1].split(",")
         assert first[0] == "B-" and first[1] == "1"
 
+    def test_rows_per_arc_with_repeated_kinds(self, tmp_path, regulator, multi_arc):
+        # Arc k's rows come from its own slice, with t = tau_{k-1} + dt_k s.
+        struct, traj = multi_arc
+        write_tp_csv(tmp_path / "tp.csv", traj)
+        bounds = (0.0, *struct.tau, regulator.T)
+        want = ["arc,k,s,t,u,x1,x2,x3,p1,p2,p3"]
+        for k, kind in enumerate(struct.kinds):
+            t = bounds[k] + (bounds[k + 1] - bounds[k]) * traj.s
+            rows = np.column_stack([traj.s, t, traj.w[:, k], traj.x[:, k], traj.p[:, k]])
+            want += [",".join([kind.value, str(k + 1)] + [f"{v:.9g}" for v in row])
+                     for row in rows]
+        assert (tmp_path / "tp.csv").read_text().splitlines() == want
+
 
 class TestJointPass:
     """All arcs step in one RK4 pass; the arc axis couples nothing."""
@@ -348,12 +363,13 @@ class TestJointPass:
         rng = np.random.default_rng(3)
         x0 = rng.uniform(-0.5, 0.5, (struct.N, 3))
         p0 = rng.uniform(0.5, 1.5, (struct.N, 3))   # p3 > 0 keeps S arcs off their guard
-        traj = propagate_structure(prob, struct, x0, p0, 60)
+        traj = propagate_arc(prob, struct.kinds, struct.tau, x0, p0, 60)
         dts = durations(struct.tau, prob.T)
         for k, kind in enumerate(struct.kinds):
             alone = _arc(prob, kind, dts[k], x0[k], p0[k], 60)
-            for f in "xpws":
-                np.testing.assert_array_equal(getattr(traj.arcs[k], f), getattr(alone, f))
+            for f in "xpw":
+                np.testing.assert_array_equal(getattr(traj, f)[:, k], getattr(alone, f)[:, 0])
+        np.testing.assert_array_equal(traj.s, alone.s)
 
     def test_guards_see_their_own_kind_only(self):
         # dg.f1 = x1 vanishes along the whole B- arc (x1 stays 0) and is 1 on
@@ -375,7 +391,7 @@ class TestJointPass:
         x0 = np.array([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(FirstOrderViolation):
             gamma_control(prob, x0[0])
-        traj = propagate_structure(prob, ArcStructure((B, C), (0.5,)), x0, np.ones((2, 2)), 10)
-        np.testing.assert_array_equal(traj.arcs[0].x[:, 0], 0.0)
-        np.testing.assert_array_equal(traj.arcs[0].w, -1.0)
-        assert np.all(np.isfinite(traj.arcs[1].w))
+        traj = propagate_arc(prob, (B, C), [0.5], x0, np.ones((2, 2)), 10)
+        np.testing.assert_array_equal(traj.x[:, 0, 0], 0.0)
+        np.testing.assert_array_equal(traj.w[:, 0], -1.0)
+        assert np.all(np.isfinite(traj.w[:, 1]))
