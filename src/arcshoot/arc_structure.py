@@ -126,12 +126,14 @@ def detect_structure(
     x = np.asarray(x, dtype=float)
     if grid.size == 0:
         raise StructureDetectionError("empty grid")
-    if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
+    if grid.ndim != 1 or not np.all(np.diff(grid) > 0):
         raise StructureDetectionError("grid must be 1-D and strictly increasing")
     if u.shape != grid.shape or x.shape != (grid.size, prob.n):
         raise StructureDetectionError(
             f"samples misaligned: grid {grid.shape}, u {u.shape}, x {x.shape}"
         )
+    if not all(np.all(np.isfinite(a)) for a in (grid, u, x)):
+        raise StructureDetectionError("samples must be finite")
     bounded = prob.u_min is not None and prob.u_max is not None
     tol_u = 1e-3 * (prob.u_max - prob.u_min if bounded else 1.0)
     gvals = np.asarray(prob.g(x), dtype=float)

@@ -292,7 +292,7 @@ def main(argv=None) -> int:
         out_dir = Path(cfg.get("out", "out"))
         out_dir.mkdir(parents=True, exist_ok=True)
         return args.func(cfg, out_dir, resolve_problem(cfg["problem"]))
-    except (ArcshootError, FileNotFoundError) as exc:
+    except (ArcshootError, OSError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return 1
 

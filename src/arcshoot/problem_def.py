@@ -151,7 +151,7 @@ def lie_bracket(prob: ProblemDef, which: str, x: np.ndarray) -> np.ndarray:
         return _check_dim(override(x), prob.n, f"bracket override {which}")
     if which == BRACKET_F1_F0:
         return _bracket_f1_f0(prob, x)
-    inner = lambda y: _first_level(prob, y)
+    inner = lambda y: lie_bracket(prob, BRACKET_F1_F0, y)
     outer = prob.f0 if which == BRACKET_F1F0_F0 else prob.f1
     douter = prob.df0 if which == BRACKET_F1F0_F0 else prob.df1
     # [B, Z] = B' Z - Z' B with B' by central FD of the first-level bracket.
@@ -160,12 +160,6 @@ def lie_bracket(prob: ProblemDef, which: str, x: np.ndarray) -> np.ndarray:
     dz = np.asarray(douter(x), dtype=float)
     b = inner(x)
     return np.einsum("...ij,...j->...i", jac_b, zx) - np.einsum("...ij,...j->...i", dz, b)
-
-
-def _first_level(prob: ProblemDef, x: np.ndarray) -> np.ndarray:
-    if prob.bracket_f1_f0 is not None:
-        return _check_dim(prob.bracket_f1_f0(x), prob.n, "bracket override [f1,f0]")
-    return _bracket_f1_f0(prob, x)
 
 
 def _bracket_f1_f0(prob: ProblemDef, x: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ converged solution the module builds, on a shared normalized-time grid,
   arc-field F), and E = A B - dB/ds,
 * the Hamiltonian second derivatives H_XX (FD of the analytic gradient)
   and H_UX (FD of the switching row), the cross matrices M and R,
-* the endpoint-Lagrangian Hessian and the linearized endpoint map.
+* the endpoint-Lagrangian Hessian (FD of the shooting residual's own
+  transversality gradient) and the linearized endpoint map.
 
 Directions live in coordinates (Xi_0, Y) with Y sampled per node and the
 terminal shift h tied to the last Y sample of each channel.  The assembled
@@ -35,8 +36,10 @@ import numpy as np
 from .arc_structure import ArcStructure, index_sets
 from .errors import AssemblyError
 from .problem_def import ProblemDef, central_diff, fd_steps
-from .shooting import ShootingVector, constraint_rows
+from .shooting import ShootingVector, constraint_rows, endpoint_gradient
 from .tp_dynamics import arc_field, durations, propagate_solution, rk4
+
+POSITIVITY_MARGIN = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +47,19 @@ from .tp_dynamics import arc_field, durations, propagate_solution, rk4
 # ---------------------------------------------------------------------------
 
 
-def _tp_dims(struct: ArcStructure, n: int) -> int:
-    return struct.N * n + (struct.N - 1)
+def _arcs(prob: ProblemDef, struct: ArcStructure, Z: np.ndarray) -> np.ndarray:
+    """Arc states (..., N, n) of stacked transformed states Z (..., D)."""
+    return Z[..., : struct.N * prob.n].reshape(Z.shape[:-1] + (struct.N, prob.n))
+
+
+def _symmetrized(H: np.ndarray, what: str, cause: str) -> np.ndarray:
+    """(H + H') / 2 of FD Hessians H (..., D, D) that are symmetric up to FD error."""
+    Ht = np.swapaxes(H, -1, -2)
+    asym = float(np.max(np.abs(H - Ht)))
+    if asym > 1e-4 * (1.0 + float(np.max(np.abs(H)))):
+        raise AssemblyError(
+            f"{what} finite-difference asymmetry {asym:.3e} exceeds tolerance; {cause}")
+    return 0.5 * (H + Ht)
 
 
 def tp_rates(prob: ProblemDef, struct: ArcStructure, U, X, P_arcs):
@@ -60,7 +74,7 @@ def tp_rates(prob: ProblemDef, struct: ArcStructure, U, X, P_arcs):
     """
     N, n = struct.N, prob.n
     X = np.asarray(X, dtype=float)
-    x = X[..., : N * n].reshape(X.shape[:-1] + (N, n))
+    x = _arcs(prob, struct, X)
     dts = durations(X[..., N * n :], prob.T)[..., None]
     v, hx = arc_field(prob, struct.kinds, x, P_arcs, U)
     h = np.einsum("...i,...i->...", P_arcs, v)
@@ -87,7 +101,6 @@ class TPLinearization:
     omega: ShootingVector
     s: np.ndarray            # (M+1,)
     X: np.ndarray            # (M+1, D)
-    P_arcs: np.ndarray       # (M+1, N, n)
     U: np.ndarray            # (M+1, S)
     A: np.ndarray            # (M+1, D, D)
     B: np.ndarray            # (M+1, D, S)
@@ -102,7 +115,7 @@ class TPLinearization:
 
     @property
     def D(self) -> int:
-        return _tp_dims(self.struct, self.prob.n)
+        return self.X.shape[-1]
 
     @property
     def n_channels(self) -> int:
@@ -134,7 +147,7 @@ def linearized_matrices(
     """
     struct.validate(prob)
     N, n = struct.N, prob.n
-    D = _tp_dims(struct, n)
+    D = N * n + N - 1
     i_s = index_sets(struct)[0]
     S = len(i_s)
     traj = propagate_solution(prob, struct, omega, nodes)
@@ -142,23 +155,14 @@ def linearized_matrices(
 
     tau = np.broadcast_to(omega.tau, (m1, N - 1))
     X = np.concatenate([traj.x.reshape(m1, N * n), tau], axis=1)
-    P_arcs = traj.p
     U = traj.w[:, [k - 1 for k in i_s]]
 
-    J = central_diff(lambda Xb: tp_rates(prob, struct, U, Xb, P_arcs), X, fd_steps(X))
-    A, HXX, HUX = J[:, :D], J[:, D : 2 * D], J[:, 2 * D :]
-
-    asym = float(np.max(np.abs(HXX - np.swapaxes(HXX, 1, 2)))) if HXX.size else 0.0
-    scale = 1.0 + float(np.max(np.abs(HXX))) if HXX.size else 1.0
-    if asym > 1e-4 * scale:
-        raise AssemblyError(
-            f"H_XX finite-difference asymmetry {asym:.3e} exceeds tolerance; "
-            "gradient and field evaluations disagree"
-        )
-    HXX = 0.5 * (HXX + np.swapaxes(HXX, 1, 2))
+    J = central_diff(lambda Xb: tp_rates(prob, struct, U, Xb, traj.p), X, fd_steps(X))
+    A, HUX = J[:, :D], J[:, 2 * D :]
+    HXX = _symmetrized(J[:, D : 2 * D], "H_XX", "gradient and field evaluations disagree")
 
     # B = F_U by central differences in the channel values.
-    B = central_diff(lambda Ub: tp_rates(prob, struct, Ub, X, P_arcs)[..., :D], U, fd_steps(U))
+    B = central_diff(lambda Ub: tp_rates(prob, struct, Ub, X, traj.p)[..., :D], U, fd_steps(U))
 
     ds = 1.0 / nodes
     E = np.einsum("tij,tjk->tik", A, B) - _time_derivative(B, ds)
@@ -176,12 +180,11 @@ def linearized_matrices(
     Rmat = 0.5 * (Rmat + np.swapaxes(Rmat, 1, 2))
     goh = float(np.max(np.abs(HUXB - np.swapaxes(HUXB, 1, 2)))) if S else 0.0
 
-    ell_hess = _endpoint_lagrangian_hessian(prob, struct, omega, X[0], X[-1])
-    dcons = _endpoint_constraint_jacobian(prob, struct, X[0], X[-1])
+    ell_hess, dcons = _endpoint_derivatives(prob, struct, omega, X[0], X[-1])
 
     return TPLinearization(
         prob=prob, struct=struct, omega=omega, s=np.linspace(0.0, 1.0, m1),
-        X=X, P_arcs=P_arcs, U=U, A=A, B=B, E=E, HXX=HXX, HUX=HUX,
+        X=X, U=U, A=A, B=B, E=E, HXX=HXX, HUX=HUX,
         Mmat=Mmat, Rmat=Rmat, ell_hess=ell_hess, dcons=dcons, goh_asymmetry=goh,
     )
 
@@ -194,42 +197,28 @@ def _time_derivative(grid: np.ndarray, ds: float) -> np.ndarray:
     return out
 
 
-def _endpoint_lagrangian(prob, struct, omega, X0, X1):
-    N, n = struct.N, prob.n
-    i_c = index_sets(struct)[1]
-    x01 = X0[: n]
-    x1N = X1[(N - 1) * n : N * n]
-    val = float(prob.phi(x01, x1N)) + float(np.dot(omega.psi, prob.Phi(x01, x1N)))
-    for j, k in enumerate(i_c):
-        val += float(omega.gamma[j]) * float(prob.g(X0[(k - 1) * n : k * n]))
-    return val
+def _endpoint_derivatives(prob, struct, omega, X0, X1):
+    """Endpoint-Lagrangian Hessian and endpoint-constraint Jacobian over (X0, X1).
 
-
-def _endpoint_lagrangian_hessian(prob, struct, omega, X0, X1):
-    """Central second differences of the endpoint Lagrangian over (X0, X1)."""
+    One central difference, at the first-order steps, of the transversality
+    gradient :func:`shooting.endpoint_gradient` (zero in the tau entries)
+    and of :func:`shooting.constraint_rows`, both at the arc states of
+    (X0, X1).  Returns the symmetrized (2D, 2D) Hessian and the Jacobian.
+    """
     D = X0.size
-    z = np.concatenate([X0, X1])
-    f = lambda zz: _endpoint_lagrangian(prob, struct, omega, zz[:D], zz[D:])
-    m = 2 * D
-    h = 1e-4 * np.maximum(1.0, np.abs(z))
-    hess = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            zpp = z.copy(); zpp[i] += h[i]; zpp[j] += h[j]
-            zpm = z.copy(); zpm[i] += h[i]; zpm[j] -= h[j]
-            zmp = z.copy(); zmp[i] -= h[i]; zmp[j] += h[j]
-            zmm = z.copy(); zmm[i] -= h[i]; zmm[j] -= h[j]
-            hess[i, j] = hess[j, i] = (f(zpp) - f(zpm) - f(zmp) + f(zmm)) / (4 * h[i] * h[j])
-    return hess
 
+    def rows(z):
+        x0, x1 = _arcs(prob, struct, z[..., :D]), _arcs(prob, struct, z[..., D:])
+        l0, l1 = endpoint_gradient(prob, struct, x0, x1, omega.psi, omega.gamma)
+        flat = lambda l: l.reshape(z.shape[:-1] + (-1,))
+        tau = np.zeros(z.shape[:-1] + (struct.N - 1,))
+        return np.concatenate([flat(l0), tau, flat(l1), tau,
+                               constraint_rows(prob, struct, x0, x1)], axis=-1)
 
-def _endpoint_constraint_jacobian(prob, struct, X0, X1):
-    """Jacobian over (X0, X1) of :func:`shooting.constraint_rows` at their arc states."""
-    D, Nn = X0.size, struct.N * prob.n
-    arcs = lambda Z: Z[..., :Nn].reshape(Z.shape[:-1] + (struct.N, prob.n))
     z = np.concatenate([X0, X1])
-    rows = lambda zz: constraint_rows(prob, struct, arcs(zz[..., :D]), arcs(zz[..., D:]))
-    return central_diff(rows, z, fd_steps(z))
+    J = central_diff(rows, z, fd_steps(z))
+    hess = _symmetrized(J[: 2 * D], "endpoint Hessian", "dphi, dPhi or dg is not a gradient")
+    return hess, J[2 * D :]
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +271,15 @@ class QuadraticFormData:
         return float(coords @ self.hess @ coords)
 
 
-def _propagate_linear(lin: TPLinearization, drive: np.ndarray, Z0: np.ndarray,
-                      use_E: bool) -> np.ndarray:
-    """RK4 for Z' = A Z + (E or B) drive with nodal coefficients.
+def _propagate_linear(lin: TPLinearization, G: np.ndarray, drive: np.ndarray,
+                      Z0: np.ndarray) -> np.ndarray:
+    """RK4 for Z' = A Z + G drive with nodal coefficients.
 
-    ``Z0`` may be a matrix of stacked initial columns; ``drive`` holds the
-    per-node channel values with matching trailing columns.  The midpoint
-    stages use the mean of the two nodal values.
+    ``G`` is the per-node drive matrix grid (``lin.E`` or ``lin.B``).  ``Z0``
+    may be a matrix of stacked initial columns; ``drive`` holds the per-node
+    channel values with matching trailing columns.  The midpoint stages use
+    the mean of the two nodal values.
     """
-    G = lin.E if use_E else lin.B
     mid = lambda a: 0.5 * (a[:-1] + a[1:])
     coeffs = {0.0: (lin.A[:-1], G[:-1], drive[:-1]),
               0.5: (mid(lin.A), mid(G), mid(drive)),
@@ -306,12 +295,12 @@ def _propagate_linear(lin: TPLinearization, drive: np.ndarray, Z0: np.ndarray,
 
 def integrate_goh(lin: TPLinearization, Xi0: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Integrate Xi' = A Xi + E Y from Xi0; Y is nodal, (M+1, S)."""
-    return _propagate_linear(lin, Y[:, :, None], Xi0[:, None], use_E=True)[:, :, 0]
+    return _propagate_linear(lin, lin.E, Y[:, :, None], Xi0[:, None])[:, :, 0]
 
 
 def integrate_lineq(lin: TPLinearization, Z0: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Integrate Z' = A Z + B V from Z0; V is nodal, (M+1, S)."""
-    return _propagate_linear(lin, V[:, :, None], Z0[:, None], use_E=False)[:, :, 0]
+    return _propagate_linear(lin, lin.B, V[:, :, None], Z0[:, None])[:, :, 0]
 
 
 def cumulative_trapezoid(V: np.ndarray, ds: float) -> np.ndarray:
@@ -381,7 +370,7 @@ def assemble_omega(
     ys = D + np.arange(S)[:, None] * m1 + np.arange(m1)     # (S, M+1) Y columns
     Y_basis = np.zeros((m1, S, ncoord))
     Y_basis[np.arange(m1), np.arange(S)[:, None], ys] = 1.0
-    xi_basis = _propagate_linear(lin, Y_basis, Xi0_basis, use_E=True)
+    xi_basis = _propagate_linear(lin, lin.E, Y_basis, Xi0_basis)
 
     # int Xi' H_XX Xi, one GEMM per state row.
     WH = w[:, None, None] * lin.HXX
@@ -450,13 +439,13 @@ def constraint_nullspace(cons: np.ndarray, ncoord: int) -> np.ndarray:
     return Vt[rank:].T
 
 
-def check_positivity(qfd: QuadraticFormData, margin_coeff: float = 1e-6) -> PositivityReport:
+def check_positivity(qfd: QuadraticFormData) -> PositivityReport:
     """Smallest generalized eigenvalue of the form against the order norm.
 
     Reduces the assembled form to the discretized critical subspace (the
     nullspace of the constraint rows) and solves the generalized symmetric
     eigenproblem against the Gram matrix of the order norm.  Passes when
-    the smallest eigenvalue clears the relative margin.
+    the smallest eigenvalue clears the relative margin ``POSITIVITY_MARGIN``.
     """
     Z = constraint_nullspace(qfd.cons, qfd.ncoord)
     sizes = dict(nodes=qfd.nodes, ncoord=qfd.ncoord, nullspace_dim=Z.shape[1],
@@ -472,5 +461,5 @@ def check_positivity(qfd: QuadraticFormData, margin_coeff: float = 1e-6) -> Posi
     eig = np.linalg.eigvalsh(0.5 * (W + W.T))
     c_est, lam_max = float(eig[0]), float(np.max(np.abs(eig)))
     return PositivityReport(c_est=c_est, lam_max=lam_max,
-                            passed=bool(c_est > margin_coeff * lam_max),
+                            passed=bool(c_est > POSITIVITY_MARGIN * lam_max),
                             smallest=[float(v) for v in eig[:3]], **sizes)

@@ -168,27 +168,37 @@ def constraint_rows(prob, struct, x0, x1):
     )
 
 
+def endpoint_gradient(prob, struct, x0, x1, psi, gamma):
+    """Gradient (l0, l1) of the endpoint Lagrangian over every arc's initial and final state.
+
+    l = phi(x0^1, x1^N) + psi . Phi(x0^1, x1^N) + sum_j gamma_j g(x0^{k_j})
+    over the constrained arcs k_j.  ``x0``, ``x1``, ``l0`` and ``l1`` are
+    (..., N, n) over the broadcast batch axes of all four arguments.  The
+    residual's transversality and jump rows and the certificate's endpoint
+    Hessian both read it.
+    """
+    N = struct.N
+    c = [k - 1 for k in index_sets(struct)[1]]
+    d0, dT = prob.dphi(x0[..., 0, :], x1[..., N - 1, :])
+    D0, DT = prob.dPhi(x0[..., 0, :], x1[..., N - 1, :])
+    lead = np.broadcast_shapes(x0.shape[:-2], x1.shape[:-2], psi.shape[:-1], gamma.shape[:-1])
+    l0, l1 = np.zeros(lead + x0.shape[-2:]), np.zeros(lead + x1.shape[-2:])
+    l0[..., 0, :] = d0 + np.einsum("...q,...qi->...i", psi, D0)
+    if c:
+        l0[..., c, :] += gamma[..., None] * prob.dg(x0[..., c, :])
+    l1[..., N - 1, :] = dT + np.einsum("...q,...qi->...i", psi, DT)
+    return l0, l1
+
+
 def _assemble(prob, struct, x0, tau, p0, psi, gamma, x1, p1):
     """Stack the residual blocks; works for single and batched leading axes."""
     N, n = struct.N, prob.n
-    i_s, i_c, _, _ = index_sets(struct)
-    x01 = x0[..., 0, :]
-    x1N = x1[..., N - 1, :]
-
-    d0, dT = prob.dphi(x01, x1N)
-    D0, DT = prob.dPhi(x01, x1N)
-    t0 = p0[..., 0, :] + d0 + np.einsum("...q,...qi->...i", psi, D0)
-    jumps = p1[..., : N - 1, :] - p0[..., 1:, :]
-    for j, k in enumerate(i_c):
-        jump = gamma[..., j, None] * prob.dg(x0[..., k - 1, :])
-        if k == 1:
-            t0 = t0 + jump
-        else:
-            jumps[..., k - 2, :] -= jump
-
-    blocks = [constraint_rows(prob, struct, x0, x1), t0,
+    i_s = index_sets(struct)[0]
+    l0, l1 = endpoint_gradient(prob, struct, x0, x1, psi, gamma)
+    jumps = p1[..., :-1, :] - p0[..., 1:, :] - l0[..., 1:, :]
+    blocks = [constraint_rows(prob, struct, x0, x1), p0[..., 0, :] + l0[..., 0, :],
               jumps.reshape(jumps.shape[:-2] + (n * (N - 1),)),
-              p1[..., N - 1, :] - dT - np.einsum("...q,...qi->...i", psi, DT)]
+              p1[..., N - 1, :] - l1[..., N - 1, :]]
     if N > 1:
         kinds = struct.kinds
         blocks.append(arc_hamiltonian(prob, kinds[:-1], x1[..., :-1, :], p1[..., :-1, :])

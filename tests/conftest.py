@@ -45,20 +45,16 @@ def perturbed_start(prob, struct, omega, scale=0.05, seed=PERTURB_SEED):
 @pytest.fixture(scope="session")
 def reg_solution(regulator, reg_struct, reg_omega_exact):
     """Converged 1000-step run from the seeded +-5% perturbed analytic start."""
-    from arcshoot.shooting import steps_per_arc
-
     omega0 = perturbed_start(regulator, reg_struct, reg_omega_exact)
     t0 = time.perf_counter()
     omega, report = gauss_newton(regulator, reg_struct, omega0, steps=1000)
     runtime = time.perf_counter() - t0
-    traj = propagate_solution(regulator, reg_struct, omega,
-                              steps_per_arc(reg_struct, 1000))
     return {
         "omega": omega,
         "report": report,
         "runtime": runtime,
         "omega0": omega0,
-        "cost": traj.cost(regulator),
+        "cost": report.trajectory.cost(regulator),
     }
 
 

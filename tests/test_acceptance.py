@@ -43,7 +43,6 @@ from arcshoot.tp_dynamics import (
     constraint_multiplier_density,
     durations,
     propagate_arc,
-    propagate_solution,
 )
 from test_shooting import random_structure
 
@@ -124,8 +123,9 @@ def test_criterion1_tau2_published_value(regulator, reg_solution):
 
 
 @pytest.fixture(scope="module")
-def solved_traj(regulator, reg_struct, reg_solution):
-    return propagate_solution(regulator, reg_struct, reg_solution["omega"], 333)
+def solved_traj(reg_solution):
+    """The converged iterate's grid (333 steps per arc), kept by Gauss-Newton."""
+    return reg_solution["report"].trajectory
 
 
 def test_criterion2_analytic_arcs(regulator, reg_solution, solved_traj):

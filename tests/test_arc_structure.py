@@ -100,6 +100,17 @@ class TestDetect:
         with pytest.raises(StructureDetectionError):
             detect_structure(regulator, t, np.zeros(9), np.zeros((10, 3)))
 
+    @pytest.mark.parametrize("index", [47, 48])
+    @pytest.mark.parametrize("which", ["t", "u", "x"])
+    def test_nan_sample_rejected(self, regulator, which, index):
+        # A NaN time compares False both ways, so an order test of the form
+        # "any step <= 0" let it through and detection went on to return a
+        # structure; NaN in u or x is no sample either.
+        t, u, x = (a.copy() for a in P.sample_regulator(200))
+        {"t": t, "u": u, "x": x[:, 1]}[which][index] = np.nan
+        with pytest.raises(StructureDetectionError):
+            detect_structure(regulator, t, u, x)
+
     def test_short_runs_merge(self, regulator):
         t, u, x = P.sample_regulator(1000)
         u = u.copy()

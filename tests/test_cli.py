@@ -141,6 +141,10 @@ class TestSolve:
         assert run(["solve", "--config", cfg, "--out", tmp_path]) == 1
         assert f"solve: error: {cfg} {what}" in capsys.readouterr().err
 
+    def test_directory_as_config_exits_1(self, tmp_path, capsys):
+        assert run(["solve", "--config", tmp_path, "--out", tmp_path]) == 1
+        assert "solve: error: [Errno 21] Is a directory: " in capsys.readouterr().err
+
     def test_non_string_problem_in_config_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"problem": 5, "structure": "B-"}))
@@ -189,6 +193,16 @@ class TestDetect:
         csv_path.write_text("t,u,x1,x2,x3\n")
         assert run(["detect", "--problem", "regulator", "--from-csv", csv_path,
                     "--out", tmp_path]) == 1
+
+    def test_nan_time_in_csv_exits_1(self, tmp_path, capsys):
+        t, u, x = P.sample_regulator(200)
+        t = t.copy()
+        t[47] = np.nan
+        csv_path = tmp_path / "nan.csv"
+        write_trajectory_csv(csv_path, t, u, x)
+        assert run(["detect", "--problem", "regulator", "--from-csv", csv_path,
+                    "--out", tmp_path]) == 1
+        assert "detect: error: grid must be 1-D and strictly increasing" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad_row", ["0.1,abc,0,1,0", "0.1,-1,0,1"])
     def test_malformed_csv_row_exits_1(self, tmp_path, capsys, bad_row):
@@ -249,6 +263,11 @@ class TestVerify:
         path.write_text(edit(json.loads((toy_bang_dir / "omega.json").read_text())))
         assert run(["verify", "--problem", "toy-bang", "--omega", path, "--out", tmp_path]) == 1
         assert f"verify: error: {path} {what}" in capsys.readouterr().err
+
+    def test_directory_as_omega_exits_1(self, tmp_path, capsys):
+        assert run(["verify", "--problem", "regulator", "--omega", tmp_path,
+                    "--out", tmp_path]) == 1
+        assert f"verify: error: [Errno 21] Is a directory: '{tmp_path}'" in capsys.readouterr().err
 
     def test_missing_omega_exits_1(self, tmp_path):
         assert run(["verify", "--problem", "regulator",

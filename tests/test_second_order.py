@@ -24,6 +24,7 @@ from arcshoot.second_order import (
 )
 from arcshoot.shooting import ShootingVector
 from arcshoot.tp_dynamics import durations
+from test_shooting import endpoint_problem
 
 B, C, S = ArcKind.BMinus, ArcKind.Constrained, ArcKind.Singular
 
@@ -90,6 +91,37 @@ class TestLinearization:
             linearized_matrices(bad, reg_struct, reg_solution["omega"], nodes=40)
 
 
+class TestEndpointHessian:
+    def test_matches_closed_form(self, regulator, reg_struct, reg_omega_exact):
+        # The Hessian of l = phi + psi . Phi + gamma g(x0^2) of the test
+        # problem, entry by entry, over (X0, X1) with D = 11.
+        prob, omega = endpoint_problem(regulator), reg_omega_exact
+        lin = linearized_matrices(prob, reg_struct, omega, nodes=20)
+        D, (psi0, _, psi2), (gamma,) = lin.D, omega.psi, omega.gamma
+        xT0, xT1 = D + 6, D + 7          # x1^3[0], x1^3[1]; x0^1 sits at 0..2
+        ref = np.zeros((2 * D, 2 * D))
+        for i, j, v in [(xT0, xT0, 1.0), (0, xT1, 0.3), (1, 1, 0.2 * psi0),
+                        (0, xT0, 0.1 * psi2), (3, 3, 0.2 * gamma)]:
+            ref[i, j] = ref[j, i] = v
+        assert gamma != 0.0 and psi0 != 0.0 and psi2 != 0.0
+        assert np.max(np.abs(lin.ell_hess - ref)) <= 1e-8
+
+    def test_non_gradient_endpoint_derivative_raises(self, regulator, reg_struct,
+                                                     reg_omega_exact):
+        # Dropping d phi / d xT[1] leaves dphi without a potential: its
+        # Jacobian is asymmetric, which the assembly must flag.
+        prob = endpoint_problem(regulator)
+
+        def dphi(x0, xT):
+            d0, dT = prob.dphi(x0, xT)
+            dT[..., 1] = 0.0
+            return d0, dT
+
+        bad = dataclasses.replace(prob, dphi=dphi)
+        with pytest.raises(AssemblyError, match="endpoint Hessian"):
+            linearized_matrices(bad, reg_struct, reg_omega_exact, nodes=20)
+
+
 def _constant_field_setup():
     n = 1
     prob = ProblemDef(
@@ -147,7 +179,7 @@ def _reference_assembly(lin):
         Hb[ch, D + ch * m1 + m1 - 1] = 1.0
         for i in range(m1):
             Yb[i, ch, D + ch * m1 + i] = 1.0
-    xi = _propagate_linear(lin, Yb, Xi0, use_E=True)
+    xi = _propagate_linear(lin, lin.E, Yb, Xi0)
     hess = np.zeros((nc, nc))
     for i in range(m1):
         cross = xi[i].T @ lin.Mmat[i].T @ Yb[i]
@@ -180,8 +212,8 @@ def _two_channel_lin(regulator, nodes=30, seed=21):
 
     return TPLinearization(
         prob=regulator, struct=struct, omega=None, s=np.linspace(0.0, 1.0, m1),
-        X=rng.normal(size=(m1, D)), P_arcs=rng.normal(size=(m1, 3, 3)),
-        U=rng.normal(size=(m1, Sn)), A=0.3 * rng.normal(size=(m1, D, D)),
+        X=rng.normal(size=(m1, D)), U=rng.normal(size=(m1, Sn)),
+        A=0.3 * rng.normal(size=(m1, D, D)),
         B=rng.normal(size=(m1, D, Sn)), E=rng.normal(size=(m1, D, Sn)),
         HXX=sym((m1, D, D)), HUX=rng.normal(size=(m1, Sn, D)),
         Mmat=rng.normal(size=(m1, Sn, D)), Rmat=sym((m1, Sn, Sn)),

@@ -17,6 +17,7 @@ from arcshoot.problem_def import (
     BRACKET_F1F0_F0,
     BRACKET_F1F0_F1,
     ProblemDef,
+    central_diff,
     check_first_order,
     gamma_gradient,
     lie_bracket,
@@ -25,6 +26,7 @@ from arcshoot.shooting import (
     ShootingVector,
     _minimum_norm_step,
     _residual_flat_batch,
+    endpoint_gradient,
     fd_jacobian,
     gauss_newton,
     load_omega,
@@ -180,6 +182,117 @@ class TestResidualStructure:
         assert m == 2 * 2 * 3 + 1 + 3 + 0
         omega = ShootingVector.unpack(np.zeros(m), 2, 3, 3, 0)
         assert omega.gamma.size == 0
+
+
+def endpoint_problem(regulator):
+    """The regulator with a cross term in phi, a nonlinear Phi and a nonlinear g.
+
+    phi = xT[2] + xT[0]^2 / 2 + 0.3 x0[0] xT[1]; Phi keeps its zero at
+    x0 = (0, 1, 0) and gains 0.1 (x0[1]^2 - 1) and 0.1 x0[0] xT[0]; g =
+    0.1 x[0]^2 - x[1] - 0.2 keeps dg.f1 = -1, so the feedback is
+    0.2 x[0] x[1].  Every term of the endpoint Lagrangian has a Hessian.
+    """
+    e = lambda x, i: np.asarray(x, dtype=float)[..., i]
+
+    def dphi(x0, xT):
+        d0, dT = np.zeros(np.shape(x0)), np.zeros(np.shape(xT))
+        d0[..., 0] = 0.3 * e(xT, 1)
+        dT[..., 0], dT[..., 1], dT[..., 2] = e(xT, 0), 0.3 * e(x0, 0), 1.0
+        return d0, dT
+
+    def Phi(x0, xT):
+        extra = np.stack([e(x0, 1) ** 2 - 1.0, 0.0 * e(x0, 0), e(x0, 0) * e(xT, 0)], axis=-1)
+        return np.asarray(x0, dtype=float) - [0.0, 1.0, 0.0] + 0.1 * extra
+
+    def dPhi(x0, xT):
+        D0 = np.zeros(np.shape(x0) + (3,)) + np.eye(3)
+        DT = np.zeros(np.shape(x0) + (3,))
+        D0[..., 0, 1] = 0.2 * e(x0, 1)
+        D0[..., 2, 0] = 0.1 * e(xT, 0)
+        DT[..., 2, 0] = 0.1 * e(x0, 0)
+        return D0, DT
+
+    def dg(x):
+        return np.stack([0.2 * e(x, 0), -np.ones_like(e(x, 0)), 0.0 * e(x, 0)], axis=-1)
+
+    def dgamma(x):
+        return np.stack([0.2 * e(x, 1), 0.2 * e(x, 0), 0.0 * e(x, 0)], axis=-1)
+
+    return dataclasses.replace(
+        regulator,
+        phi=lambda x0, xT: e(xT, 2) + 0.5 * e(xT, 0) ** 2 + 0.3 * e(x0, 0) * e(xT, 1),
+        dphi=dphi, Phi=Phi, dPhi=dPhi,
+        g=lambda x: 0.1 * e(x, 0) ** 2 - e(x, 1) - 0.2, dg=dg, dgamma=dgamma,
+    )
+
+
+def endpoint_lagrangian(prob, struct, x0, x1, psi, gamma):
+    """l = phi + psi . Phi + sum_j gamma_j g(x0^{k_j}), written out on its own."""
+    ends = x0[..., 0, :], x1[..., struct.N - 1, :]
+    val = prob.phi(*ends) + np.einsum("...q,...q->...", psi, prob.Phi(*ends))
+    for j, k in enumerate(index_sets(struct)[1]):
+        val = val + gamma[..., j] * prob.g(x0[..., k - 1, :])
+    return val
+
+
+ENDPOINT_STRUCTURES = [
+    ArcStructure((B, C, S), (1.2, 2.6)),
+    ArcStructure((C, S), (2.6,)),                  # entry multiplier on the first arc
+    ArcStructure((C, S, C, S), (1.0, 2.0, 3.0)),
+    ArcStructure((B, S, C, S, BP), (0.8, 1.7, 2.9, 4.1)),
+]
+
+
+class TestEndpointGradient:
+    @pytest.mark.parametrize("struct", ENDPOINT_STRUCTURES, ids=lambda s: ",".join(s.tokens()))
+    def test_matches_central_difference_of_the_lagrangian(self, regulator, struct):
+        prob = endpoint_problem(regulator)
+        rng = np.random.default_rng(31)
+        N, n = struct.N, prob.n
+        psi = rng.normal(size=prob.q)
+        gamma = rng.normal(size=len(index_sets(struct)[1]))
+        z = rng.uniform(-1.0, 1.0, 2 * N * n)
+        split = lambda zz: (zz[..., : N * n].reshape(zz.shape[:-1] + (N, n)),
+                            zz[..., N * n :].reshape(zz.shape[:-1] + (N, n)))
+        ref = central_diff(lambda zz: endpoint_lagrangian(prob, struct, *split(zz), psi, gamma),
+                           z, np.full(z.size, 1e-5))
+        l0, l1 = endpoint_gradient(prob, struct, *split(z), psi, gamma)
+        np.testing.assert_allclose(np.concatenate([l0.ravel(), l1.ravel()]), ref,
+                                   rtol=0.0, atol=1e-9)
+
+    def test_broadcasts_over_batch_axes(self, regulator):
+        prob, struct = endpoint_problem(regulator), ENDPOINT_STRUCTURES[2]
+        rng = np.random.default_rng(32)
+        x0, x1 = rng.normal(size=(2, 4, struct.N, prob.n))
+        psi, gamma = rng.normal(size=(4, prob.q)), rng.normal(size=(4, 2))
+        l0, l1 = endpoint_gradient(prob, struct, x0, x1, psi, gamma)
+        for i in range(4):
+            r0, r1 = endpoint_gradient(prob, struct, x0[i], x1[i], psi[i], gamma[i])
+            np.testing.assert_array_equal(l0[i], r0)
+            np.testing.assert_array_equal(l1[i], r1)
+        # One multiplier set for a batch of states.
+        l0, _ = endpoint_gradient(prob, struct, x0, x1, psi[0], gamma[0])
+        np.testing.assert_array_equal(
+            l0[3], endpoint_gradient(prob, struct, x0[3], x1[3], psi[0], gamma[0])[0])
+
+    def test_residual_rows_read_the_gradient(self, regulator):
+        # Transversality and costate-jump blocks are (p, l) combinations,
+        # including the entry multiplier of a first-arc C.
+        prob, struct = endpoint_problem(regulator), ENDPOINT_STRUCTURES[1]
+        rng = np.random.default_rng(33)
+        omega = ShootingVector(rng.uniform(-0.5, 0.5, (2, 3)), struct.tau,
+                               rng.uniform(0.5, 1.5, (2, 3)), rng.normal(size=3),
+                               rng.normal(size=1))
+        M = steps_per_arc(struct, 40)
+        traj = propagate_arc(prob, struct.kinds, omega.tau, omega.x0, omega.p0, M)
+        x1, p1 = traj.x[-1], traj.p[-1]
+        l0, l1 = endpoint_gradient(prob, struct, omega.x0, x1, omega.psi, omega.gamma)
+        res = shooting_function(prob, struct, omega, steps=40)
+        np.testing.assert_array_equal(res.transversality_0, omega.p0[0] + l0[0])
+        np.testing.assert_array_equal(res.costate_jumps, p1[0] - omega.p0[1] - l0[1])
+        np.testing.assert_array_equal(res.transversality_T, p1[1] - l1[1])
+        assert np.any(l0[0] != endpoint_gradient(prob, struct, omega.x0, x1, omega.psi,
+                                                 0.0 * omega.gamma)[0][0])
 
 
 def _affine_problem():
