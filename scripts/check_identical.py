@@ -25,9 +25,11 @@ one subprocess per step:
   rejects one full step before it converges (20 % starts converge without a
   halving), and the same solve with ``--max-iter 1``, which stops with
   ``MaxIterExceeded`` and exit code 1;
-* ``multi_arc``: the regulator's ``B-,S,C,S,B+`` structure propagated over 60
-  steps from seeded (seed 3) arc starts, written as ``trajectory.csv`` and a
-  full-precision validation JSON, so that repeated arc kinds are covered.
+* ``multi_arc``: the regulator's ``B-,S,C,S,B+`` and ``B-,C,S,C,S``
+  structures, each from seeded (seed 3) arc starts and multipliers: the
+  trajectory over 60 steps per arc as ``trajectory.csv``, a full-precision
+  validation JSON, and the full-precision residual and FD Jacobian at the
+  same grid, so that repeated arc kinds and their residual rows are covered.
 
 The exit code of every step goes into ``exit_codes.json``.  The script then
 compares every output file of the two trees byte for byte, lists each one
@@ -71,17 +73,25 @@ MULTI_ARC = (
     "import numpy as np\n"
     "from arcshoot import problems as P\n"
     "from arcshoot.arc_structure import ArcStructure\n"
-    "from arcshoot.shooting import ShootingVector, validate_solution\n"
+    "from arcshoot.shooting import (ShootingVector, fd_jacobian, shooting_function,\n"
+    "                               validate_solution)\n"
     "from arcshoot.tp_dynamics import propagate_solution, write_tp_csv\n"
-    "prob, out = P.make_regulator(), Path(sys.argv[1])\n"
-    "struct = ArcStructure.from_tokens(['B-', 'S', 'C', 'S', 'B+'], (0.8, 1.7, 2.9, 4.1))\n"
-    "rng = np.random.default_rng(3)\n"
-    "x0, p0 = rng.uniform(-0.5, 0.5, (5, 3)), rng.uniform(0.5, 1.5, (5, 3))\n"
-    "omega = ShootingVector(x0, struct.tau, p0, np.zeros(3), np.zeros(1))\n"
-    "traj = propagate_solution(prob, struct, omega, 60)\n"
-    "write_tp_csv(out / 'trajectory.csv', traj)\n"
-    "doc = validate_solution(prob, struct, traj).to_json_dict()\n"
-    "(out / 'validation.json').write_text(json.dumps(doc, indent=1, sort_keys=True) + '\\n')\n"
+    "prob = P.make_regulator()\n"
+    "for tokens in (['B-', 'S', 'C', 'S', 'B+'], ['B-', 'C', 'S', 'C', 'S']):\n"
+    "    out = Path(sys.argv[1]) / ''.join(tokens)\n"
+    "    out.mkdir()\n"
+    "    struct = ArcStructure.from_tokens(tokens, (0.8, 1.7, 2.9, 4.1))\n"
+    "    rng = np.random.default_rng(3)\n"
+    "    x0, p0 = rng.uniform(-0.5, 0.5, (5, 3)), rng.uniform(0.5, 1.5, (5, 3))\n"
+    "    gamma = rng.normal(size=tokens.count('C'))\n"
+    "    omega = ShootingVector(x0, struct.tau, p0, rng.normal(size=3), gamma)\n"
+    "    traj = propagate_solution(prob, struct, omega, 60)\n"
+    "    write_tp_csv(out / 'trajectory.csv', traj)\n"
+    "    doc = validate_solution(prob, struct, traj).to_json_dict()\n"
+    "    (out / 'validation.json').write_text(json.dumps(doc, indent=1, sort_keys=True) + '\\n')\n"
+    "    np.savetxt(out / 'residual.txt', shooting_function(prob, struct, omega, 300).stacked,\n"
+    "               fmt='%.17g')\n"
+    "    np.savetxt(out / 'fd_jacobian.txt', fd_jacobian(prob, struct, omega, 300), fmt='%.17g')\n"
 )
 
 

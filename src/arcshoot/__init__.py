@@ -1,6 +1,6 @@
 """Indirect shooting for control-affine problems with bang, constrained and singular arcs."""
 
-from .arc_structure import ArcKind, ArcStructure, detect_structure, index_sets
+from .arc_structure import ArcKind, ArcStructure, arcs_of, detect_structure
 from .direct_init import DirectSolveConfig, direct_solve
 from .problem_def import ProblemDef, check_first_order, gamma_control, gamma_gradient, lie_bracket
 from .problems import get_problem, problem_names
@@ -17,7 +17,7 @@ from .shooting import (
 )
 from .tp_dynamics import (
     TPTrajectory,
-    arc_control,
+    arc_controls,
     arc_hamiltonian,
     arc_rhs,
     constraint_multiplier_density,
@@ -33,9 +33,10 @@ __all__ = [
     "ProblemDef",
     "ShootingVector",
     "TPTrajectory",
-    "arc_control",
+    "arc_controls",
     "arc_hamiltonian",
     "arc_rhs",
+    "arcs_of",
     "assemble_omega",
     "check_first_order",
     "check_positivity",
@@ -47,7 +48,6 @@ __all__ = [
     "gamma_gradient",
     "gauss_newton",
     "get_problem",
-    "index_sets",
     "lie_bracket",
     "linearized_matrices",
     "load_omega",

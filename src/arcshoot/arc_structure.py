@@ -1,9 +1,9 @@
 """Arc sequences: the hypothesized bang/constrained/singular structure.
 
-Provides the :class:`ArcStructure` value type, index-set bookkeeping and
-:func:`detect_structure`, which classifies a discretized trajectory (from a
-direct method or from samples) into an ordered arc list with switching-time
-guesses.
+Provides the :class:`ArcStructure` value type, the arc-kind lookup
+:func:`arcs_of` and :func:`detect_structure`, which classifies a discretized
+trajectory (from a direct method or from samples) into an ordered arc list
+with switching-time guesses.
 """
 
 from __future__ import annotations
@@ -89,17 +89,10 @@ class ArcStructure:
         return cls(tuple(ArcKind.from_token(t.strip()) for t in tokens), tuple(tau))
 
 
-def index_sets(s: ArcStructure) -> tuple:
-    """Partition {1, ..., N} into (I_S, I_C, I_Bminus, I_Bplus), 1-based and sorted."""
-    by_kind = {ArcKind.Singular: [], ArcKind.Constrained: [], ArcKind.BMinus: [], ArcKind.BPlus: []}
-    for i, kind in enumerate(s.kinds, start=1):
-        by_kind[kind].append(i)
-    return (
-        by_kind[ArcKind.Singular],
-        by_kind[ArcKind.Constrained],
-        by_kind[ArcKind.BMinus],
-        by_kind[ArcKind.BPlus],
-    )
+def arcs_of(kinds, kind):
+    """0-based positions of the arcs of ``kind`` in ``kinds``: a slice (a view) for one arc."""
+    ks = [k for k, kd in enumerate(kinds) if kd is kind]
+    return slice(ks[0], ks[0] + 1) if len(ks) == 1 else ks
 
 
 def detect_structure(

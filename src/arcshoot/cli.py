@@ -19,11 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .arc_structure import ArcStructure, detect_structure, index_sets, read_trajectory_csv, write_trajectory_csv
+from .arc_structure import (ArcKind, ArcStructure, detect_structure, read_trajectory_csv,
+                            write_trajectory_csv)
 from .direct_init import DirectSolveConfig, direct_solve
 from .errors import ArcshootError, ConfigurationError, MaxIterExceeded, RankDeficientJacobian
 from .problem_def import ProblemDef
-from .second_order import assemble_omega, check_positivity
+from .second_order import assemble_omega, check_positivity, linearized_matrices
 from .shooting import (
     ShootingVector,
     gauss_newton,
@@ -160,13 +161,12 @@ def _omega_from_direct(prob, struct, dres) -> ShootingVector:
     idx = [int(np.argmin(np.abs(dres.t - b))) for b in starts]
     x0 = np.stack([dres.x[i] for i in idx])
     p0 = np.stack([dres.lam[i] for i in idx])
-    n_c = len(index_sets(struct)[1])
     return ShootingVector(
         x0=x0,
         tau=np.asarray(struct.tau, dtype=float),
         p0=p0,
         psi=-dres.lam[0],
-        gamma=np.zeros(n_c),
+        gamma=np.zeros(struct.kinds.count(ArcKind.Constrained)),
     )
 
 
@@ -237,8 +237,7 @@ def cmd_detect(cfg, out_dir, prob) -> int:
 def cmd_verify(cfg, out_dir, prob) -> int:
     omega_path = cfg.get("omega", str(out_dir / "omega.json"))
     struct, omega, _ = load_omega(omega_path, prob)
-    struct.validate(prob)
-    qfd = assemble_omega(prob, struct, omega, nodes=cfg.get("nodes", 200))
+    qfd = assemble_omega(linearized_matrices(prob, struct, omega, cfg.get("nodes", 200)))
     report = check_positivity(qfd)
     _write_json(out_dir / "positivity.json", report.to_json_dict())
     print(

@@ -50,10 +50,9 @@ class DirectSolveResult:
     x_model: np.ndarray    # (K+1, n) Euler-model states used by the optimizer
     lam: np.ndarray        # (K+1, n) discrete adjoint, a costate estimate
     cost: float            # endpoint cost of the re-simulated trajectory
-    objective: float       # Euler-model cost + penalty at the final iterate
     stalled: bool
     n_iters: int
-    objective_history: list
+    objective_history: list  # Euler-model cost + penalty at each accepted iterate
 
 
 def _initial_control(prob: ProblemDef) -> float:
@@ -105,7 +104,7 @@ def direct_solve(prob: ProblemDef, cfg: Optional[DirectSolveConfig] = None) -> D
             val += rho * float(bc @ bc)
         return val
 
-    def gradient(x0, uu, xs):
+    def gradient(uu, xs):
         lam = np.empty((K + 1, prob.n))
         pen = _pen_grad(prob, xs, rho, dt)
         d0, dT = prob.dphi(xs[0], xs[-1])
@@ -137,7 +136,7 @@ def direct_solve(prob: ProblemDef, cfg: Optional[DirectSolveConfig] = None) -> D
     g_old = None
     lam = np.zeros((K + 1, prob.n))
     for _ in range(cfg.max_iters):
-        gu, gx0, lam = gradient(x0, u, xs)
+        gu, gx0, lam = gradient(u, xs)
         grad = np.concatenate([gu, gx0]) if free_x0 else gu
         z = np.concatenate([u, x0]) if free_x0 else u
         if g_old is not None:
@@ -177,7 +176,6 @@ def direct_solve(prob: ProblemDef, cfg: Optional[DirectSolveConfig] = None) -> D
         x_model=xs,
         lam=lam,
         cost=float(prob.phi(x_acc[0], x_acc[-1])),
-        objective=J,
         stalled=stalled,
         n_iters=n_iters,
         objective_history=history,

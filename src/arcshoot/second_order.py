@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arc_structure import ArcStructure, index_sets
+from .arc_structure import ArcKind, ArcStructure, arcs_of
 from .errors import AssemblyError
 from .problem_def import ProblemDef, central_diff, fd_steps
 from .shooting import ShootingVector, constraint_rows, endpoint_gradient
@@ -78,7 +78,7 @@ def tp_rates(prob: ProblemDef, struct: ArcStructure, U, X, P_arcs):
     dts = durations(X[..., N * n :], prob.T)[..., None]
     v, hx = arc_field(prob, struct.kinds, x, P_arcs, U)
     h = np.einsum("...i,...i->...", P_arcs, v)
-    s = [k - 1 for k in index_sets(struct)[0]]
+    s = arcs_of(struct.kinds, ArcKind.Singular)
     switching = dts[..., s, 0] * np.einsum("...i,...i->...", P_arcs, prob.f1(x))[..., s]
     flat = lambda a: a.reshape(a.shape[:-2] + (N * n,))
     # d dt_k / d tau_j is +1 for k = j, -1 for k = j + 1.
@@ -119,7 +119,7 @@ class TPLinearization:
 
     @property
     def n_channels(self) -> int:
-        return len(index_sets(self.struct)[0])
+        return self.struct.kinds.count(ArcKind.Singular)
 
     @property
     def weights(self) -> np.ndarray:
@@ -127,11 +127,6 @@ class TPLinearization:
         w = np.full(self.s.size, h)
         w[0] = w[-1] = 0.5 * h
         return w
-
-    def arc_block(self, k: int) -> slice:
-        """Row slice of arc k (0-based) inside the stacked state."""
-        n = self.prob.n
-        return slice(k * n, (k + 1) * n)
 
 
 def linearized_matrices(
@@ -148,14 +143,13 @@ def linearized_matrices(
     struct.validate(prob)
     N, n = struct.N, prob.n
     D = N * n + N - 1
-    i_s = index_sets(struct)[0]
-    S = len(i_s)
+    S = struct.kinds.count(ArcKind.Singular)
     traj = propagate_solution(prob, struct, omega, nodes)
     m1 = nodes + 1
 
     tau = np.broadcast_to(omega.tau, (m1, N - 1))
     X = np.concatenate([traj.x.reshape(m1, N * n), tau], axis=1)
-    U = traj.w[:, [k - 1 for k in i_s]]
+    U = traj.w[:, arcs_of(struct.kinds, ArcKind.Singular)]
 
     J = central_diff(lambda Xb: tp_rates(prob, struct, U, Xb, traj.p), X, fd_steps(X))
     A, HUX = J[:, :D], J[:, 2 * D :]
@@ -165,17 +159,17 @@ def linearized_matrices(
     B = central_diff(lambda Ub: tp_rates(prob, struct, Ub, X, traj.p)[..., :D], U, fd_steps(U))
 
     ds = 1.0 / nodes
-    E = np.einsum("tij,tjk->tik", A, B) - _time_derivative(B, ds)
+    E = np.einsum("tij,tjk->tik", A, B) - np.gradient(B, ds, axis=0)
     Mmat = (
         np.einsum("tjs,tji->tsi", B, HXX)
-        - _time_derivative(HUX, ds)
+        - np.gradient(HUX, ds, axis=0)
         - np.einsum("tsi,tij->tsj", HUX, A)
     )
     HUXB = np.einsum("tsi,tik->tsk", HUX, B)
     Rmat = (
         np.einsum("tis,tij,tjr->tsr", B, HXX, B)
         - 2.0 * np.einsum("tsi,tik->tsk", HUX, E)
-        - _time_derivative(HUXB, ds)
+        - np.gradient(HUXB, ds, axis=0)
     )
     Rmat = 0.5 * (Rmat + np.swapaxes(Rmat, 1, 2))
     goh = float(np.max(np.abs(HUXB - np.swapaxes(HUXB, 1, 2)))) if S else 0.0
@@ -187,14 +181,6 @@ def linearized_matrices(
         X=X, U=U, A=A, B=B, E=E, HXX=HXX, HUX=HUX,
         Mmat=Mmat, Rmat=Rmat, ell_hess=ell_hess, dcons=dcons, goh_asymmetry=goh,
     )
-
-
-def _time_derivative(grid: np.ndarray, ds: float) -> np.ndarray:
-    out = np.empty_like(grid)
-    out[1:-1] = (grid[2:] - grid[:-2]) / (2.0 * ds)
-    out[0] = (grid[1] - grid[0]) / ds
-    out[-1] = (grid[-1] - grid[-2]) / ds
-    return out
 
 
 def _endpoint_derivatives(prob, struct, omega, X0, X1):
@@ -352,16 +338,8 @@ def q_form_value(lin: TPLinearization, Z0: np.ndarray, V: np.ndarray) -> float:
     return float(quad) + float(dz @ lin.ell_hess @ dz)
 
 
-def assemble_omega(
-    prob: ProblemDef,
-    struct: ArcStructure,
-    omega: ShootingVector,
-    nodes: int = 200,
-    lin: TPLinearization = None,
-) -> QuadraticFormData:
-    """Assemble the discretized quadratic form, constraints and Gram matrix."""
-    if lin is None:
-        lin = linearized_matrices(prob, struct, omega, nodes)
+def assemble_omega(lin: TPLinearization) -> QuadraticFormData:
+    """Assemble the discretized quadratic form, constraints and Gram matrix on ``lin``."""
     D, S, m1, w = lin.D, lin.n_channels, lin.s.size, lin.weights
     ncoord = D + S * m1
 
@@ -391,15 +369,15 @@ def assemble_omega(
     hess = 0.5 * (hess + hess.T)
 
     # Constraint rows: endpoint map on (Xi0, Xi1 + B1 h), then the active
-    # state constraint along every constrained arc node.
-    rows = [lin.dcons @ np.vstack([Xi0_basis, xi_basis[-1] + lin.B[-1] @ H_basis])]
-    for k in index_sets(lin.struct)[1]:
-        blk = lin.arc_block(k - 1)
-        dgx = np.asarray(lin.prob.dg(lin.X[:, blk]), dtype=float)
-        row = np.einsum("ti,tic->tc", dgx, xi_basis[:, blk, :])
-        row[np.arange(m1)[:, None], ys.T] += np.einsum("ti,tis->ts", dgx, lin.B[:, blk, :])
-        rows.append(row)
-    cons = np.vstack(rows)
+    # state constraint along every constrained arc node, arc-major.
+    N, n = lin.struct.N, lin.prob.n
+    c = arcs_of(lin.struct.kinds, ArcKind.Constrained)
+    on_c = lambda a: a[:, : N * n].reshape((m1, N, n) + a.shape[2:])[:, c]
+    dgx = np.asarray(lin.prob.dg(on_c(lin.X)), dtype=float)
+    row = np.einsum("tki,tkic->ktc", dgx, on_c(xi_basis))
+    row[:, np.arange(m1)[:, None], ys.T] += np.einsum("tki,tkis->kts", dgx, on_c(lin.B))
+    cons = np.vstack([lin.dcons @ np.vstack([Xi0_basis, xi_basis[-1] + lin.B[-1] @ H_basis]),
+                      row.reshape(-1, ncoord)])
 
     gram = np.diag(np.concatenate([np.ones(D), np.tile(w, S)]))
     gram[ys[:, -1], ys[:, -1]] += 1.0

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .arc_structure import ArcKind, ArcStructure, index_sets
+from .arc_structure import ArcKind, ArcStructure, arcs_of
 from .errors import (
     ArcshootError,
     ConfigurationError,
@@ -33,7 +33,6 @@ from .errors import (
 from .problem_def import BRACKET_F1_F0, ProblemDef, central_diff, check_first_order, lie_bracket
 from .tp_dynamics import (
     TPTrajectory,
-    _arcs_of,
     arc_hamiltonian,
     constraint_multiplier_density,
     legendre_clebsch_value,
@@ -52,13 +51,12 @@ STEP_FLOOR = 1e-12
 
 
 def unknown_dim(struct: ArcStructure, n: int, q: int) -> int:
-    i_s, i_c, _, _ = index_sets(struct)
-    return 2 * struct.N * n + (struct.N - 1) + q + len(i_c)
+    return 2 * struct.N * n + (struct.N - 1) + q + struct.kinds.count(ArcKind.Constrained)
 
 
 def residual_dim(struct: ArcStructure, n: int, q: int) -> int:
-    i_s, i_c, _, _ = index_sets(struct)
-    return 2 * struct.N * n + (struct.N - 1) + q + len(i_c) + 2 * len(i_s)
+    n_c, n_s = (struct.kinds.count(kind) for kind in (ArcKind.Constrained, ArcKind.Singular))
+    return 2 * struct.N * n + (struct.N - 1) + q + n_c + 2 * n_s
 
 
 @dataclass
@@ -159,11 +157,10 @@ def constraint_rows(prob, struct, x0, x1):
     """
     N, n = struct.N, prob.n
     xc = x1[..., : N - 1, :] - x0[..., 1:, :]
+    entry = x0[..., arcs_of(struct.kinds, ArcKind.Constrained), :]
     return np.concatenate(
-        [np.asarray(prob.Phi(x0[..., 0, :], x1[..., N - 1, :]), dtype=float)]
-        + [np.asarray(prob.g(x0[..., k - 1, :]), dtype=float)[..., None]
-           for k in index_sets(struct)[1]]
-        + [xc.reshape(xc.shape[:-2] + (n * (N - 1),))],
+        [np.asarray(prob.Phi(x0[..., 0, :], x1[..., N - 1, :]), dtype=float),
+         np.asarray(prob.g(entry), dtype=float), xc.reshape(xc.shape[:-2] + (n * (N - 1),))],
         axis=-1,
     )
 
@@ -178,7 +175,7 @@ def endpoint_gradient(prob, struct, x0, x1, psi, gamma):
     Hessian both read it.
     """
     N = struct.N
-    c = [k - 1 for k in index_sets(struct)[1]]
+    c = arcs_of(struct.kinds, ArcKind.Constrained)
     d0, dT = prob.dphi(x0[..., 0, :], x1[..., N - 1, :])
     D0, DT = prob.dPhi(x0[..., 0, :], x1[..., N - 1, :])
     lead = np.broadcast_shapes(x0.shape[:-2], x1.shape[:-2], psi.shape[:-1], gamma.shape[:-1])
@@ -193,7 +190,6 @@ def endpoint_gradient(prob, struct, x0, x1, psi, gamma):
 def _assemble(prob, struct, x0, tau, p0, psi, gamma, x1, p1):
     """Stack the residual blocks; works for single and batched leading axes."""
     N, n = struct.N, prob.n
-    i_s = index_sets(struct)[0]
     l0, l1 = endpoint_gradient(prob, struct, x0, x1, psi, gamma)
     jumps = p1[..., :-1, :] - p0[..., 1:, :] - l0[..., 1:, :]
     blocks = [constraint_rows(prob, struct, x0, x1), p0[..., 0, :] + l0[..., 0, :],
@@ -203,10 +199,10 @@ def _assemble(prob, struct, x0, tau, p0, psi, gamma, x1, p1):
         kinds = struct.kinds
         blocks.append(arc_hamiltonian(prob, kinds[:-1], x1[..., :-1, :], p1[..., :-1, :])
                       - arc_hamiltonian(prob, kinds[1:], x0[..., 1:, :], p0[..., 1:, :]))
-    sing = [(x0[..., k - 1, :], p0[..., k - 1, :]) for k in i_s]
-    blocks += [np.einsum("...i,...i->...", p, prob.f1(x))[..., None] for x, p in sing]
-    blocks += [np.einsum("...i,...i->...", p, lie_bracket(prob, BRACKET_F1_F0, x))[..., None]
-               for x, p in sing]
+    s = arcs_of(struct.kinds, ArcKind.Singular)
+    xs, ps = x0[..., s, :], p0[..., s, :]
+    blocks += [np.einsum("...i,...i->...", ps, prob.f1(xs)),
+               np.einsum("...i,...i->...", ps, lie_bracket(prob, BRACKET_F1_F0, xs))]
     return np.concatenate(blocks, axis=-1)
 
 
@@ -250,8 +246,8 @@ def shooting_function(
 
 def _split_residual(prob, struct, r) -> ShootingResidual:
     N, n, q = struct.N, prob.n, prob.q
-    i_s, i_c, _, _ = index_sets(struct)
-    sizes = [q, len(i_c), n * (N - 1), n, n * (N - 1), n, N - 1, len(i_s), len(i_s)]
+    n_c, n_s = (struct.kinds.count(kind) for kind in (ArcKind.Constrained, ArcKind.Singular))
+    sizes = [q, n_c, n * (N - 1), n, n * (N - 1), n, N - 1, n_s, n_s]
     parts = np.split(r, np.cumsum(sizes)[:-1])
     return ShootingResidual(*parts)
 
@@ -353,7 +349,7 @@ def gauss_newton(
     m = flat.size
     report = ConvergenceReport()
     unpack = lambda f: ShootingVector.unpack(f, struct.N, prob.n, prob.q,
-                                             len(index_sets(struct)[1]))
+                                             struct.kinds.count(ArcKind.Constrained))
 
     r, traj = _residual_and_grid(prob, struct, flat, M)
     best = (np.linalg.norm(r, np.inf), flat.copy())
@@ -467,7 +463,7 @@ def validate_solution(prob: ProblemDef, struct: ArcStructure,
     kinds = struct.kinds
     C, S = ArcKind.Constrained, ArcKind.Singular
     # (x, p, w) of the arcs of each interior kind, arc-major: (arcs, M+1, ...).
-    on = {kind: [np.swapaxes(a[:, _arcs_of(kinds, kind)], 0, 1) for a in (traj.x, traj.p, traj.w)]
+    on = {kind: [np.swapaxes(a[:, arcs_of(kinds, kind)], 0, 1) for a in (traj.x, traj.p, traj.w)]
           for kind in (C, S) if kind in kinds}
     margins = [np.minimum(w - prob.u_min if prob.u_min is not None else np.inf,
                           prob.u_max - w if prob.u_max is not None else np.inf).min()
@@ -512,7 +508,6 @@ def validate_solution(prob: ProblemDef, struct: ArcStructure,
 
 def save_omega(path, struct: ArcStructure, omega: ShootingVector, prob: ProblemDef,
                steps: int) -> None:
-    i_s, i_c, _, _ = index_sets(struct)
     doc = {
         "structure": {"kinds": struct.tokens(), "tau": [float(t) for t in omega.tau]},
         "omega": [float(v) for v in omega.pack()],
@@ -520,8 +515,8 @@ def save_omega(path, struct: ArcStructure, omega: ShootingVector, prob: ProblemD
             "N": struct.N,
             "n": prob.n,
             "q": prob.q,
-            "n_constrained": len(i_c),
-            "n_singular": len(i_s),
+            "n_constrained": struct.kinds.count(ArcKind.Constrained),
+            "n_singular": struct.kinds.count(ArcKind.Singular),
             "steps": steps,
         },
     }
@@ -564,12 +559,15 @@ def load_omega(path, prob: ProblemDef) -> tuple:
             f"{path} holds a solution with n={n}, q={q}; "
             f"the problem has n={prob.n}, q={prob.q}")
     struct = ArcStructure.from_tokens(get("structure.kinds"), get("structure.tau"))
-    i_s, i_c, _, _ = index_sets(struct)
-    if struct.N != N or len(i_c) != n_c or len(i_s) != n_s:
+    counts = [struct.kinds.count(kind) for kind in (ArcKind.Constrained, ArcKind.Singular)]
+    if struct.N != N or counts != [n_c, n_s]:
         raise ConfigurationError(f"warm-start metadata inconsistent with structure in {path}")
     try:
         flat = np.asarray(get("omega"), dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path} key 'omega' is not a list of numbers: {exc}") from exc
-    omega = ShootingVector.unpack(flat, N, n, q, len(i_c))
+    omega = ShootingVector.unpack(flat, N, n, q, n_c)
+    if not np.array_equal(omega.tau, struct.tau):
+        raise ConfigurationError(f"{path} holds switching times {list(struct.tau)} in "
+                                 f"'structure.tau' but {omega.tau.tolist()} in 'omega'")
     return struct, omega, get("meta")

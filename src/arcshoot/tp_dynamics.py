@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arc_structure import ArcKind, ArcStructure
+from .arc_structure import ArcKind, ArcStructure, arcs_of
 from .errors import (ConfigurationError, FirstOrderViolation, NonFiniteState,
                      SingularDenominatorError)
 from .problem_def import (
@@ -27,35 +27,11 @@ from .problem_def import (
     BRACKET_F1F0_F1,
     BRACKET_F1_F0,
     ProblemDef,
-    gamma_control,
     gamma_from_fields,
     gamma_gradient,
     guarded_ratio,
     lie_bracket,
 )
-
-
-def arc_control(prob: ProblemDef, kind: ArcKind, x: np.ndarray, costate: np.ndarray):
-    """Control value prescribed by the arc kind at (x, p).
-
-    Bang arcs return the bound, constrained arcs the feedback Gamma(x),
-    singular arcs -(p [[f1,f0],f0]) / (p [[f1,f0],f1]).  The singular
-    denominator is guarded; the Legendre-Clebsch sign is checked separately
-    by the solution validator.
-    """
-    if kind is ArcKind.BMinus:
-        if prob.u_min is None:
-            raise ConfigurationError("B- arc with absent lower bound")
-        return prob.u_min
-    if kind is ArcKind.BPlus:
-        if prob.u_max is None:
-            raise ConfigurationError("B+ arc with absent upper bound")
-        return prob.u_max
-    if kind is ArcKind.Constrained:
-        return gamma_control(prob, x)
-    num = -np.einsum("...i,...i->...", costate, lie_bracket(prob, BRACKET_F1F0_F0, x))
-    return guarded_ratio(num, costate, lie_bracket(prob, BRACKET_F1F0_F1, x), x,
-                         SingularDenominatorError)
 
 
 def legendre_clebsch_value(prob: ProblemDef, x: np.ndarray, costate: np.ndarray):
@@ -64,30 +40,36 @@ def legendre_clebsch_value(prob: ProblemDef, x: np.ndarray, costate: np.ndarray)
     return np.einsum("...i,...i->...", costate, b1)
 
 
-def _arcs_of(kinds, kind):
-    """Index of the arcs of ``kind`` on the arc axis: a slice (a view) for one arc."""
-    ks = [k for k, kd in enumerate(kinds) if kd is kind]
-    return slice(ks[0], ks[0] + 1) if len(ks) == 1 else ks
-
-
 def arc_controls(prob: ProblemDef, kinds, x: np.ndarray, costate: np.ndarray, f0x, f1x,
                  singular=None):
     """Control of every arc, (..., N), from states and costates (..., N, n).
 
     Each kind's rule runs on its own arcs' slice only, so a guard never sees
-    another kind's rows.  Constrained arcs use the field values f0x, f1x;
-    ``singular`` (..., S), if given, replaces the rule on the S arcs.
+    another kind's rows.  Bang arcs take their bound, constrained arcs the
+    feedback Gamma from the field values f0x, f1x, and singular arcs
+    -(p [[f1,f0],f0]) / (p [[f1,f0],f1]) with a guarded denominator (the
+    Legendre-Clebsch sign is checked by the solution validator), or the
+    values ``singular`` (..., S) if given.
     """
     extra = () if singular is None else np.shape(singular)[:-1] + (len(kinds),)
     w = np.empty(np.broadcast_shapes(x.shape[:-1], costate.shape[:-1], extra))
+    bounds = {ArcKind.BMinus: ("lower", prob.u_min), ArcKind.BPlus: ("upper", prob.u_max)}
     for kind in dict.fromkeys(kinds):
-        i = _arcs_of(kinds, kind)
-        if kind is ArcKind.Constrained:
+        i = arcs_of(kinds, kind)
+        if kind in bounds:
+            side, bound = bounds[kind]
+            if bound is None:
+                raise ConfigurationError(f"{kind.value} arc with absent {side} bound")
+            w[..., i] = bound
+        elif kind is ArcKind.Constrained:
             w[..., i] = gamma_from_fields(prob, x[..., i, :], f0x[..., i, :], f1x[..., i, :])
-        elif kind is ArcKind.Singular and singular is not None:
+        elif singular is not None:
             w[..., i] = singular
         else:
-            w[..., i] = arc_control(prob, kind, x[..., i, :], costate[..., i, :])
+            xk, pk = x[..., i, :], costate[..., i, :]
+            num = -np.einsum("...i,...i->...", pk, lie_bracket(prob, BRACKET_F1F0_F0, xk))
+            w[..., i] = guarded_ratio(num, pk, lie_bracket(prob, BRACKET_F1F0_F1, xk), xk,
+                                      SingularDenominatorError)
     return w
 
 
@@ -105,7 +87,7 @@ def arc_field(prob: ProblemDef, kinds, x: np.ndarray, costate: np.ndarray, singu
     v = f0x + w[..., None] * f1x
     hx = np.einsum("...i,...ij->...j", costate, prob.df0(x) + w[..., None, None] * prob.df1(x))
     if ArcKind.Constrained in kinds:
-        c = _arcs_of(kinds, ArcKind.Constrained)
+        c = arcs_of(kinds, ArcKind.Constrained)
         pf1 = np.einsum("...i,...i->...", costate[..., c, :], f1x[..., c, :])
         hx[..., c, :] = hx[..., c, :] + pf1[..., None] * gamma_gradient(prob, x[..., c, :])
     return v, hx

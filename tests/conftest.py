@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arcshoot import problems as P
-from arcshoot.arc_structure import ArcStructure, index_sets
+from arcshoot.arc_structure import ArcKind, ArcStructure
 from arcshoot.direct_init import DirectSolveConfig, direct_solve
 from arcshoot.second_order import assemble_omega, linearized_matrices
 from arcshoot.shooting import ShootingVector, gauss_newton
@@ -38,7 +38,7 @@ def perturbed_start(prob, struct, omega, scale=0.05, seed=PERTURB_SEED):
     rng = np.random.default_rng(seed)
     flat = omega.pack()
     pert = flat * (1.0 + scale * rng.uniform(-1.0, 1.0, flat.size))
-    n_c = len(index_sets(struct)[1])
+    n_c = struct.kinds.count(ArcKind.Constrained)
     return ShootingVector.unpack(pert, struct.N, prob.n, prob.q, n_c)
 
 
@@ -69,8 +69,8 @@ def reg_lin(regulator, reg_struct, reg_solution):
 
 
 @pytest.fixture(scope="session")
-def reg_qfd(regulator, reg_struct, reg_solution, reg_lin):
-    return assemble_omega(regulator, reg_struct, reg_solution["omega"], lin=reg_lin)
+def reg_qfd(reg_lin):
+    return assemble_omega(reg_lin)
 
 
 @pytest.fixture(scope="session")

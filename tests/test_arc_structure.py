@@ -5,8 +5,8 @@ from arcshoot import problems as P
 from arcshoot.arc_structure import (
     ArcKind,
     ArcStructure,
+    arcs_of,
     detect_structure,
-    index_sets,
     read_trajectory_csv,
     write_trajectory_csv,
 )
@@ -16,17 +16,22 @@ B, BP, C, S = ArcKind.BMinus, ArcKind.BPlus, ArcKind.Constrained, ArcKind.Singul
 
 
 class TestIndexSets:
+    """arcs_of: 0-based positions, a slice for one arc, a list otherwise."""
+
     def test_bcs(self):
-        s = ArcStructure((B, C, S), (1.0, 2.0))
-        assert index_sets(s) == ([3], [2], [1], [])
+        kinds = (B, C, S)
+        assert [arcs_of(kinds, k) for k in (S, C, B)] == [slice(2, 3), slice(1, 2), slice(0, 1)]
+        assert arcs_of(kinds, BP) == []
 
     def test_single_singular(self):
-        s = ArcStructure((S,), ())
-        assert index_sets(s) == ([1], [], [], [])
+        assert arcs_of((S,), S) == slice(0, 1)
+        assert arcs_of((S,), C) == []
 
     def test_bplus_sandwich(self):
-        s = ArcStructure((BP, S, BP), (0.5, 1.5))
-        assert index_sets(s) == ([2], [], [], [1, 3])
+        kinds = (BP, S, BP)
+        assert arcs_of(kinds, BP) == [0, 2]
+        assert arcs_of(kinds, S) == slice(1, 2)
+        assert arcs_of(kinds, B) == []
 
 
 class TestInvariants:

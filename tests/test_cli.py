@@ -6,7 +6,7 @@ import pytest
 from arcshoot import problems as P
 from arcshoot.arc_structure import write_trajectory_csv
 from arcshoot.cli import main
-from arcshoot.shooting import gauss_newton, load_omega
+from arcshoot.shooting import gauss_newton, load_omega, save_omega
 
 
 def run(args):
@@ -263,6 +263,23 @@ class TestVerify:
         path.write_text(edit(json.loads((toy_bang_dir / "omega.json").read_text())))
         assert run(["verify", "--problem", "toy-bang", "--omega", path, "--out", tmp_path]) == 1
         assert f"verify: error: {path} {what}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", [[-0.5, 2.6], [1.0, 2.6], [1.2, 6.0]],
+                             ids=["outside_0_T", "moved_tau1", "past_T"])
+    def test_packed_tau_other_than_structure_tau_exits_1(self, tmp_path, capsys, tau):
+        # Only the switching times inside the packed omega differ from the
+        # analytic file's; its structure.tau stays [1.2, 2.6].
+        path = tmp_path / "omega.json"
+        save_omega(path, P.regulator_structure(), P.regulator_analytic_omega(),
+                   P.make_regulator(), 1000)
+        doc = json.loads(path.read_text())
+        doc["omega"][9:11] = tau          # after the 3 x 3 arc initial states
+        path.write_text(json.dumps(doc))
+        assert run(["verify", "--problem", "regulator", "--omega", path, "--nodes", "50",
+                    "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert (f"verify: error: {path} holds switching times [1.2, 2.6] in 'structure.tau' "
+                f"but {tau} in 'omega'") in err
 
     def test_directory_as_omega_exits_1(self, tmp_path, capsys):
         assert run(["verify", "--problem", "regulator", "--omega", tmp_path,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from arcshoot import problems as P
-from arcshoot.arc_structure import ArcKind, ArcStructure, index_sets
+from arcshoot.arc_structure import ArcKind, ArcStructure, arcs_of
 from arcshoot.errors import AssemblyError
 from arcshoot.problem_def import ProblemDef
 from arcshoot.second_order import (
@@ -190,8 +190,9 @@ def _reference_assembly(lin):
     hb = lin.HUX[-1] @ lin.B[-1]
     hess += dz.T @ lin.ell_hess @ dz + cross + cross.T + Hb.T @ (0.5 * (hb + hb.T)) @ Hb
     rows = [lin.dcons @ dz]
-    for k in index_sets(lin.struct)[1]:
-        blk = lin.arc_block(k - 1)
+    n = lin.prob.n
+    for k in np.arange(lin.struct.N)[arcs_of(lin.struct.kinds, ArcKind.Constrained)]:
+        blk = slice(k * n, (k + 1) * n)
         for i in range(m1):
             dgx = np.asarray(lin.prob.dg(lin.X[i, blk]), dtype=float)
             rows.append((dgx @ xi[i][blk, :] + dgx @ lin.B[i][blk, :] @ Yb[i])[None, :])
@@ -224,7 +225,7 @@ def _two_channel_lin(regulator, nodes=30, seed=21):
 
 class TestAssemblyEquivalence:
     def _check(self, lin):
-        qfd = assemble_omega(lin.prob, lin.struct, lin.omega, lin=lin)
+        qfd = assemble_omega(lin)
         hess, cons, gram, xi = _reference_assembly(lin)
         assert np.max(np.abs(qfd.hess - hess)) <= 1e-12 * np.max(np.abs(hess))
         np.testing.assert_array_equal(qfd.cons, cons)
@@ -235,6 +236,16 @@ class TestAssemblyEquivalence:
     def test_regulator_matches_node_loop(self, regulator, reg_struct, reg_omega_exact,
                                          nodes):
         self._check(linearized_matrices(regulator, reg_struct, reg_omega_exact, nodes))
+
+    def test_two_constrained_arcs_match_node_loop(self, regulator):
+        # B-,C,S,C,S from seeded arc starts: the constraint rows of both C
+        # arcs come from one batched dg call, the reference loops per arc.
+        struct = ArcStructure((B, C, S, C, S), (0.8, 1.7, 2.9, 4.1))
+        rng = np.random.default_rng(7)
+        omega = ShootingVector(rng.uniform(-0.5, 0.5, (5, 3)), struct.tau,
+                               rng.uniform(0.5, 1.5, (5, 3)), rng.normal(size=3),
+                               rng.normal(size=2))
+        self._check(linearized_matrices(regulator, struct, omega, 40))
 
     def test_two_channels_match_node_loop(self, regulator):
         lin = _two_channel_lin(regulator)
@@ -250,7 +261,7 @@ class TestAssemblyEquivalence:
         lin.HXX[:] = 0.0
         lin.Mmat[:] = 0.0
         lin.Rmat[:] = 0.0
-        qfd = assemble_omega(lin.prob, lin.struct, lin.omega, lin=lin)
+        qfd = assemble_omega(lin)
         rng = np.random.default_rng(22)
         c = np.zeros(qfd.ncoord)
         c[: lin.D] = rng.normal(size=lin.D)
@@ -336,8 +347,9 @@ class TestPositivity:
         # clearly positive eigenvalue halves when the grid doubles (the
         # terminal-concentration direction); the certificate is therefore
         # reported at the configured grid rather than extrapolated.
-        qfd1 = assemble_omega(regulator, reg_struct, reg_solution["omega"], nodes=100)
-        qfd2 = assemble_omega(regulator, reg_struct, reg_solution["omega"], nodes=200)
+        omega = reg_solution["omega"]
+        qfd1 = assemble_omega(linearized_matrices(regulator, reg_struct, omega, nodes=100))
+        qfd2 = assemble_omega(linearized_matrices(regulator, reg_struct, omega, nodes=200))
         e1 = _second_smallest(qfd1)
         e2 = _second_smallest(qfd2)
         assert 0.3 <= e2 / e1 <= 0.8

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from arcshoot import problems as P
 from arcshoot import shooting
-from arcshoot.arc_structure import ArcKind, ArcStructure, index_sets
+from arcshoot.arc_structure import ArcKind, ArcStructure, arcs_of
 from arcshoot.errors import (
     ArcshootError,
     MaxIterExceeded,
     RankDeficientJacobian,
 )
 from arcshoot.problem_def import (
+    BRACKET_F1_F0,
     BRACKET_F1F0_F0,
     BRACKET_F1F0_F1,
     ProblemDef,
@@ -93,10 +94,10 @@ class TestPacking:
         rng = np.random.default_rng(5)
         for _ in range(20):
             s = random_structure(rng)
-            i_s = index_sets(s)[0]
+            n_s = s.kinds.count(ArcKind.Singular)
             for n in (1, 3):
                 for q in (0, 2):
-                    assert residual_dim(s, n, q) - unknown_dim(s, n, q) == 2 * len(i_s)
+                    assert residual_dim(s, n, q) - unknown_dim(s, n, q) == 2 * n_s
 
     def test_dimension_law_on_actual_residual(self, regulator, reg_struct, reg_omega_exact):
         res = shooting_function(regulator, reg_struct, reg_omega_exact, steps=60)
@@ -230,8 +231,8 @@ def endpoint_lagrangian(prob, struct, x0, x1, psi, gamma):
     """l = phi + psi . Phi + sum_j gamma_j g(x0^{k_j}), written out on its own."""
     ends = x0[..., 0, :], x1[..., struct.N - 1, :]
     val = prob.phi(*ends) + np.einsum("...q,...q->...", psi, prob.Phi(*ends))
-    for j, k in enumerate(index_sets(struct)[1]):
-        val = val + gamma[..., j] * prob.g(x0[..., k - 1, :])
+    for j, k in enumerate(np.arange(struct.N)[arcs_of(struct.kinds, ArcKind.Constrained)]):
+        val = val + gamma[..., j] * prob.g(x0[..., k, :])
     return val
 
 
@@ -250,7 +251,7 @@ class TestEndpointGradient:
         rng = np.random.default_rng(31)
         N, n = struct.N, prob.n
         psi = rng.normal(size=prob.q)
-        gamma = rng.normal(size=len(index_sets(struct)[1]))
+        gamma = rng.normal(size=struct.kinds.count(ArcKind.Constrained))
         z = rng.uniform(-1.0, 1.0, 2 * N * n)
         split = lambda zz: (zz[..., : N * n].reshape(zz.shape[:-1] + (N, n)),
                             zz[..., N * n :].reshape(zz.shape[:-1] + (N, n)))
@@ -293,6 +294,26 @@ class TestEndpointGradient:
         np.testing.assert_array_equal(res.transversality_T, p1[1] - l1[1])
         assert np.any(l0[0] != endpoint_gradient(prob, struct, omega.x0, x1, omega.psi,
                                                  0.0 * omega.gamma)[0][0])
+
+
+class TestKindRows:
+    def test_batched_rows_match_per_arc_reference(self, regulator):
+        # B-,C,S,C,S: the entry rows of both C arcs and the two singular-entry
+        # rows of both S arcs equal one callback per arc at that arc's start.
+        prob = endpoint_problem(regulator)
+        struct = ArcStructure.from_tokens(["B-", "C", "S", "C", "S"], (0.8, 1.7, 2.9, 4.1))
+        rng = np.random.default_rng(34)
+        x0, p0 = rng.uniform(-0.5, 0.5, (5, 3)), rng.uniform(0.5, 1.5, (5, 3))
+        omega = ShootingVector(x0, struct.tau, p0, rng.normal(size=3), rng.normal(size=2))
+        res = shooting_function(prob, struct, omega, steps=50)
+        dot = lambda a, b: np.einsum("i,i->", a, b)
+        bracket = lambda x: lie_bracket(prob, BRACKET_F1_F0, x)
+        np.testing.assert_array_equal(res.constraint_entry, [prob.g(x0[1]), prob.g(x0[3])])
+        np.testing.assert_array_equal(res.singular_stationarity,
+                                      [dot(p0[k], prob.f1(x0[k])) for k in (2, 4)])
+        np.testing.assert_array_equal(res.singular_rate,
+                                      [dot(p0[k], bracket(x0[k])) for k in (2, 4)])
+        assert len(set(res.constraint_entry)) == len(set(res.singular_rate)) == 2
 
 
 def _affine_problem():

@@ -13,7 +13,7 @@ from arcshoot.errors import (
 )
 from arcshoot.problem_def import ProblemDef, gamma_control
 from arcshoot.tp_dynamics import (
-    arc_control,
+    arc_controls,
     arc_hamiltonian,
     arc_rhs,
     constraint_multiplier_density,
@@ -70,28 +70,37 @@ def _scalar_growth_problem():
     )
 
 
+def _control(prob, kind, x, p):
+    """arc_controls of the one-arc structure ``(kind,)`` at states x and costates p (..., n)."""
+    x, p = np.asarray(x, dtype=float)[..., None, :], np.asarray(p, dtype=float)[..., None, :]
+    return arc_controls(prob, (kind,), x, p, prob.f0(x), prob.f1(x))[..., 0]
+
+
 class TestArcControl:
     def test_bang_values(self, regulator):
         x, p = np.zeros(3), np.zeros(3)
-        assert arc_control(regulator, B, x, p) == -1.0
-        assert arc_control(regulator, ArcKind.BPlus, x, p) == 1.0
+        assert _control(regulator, B, x, p) == -1.0
+        assert _control(regulator, ArcKind.BPlus, x, p) == 1.0
 
     def test_constrained_feedback(self, regulator):
-        assert arc_control(regulator, C, np.array([0.3, -0.2, 0.1]), np.zeros(3)) == 0.0
+        assert _control(regulator, C, np.array([0.3, -0.2, 0.1]), np.zeros(3)) == 0.0
 
     def test_singular_recovers_x1(self, regulator):
         x = np.array([0.17, -0.17, 0.5])
         p = np.array([0.17, 0.0, 1.0])
-        assert arc_control(regulator, S, x, p) == pytest.approx(0.17, abs=1e-14)
+        assert _control(regulator, S, x, p) == pytest.approx(0.17, abs=1e-14)
 
     def test_singular_guard(self, regulator):
         with pytest.raises(SingularDenominatorError):
-            arc_control(regulator, S, np.zeros(3), np.array([1.0, 1.0, 0.0]))
+            _control(regulator, S, np.zeros(3), np.array([1.0, 1.0, 0.0]))
 
     def test_missing_bound_rejected(self, regulator):
         unbounded = dataclasses.replace(regulator, u_min=None)
-        with pytest.raises(ConfigurationError):
-            arc_control(unbounded, B, np.zeros(3), np.zeros(3))
+        with pytest.raises(ConfigurationError, match="B- arc with absent lower bound"):
+            _control(unbounded, B, np.zeros(3), np.zeros(3))
+        unbounded = dataclasses.replace(regulator, u_max=None)
+        with pytest.raises(ConfigurationError, match="B\\+ arc with absent upper bound"):
+            _control(unbounded, ArcKind.BPlus, np.zeros(3), np.zeros(3))
 
 
 class TestArcRhs:
@@ -165,7 +174,7 @@ class TestBatchGuards:
         p = np.ones((2, 3, 3))
         p[1, 0, 2] = 0.0                       # p [[f1,f0],f1] = -p3
         with pytest.raises(SingularDenominatorError) as err:
-            arc_control(regulator, S, x, p)
+            _control(regulator, S, x, p)
         np.testing.assert_array_equal(err.value.x, x[1, 0])
 
     def test_multiplier_density(self):
