@@ -75,7 +75,7 @@ MULTI_ARC = (
     "from arcshoot.arc_structure import ArcStructure\n"
     "from arcshoot.shooting import (ShootingVector, fd_jacobian, shooting_function,\n"
     "                               validate_solution)\n"
-    "from arcshoot.tp_dynamics import propagate_solution, write_tp_csv\n"
+    "from arcshoot.tp_dynamics import propagate_arc, write_tp_csv\n"
     "prob = P.make_regulator()\n"
     "for tokens in (['B-', 'S', 'C', 'S', 'B+'], ['B-', 'C', 'S', 'C', 'S']):\n"
     "    out = Path(sys.argv[1]) / ''.join(tokens)\n"
@@ -85,7 +85,7 @@ MULTI_ARC = (
     "    x0, p0 = rng.uniform(-0.5, 0.5, (5, 3)), rng.uniform(0.5, 1.5, (5, 3))\n"
     "    gamma = rng.normal(size=tokens.count('C'))\n"
     "    omega = ShootingVector(x0, struct.tau, p0, rng.normal(size=3), gamma)\n"
-    "    traj = propagate_solution(prob, struct, omega, 60)\n"
+    "    traj = propagate_arc(prob, struct.kinds, omega.tau, omega.x0, omega.p0, 60)\n"
     "    write_tp_csv(out / 'trajectory.csv', traj)\n"
     "    doc = validate_solution(prob, struct, traj).to_json_dict()\n"
     "    (out / 'validation.json').write_text(json.dumps(doc, indent=1, sort_keys=True) + '\\n')\n"

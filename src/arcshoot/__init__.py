@@ -19,10 +19,8 @@ from .tp_dynamics import (
     TPTrajectory,
     arc_controls,
     arc_hamiltonian,
-    arc_rhs,
     constraint_multiplier_density,
     propagate_arc,
-    propagate_solution,
 )
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "TPTrajectory",
     "arc_controls",
     "arc_hamiltonian",
-    "arc_rhs",
     "arcs_of",
     "assemble_omega",
     "check_first_order",
@@ -53,7 +50,6 @@ __all__ = [
     "load_omega",
     "problem_names",
     "propagate_arc",
-    "propagate_solution",
     "save_omega",
     "shooting_function",
     "validate_solution",

@@ -232,13 +232,18 @@ def read_trajectory_csv(path) -> tuple:
 
 def write_trajectory_csv(path, t, u, x) -> None:
     """Write the `t,u,x1,...,xn` format consumed by detect_structure."""
-    t = np.asarray(t, dtype=float)
-    u = np.asarray(u, dtype=float)
-    x = np.asarray(x, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "u"] + [f"x{i + 1}" for i in range(x.shape[1])])
-        for i in range(t.size):
-            writer.writerow(
-                [f"{t[i]:.9g}", f"{u[i]:.9g}"] + [f"{v:.9g}" for v in x[i]]
-            )
+    rows = np.column_stack([t, u, x]).astype(float)
+    write_csv(path, ["t", "u"] + [f"x{i + 1}" for i in range(rows.shape[1] - 2)], [((), rows)])
+
+
+def write_csv(path, header, blocks) -> None:
+    """Write ``header`` and LF-ended rows, numbers with 9 significant digits.
+
+    ``blocks`` yields (labels, values): the text fields ``labels`` lead each
+    row of the 2-D array ``values``.
+    """
+    lines = [",".join(header)]
+    for labels, values in blocks:
+        lines += [",".join([*labels, *(f"{v:.9g}" for v in row)]) for row in values]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

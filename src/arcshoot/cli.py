@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import sys
 from pathlib import Path
 
@@ -32,6 +31,7 @@ from .shooting import (
     read_json_object,
     save_omega,
     validate_solution,
+    write_json,
 )
 from .tp_dynamics import write_tp_csv
 from . import problems as builtin_problems
@@ -50,12 +50,6 @@ def _round9(obj):
     if isinstance(obj, np.integer):
         return int(obj)
     return obj
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(_round9(doc), fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def resolve_problem(spec: str) -> ProblemDef:
@@ -188,7 +182,7 @@ def cmd_solve(cfg, out_dir, prob) -> int:
         print(f"solve: {exc}", file=sys.stderr)
         doc = {"problem": cfg["problem"], "converged": False,
                "gauss_newton": exc.report.to_json_dict() if exc.report else None}
-        _write_json(out_dir / "report.json", doc)
+        write_json(out_dir / "report.json", _round9(doc))
         return 1
 
     struct = struct.with_tau(omega.tau)  # solved switching times out of order are an error
@@ -206,7 +200,7 @@ def cmd_solve(cfg, out_dir, prob) -> int:
         "gauss_newton": report.to_json_dict(),
         "validation": validation.to_json_dict(),
     }
-    _write_json(out_dir / "report.json", doc)
+    write_json(out_dir / "report.json", _round9(doc))
     print(
         f"solve: converged={report.converged} cost={doc['cost']:.9g} "
         f"tau={[f'{t:.9g}' for t in doc['tau']]} |S|_inf={report.final_residual:.3e}"
@@ -229,7 +223,7 @@ def cmd_detect(cfg, out_dir, prob) -> int:
     struct = detect_structure(prob, t, u, x, min_arc_len=cfg.get("min_arc_len"))
     doc = {"kinds": struct.tokens(), "tau": [float(v) for v in struct.tau]}
     doc.update(doc_extra)
-    _write_json(out_dir / "structure.json", doc)
+    write_json(out_dir / "structure.json", _round9(doc))
     print(f"detect: {','.join(struct.tokens())} tau={[f'{v:.9g}' for v in struct.tau]}")
     return 0
 
@@ -239,7 +233,7 @@ def cmd_verify(cfg, out_dir, prob) -> int:
     struct, omega, _ = load_omega(omega_path, prob)
     qfd = assemble_omega(linearized_matrices(prob, struct, omega, cfg.get("nodes", 200)))
     report = check_positivity(qfd)
-    _write_json(out_dir / "positivity.json", report.to_json_dict())
+    write_json(out_dir / "positivity.json", _round9(report.to_json_dict()))
     print(
         f"verify: c_est={report.c_est:.9g} nullspace_dim={report.nullspace_dim} "
         f"pass={report.passed}"

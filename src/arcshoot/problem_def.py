@@ -11,7 +11,7 @@ finite-difference stencil in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -207,7 +207,6 @@ class FirstOrderReport:
     guard: float
     passed: bool
     worst_index: Optional[int] = None
-    values: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def check_first_order(prob: ProblemDef, xs) -> FirstOrderReport:
@@ -229,5 +228,4 @@ def check_first_order(prob: ProblemDef, xs) -> FirstOrderReport:
         guard=guard,
         passed=bool(vals[worst] >= guard),
         worst_index=worst,
-        values=vals,
     )

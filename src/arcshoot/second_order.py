@@ -37,7 +37,7 @@ from .arc_structure import ArcKind, ArcStructure, arcs_of
 from .errors import AssemblyError
 from .problem_def import ProblemDef, central_diff, fd_steps
 from .shooting import ShootingVector, constraint_rows, endpoint_gradient
-from .tp_dynamics import arc_field, durations, propagate_solution, rk4
+from .tp_dynamics import arc_field, durations, propagate_arc, rk4
 
 POSITIVITY_MARGIN = 1e-6
 
@@ -140,11 +140,11 @@ def linearized_matrices(
     ``nodes`` is the number of grid cells per arc (the shared normalized
     grid has nodes + 1 points).
     """
-    struct.validate(prob)
+    struct.with_tau(omega.tau).validate(prob)
     N, n = struct.N, prob.n
     D = N * n + N - 1
     S = struct.kinds.count(ArcKind.Singular)
-    traj = propagate_solution(prob, struct, omega, nodes)
+    traj = propagate_arc(prob, struct.kinds, omega.tau, omega.x0, omega.p0, nodes)
     m1 = nodes + 1
 
     tau = np.broadcast_to(omega.tau, (m1, N - 1))
@@ -199,7 +199,7 @@ def _endpoint_derivatives(prob, struct, omega, X0, X1):
         flat = lambda l: l.reshape(z.shape[:-1] + (-1,))
         tau = np.zeros(z.shape[:-1] + (struct.N - 1,))
         return np.concatenate([flat(l0), tau, flat(l1), tau,
-                               constraint_rows(prob, struct, x0, x1)], axis=-1)
+                               *constraint_rows(prob, struct, x0, x1)], axis=-1)
 
     z = np.concatenate([X0, X1])
     J = central_diff(rows, z, fd_steps(z))
@@ -235,13 +235,9 @@ class QuadraticFormData:
         """Grid cells per arc."""
         return self.xi_basis.shape[0] - 1
 
-    def y_slice(self, channel: int) -> slice:
-        D = self.lin.D
-        m1 = self.lin.s.size
-        return slice(D + channel * m1, D + (channel + 1) * m1)
-
     def h_index(self, channel: int) -> int:
-        return self.y_slice(channel).stop - 1
+        """Coordinate of the terminal shift h of ``channel``: its last Y sample."""
+        return self.lin.D + (channel + 1) * self.lin.s.size - 1
 
     def split(self, coords: np.ndarray):
         """Coordinates -> (Xi0, Y_nodes (M+1, S), h (S,))."""

@@ -149,7 +149,7 @@ def steps_per_arc(struct: ArcStructure, steps: int) -> int:
 
 
 def constraint_rows(prob, struct, x0, x1):
-    """Endpoint map, constrained-arc entry values and state continuity, (..., rows).
+    """Endpoint map, constrained-arc entry values and state continuity, (..., rows) each.
 
     ``x0`` and ``x1`` hold the initial and terminal states of every arc,
     (..., N, n).  These are the first three residual blocks, and the
@@ -158,11 +158,8 @@ def constraint_rows(prob, struct, x0, x1):
     N, n = struct.N, prob.n
     xc = x1[..., : N - 1, :] - x0[..., 1:, :]
     entry = x0[..., arcs_of(struct.kinds, ArcKind.Constrained), :]
-    return np.concatenate(
-        [np.asarray(prob.Phi(x0[..., 0, :], x1[..., N - 1, :]), dtype=float),
-         np.asarray(prob.g(entry), dtype=float), xc.reshape(xc.shape[:-2] + (n * (N - 1),))],
-        axis=-1,
-    )
+    return [np.asarray(prob.Phi(x0[..., 0, :], x1[..., N - 1, :]), dtype=float),
+            np.asarray(prob.g(entry), dtype=float), xc.reshape(xc.shape[:-2] + (n * (N - 1),))]
 
 
 def endpoint_gradient(prob, struct, x0, x1, psi, gamma):
@@ -187,31 +184,34 @@ def endpoint_gradient(prob, struct, x0, x1, psi, gamma):
     return l0, l1
 
 
-def _assemble(prob, struct, x0, tau, p0, psi, gamma, x1, p1):
-    """Stack the residual blocks; works for single and batched leading axes."""
-    N, n = struct.N, prob.n
+def _assemble(prob, struct, flats, x1, p1):
+    """The residual blocks, in :class:`ShootingResidual` field order, (..., rows) each.
+
+    ``flats`` are packed vectors (..., m) whose arcs end at (x1, p1).  A
+    one-arc structure has an empty Hamiltonian-continuity block.
+    """
+    N, n, kinds = struct.N, prob.n, struct.kinds
+    x0, _, p0, psi, gamma = _unpack_batch(flats, N, n, prob.q)
     l0, l1 = endpoint_gradient(prob, struct, x0, x1, psi, gamma)
     jumps = p1[..., :-1, :] - p0[..., 1:, :] - l0[..., 1:, :]
-    blocks = [constraint_rows(prob, struct, x0, x1), p0[..., 0, :] + l0[..., 0, :],
-              jumps.reshape(jumps.shape[:-2] + (n * (N - 1),)),
-              p1[..., N - 1, :] - l1[..., N - 1, :]]
-    if N > 1:
-        kinds = struct.kinds
-        blocks.append(arc_hamiltonian(prob, kinds[:-1], x1[..., :-1, :], p1[..., :-1, :])
-                      - arc_hamiltonian(prob, kinds[1:], x0[..., 1:, :], p0[..., 1:, :]))
-    s = arcs_of(struct.kinds, ArcKind.Singular)
+    ham = (arc_hamiltonian(prob, kinds[:-1], x1[..., :-1, :], p1[..., :-1, :])
+           - arc_hamiltonian(prob, kinds[1:], x0[..., 1:, :], p0[..., 1:, :])
+           if N > 1 else np.empty(x1.shape[:-2] + (0,)))
+    s = arcs_of(kinds, ArcKind.Singular)
     xs, ps = x0[..., s, :], p0[..., s, :]
-    blocks += [np.einsum("...i,...i->...", ps, prob.f1(xs)),
-               np.einsum("...i,...i->...", ps, lie_bracket(prob, BRACKET_F1_F0, xs))]
-    return np.concatenate(blocks, axis=-1)
+    blocks = [*constraint_rows(prob, struct, x0, x1), p0[..., 0, :] + l0[..., 0, :],
+              jumps.reshape(jumps.shape[:-2] + (n * (N - 1),)),
+              p1[..., N - 1, :] - l1[..., N - 1, :], ham,
+              np.einsum("...i,...i->...", ps, prob.f1(xs)),
+              np.einsum("...i,...i->...", ps, lie_bracket(prob, BRACKET_F1_F0, xs))]
+    if not all(np.all(np.isfinite(b)) for b in blocks):
+        raise NonFiniteResidual("shooting residual contains non-finite entries")
+    return blocks
 
 
 def _residual(prob, struct, flats, x1, p1):
     """Stacked residual of packed vectors (..., m) whose arcs end at (x1, p1)."""
-    r = _assemble(prob, struct, *_unpack_batch(flats, struct.N, prob.n, prob.q), x1, p1)
-    if not np.all(np.isfinite(r)):
-        raise NonFiniteResidual("shooting residual contains non-finite entries")
-    return r
+    return np.concatenate(_assemble(prob, struct, flats, x1, p1), axis=-1)
 
 
 def _residual_flat_batch(prob, struct, flats, M):
@@ -232,7 +232,7 @@ def shooting_function(
     prob: ProblemDef, struct: ArcStructure, omega: ShootingVector, steps: int = 1000
 ) -> ShootingResidual:
     """Evaluate the residual blocks at omega with the given total step count."""
-    struct.validate(prob)
+    struct.with_tau(omega.tau).validate(prob)
     M = steps_per_arc(struct, steps)
     flat = omega.pack()
     if flat.size != unknown_dim(struct, prob.n, prob.q):
@@ -240,16 +240,8 @@ def shooting_function(
             f"omega has {flat.size} entries, structure expects "
             f"{unknown_dim(struct, prob.n, prob.q)}"
         )
-    r = _residual_flat_batch(prob, struct, flat, M)
-    return _split_residual(prob, struct, r)
-
-
-def _split_residual(prob, struct, r) -> ShootingResidual:
-    N, n, q = struct.N, prob.n, prob.q
-    n_c, n_s = (struct.kinds.count(kind) for kind in (ArcKind.Constrained, ArcKind.Singular))
-    sizes = [q, n_c, n * (N - 1), n, n * (N - 1), n, N - 1, n_s, n_s]
-    parts = np.split(r, np.cumsum(sizes)[:-1])
-    return ShootingResidual(*parts)
+    ends = propagate_endpoint(prob, struct.kinds, omega.tau, omega.x0, omega.p0, M)
+    return ShootingResidual(*_assemble(prob, struct, flat, *ends))
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +277,8 @@ class ConvergenceReport:
     stalled: bool = False
     n_iter: int = 0
     final_residual: float = np.inf
-    final_residual2: float = np.inf
     jacobian_rank: int = 0
     smallest_singular_value: float = 0.0
-    singular_values: np.ndarray = field(default_factory=lambda: np.empty(0))
     order_estimate: float = float("nan")
     trajectory: TPTrajectory = None   # grid of the last iterate (the one returned); not in JSON
 
@@ -343,7 +333,7 @@ def gauss_newton(
     is not met and :class:`RankDeficientJacobian` when the final Jacobian
     loses full column rank.
     """
-    struct.validate(prob)
+    struct.with_tau(omega0.tau).validate(prob)
     M = steps_per_arc(struct, steps)
     flat = omega0.pack().copy()
     m = flat.size
@@ -353,11 +343,9 @@ def gauss_newton(
 
     r, traj = _residual_and_grid(prob, struct, flat, M)
     best = (np.linalg.norm(r, np.inf), flat.copy())
-    converged = False
     for _ in range(max_iter):
         rinf = np.linalg.norm(r, np.inf)
         if rinf <= tol:
-            converged = True
             break
         J = fd_jacobian(prob, struct, unpack(flat), steps)
         step, _, _ = _minimum_norm_step(J, r)
@@ -387,21 +375,18 @@ def gauss_newton(
         if step_norm <= STEP_FLOOR:
             break
     rinf = float(np.linalg.norm(r, np.inf))
-    converged = converged or rinf <= tol
 
     omega_star = unpack(flat)
     J = fd_jacobian(prob, struct, omega_star, steps)
     _, svals, rank = _minimum_norm_step(J, r)
-    report.converged = converged
+    report.converged = rinf <= tol
     report.final_residual = rinf
-    report.final_residual2 = float(np.linalg.norm(r))
     report.jacobian_rank = rank
-    report.singular_values = svals
     report.smallest_singular_value = float(svals[-1]) if svals.size else 0.0
     report.order_estimate = _order_estimate(report.residual_history)
     report.trajectory = traj
 
-    if not converged:
+    if not report.converged:
         raise MaxIterExceeded(
             f"no convergence after {report.n_iter} iterations, best |S|_inf = {best[0]:.3e}",
             omega=unpack(best[1]),
@@ -520,6 +505,11 @@ def save_omega(path, struct: ArcStructure, omega: ShootingVector, prob: ProblemD
             "steps": steps,
         },
     }
+    write_json(path, doc)
+
+
+def write_json(path, doc: dict) -> None:
+    """Write ``doc`` with one-space indents, sorted keys and a final newline."""
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arc_structure import ArcKind, ArcStructure, arcs_of
+from .arc_structure import ArcKind, arcs_of, write_csv
 from .errors import (ConfigurationError, FirstOrderViolation, NonFiniteState,
                      SingularDenominatorError)
 from .problem_def import (
@@ -93,13 +93,6 @@ def arc_field(prob: ProblemDef, kinds, x: np.ndarray, costate: np.ndarray, singu
     return v, hx
 
 
-def arc_rhs(prob: ProblemDef, kinds, dts, x: np.ndarray, costate: np.ndarray):
-    """Coupled rates (dx, dp) = dt_k (v, -D_x H) of the rescaled arcs; ``dts`` is (..., N)."""
-    v, hx = arc_field(prob, kinds, x, costate)
-    dts = np.asarray(dts, dtype=float)[..., None]
-    return dts * v, -dts * hx
-
-
 def arc_hamiltonian(prob: ProblemDef, kinds, x: np.ndarray, costate: np.ndarray):
     """H = p (f0 + w f1) of every arc with its control rule, (..., N)."""
     v, _ = arc_field(prob, kinds, x, costate)
@@ -145,9 +138,13 @@ def _arc_nodes(prob, kinds, tau, x0, p0, M):
     """RK4 nodes of the stacked (x, p) system of all arcs, step 1/M, as a generator."""
     if M < 1:
         raise ConfigurationError(f"step count must be >= 1, got {M}")
-    n, dts = prob.n, durations(tau, prob.T)
-    rate = lambda i, c, y: np.concatenate(arc_rhs(prob, kinds, dts, y[..., :n], y[..., n:]),
-                                          axis=-1)
+    n, dts = prob.n, durations(tau, prob.T)[..., None]
+
+    def rate(i, c, y):
+        """Coupled rates dt_k (v, -D_x H) of the rescaled arcs."""
+        v, hx = arc_field(prob, kinds, y[..., :n], y[..., n:])
+        return np.concatenate([dts * v, -dts * hx], axis=-1)
+
     y0 = np.concatenate(np.broadcast_arrays(np.asarray(x0, dtype=float),
                                             np.asarray(p0, dtype=float)), axis=-1)
     return rk4(rate, y0, M, 1.0 / M)
@@ -209,22 +206,13 @@ def propagate_endpoint(prob, kinds, tau, x0, p0, M):
     return y[..., : prob.n], y[..., prob.n :]
 
 
-def propagate_solution(prob: ProblemDef, struct: ArcStructure, omega, M: int) -> TPTrajectory:
-    """Propagate a shooting vector: arc kinds from the structure, times from omega."""
-    struct.with_tau(omega.tau)  # switching times out of order are an error
-    return propagate_arc(prob, struct.kinds, omega.tau, omega.x0, omega.p0, M)
-
-
 def write_tp_csv(path, traj: TPTrajectory) -> None:
     """Export `arc,k,s,t,u,x1..xn,p1..pn` with t mapped back to original time."""
     n = traj.x.shape[-1]
     header = ["arc", "k", "s", "t", "u"]
     header += [f"x{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
-    lines = [",".join(header)]
     t = traj.times()
-    for k, kind in enumerate(traj.kinds):
-        rows = np.column_stack([traj.s, t[:, k], traj.w[:, k], traj.x[:, k], traj.p[:, k]])
-        lines += [",".join([kind.value, str(k + 1)] + [f"{v:.9g}" for v in row])
-                  for row in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, header, [
+        ((kind.value, str(k + 1)),
+         np.column_stack([traj.s, t[:, k], traj.w[:, k], traj.x[:, k], traj.p[:, k]]))
+        for k, kind in enumerate(traj.kinds)])

@@ -8,7 +8,7 @@ from arcshoot.arc_structure import ArcKind, ArcStructure
 from arcshoot.direct_init import DirectSolveConfig, direct_solve
 from arcshoot.second_order import assemble_omega, linearized_matrices
 from arcshoot.shooting import ShootingVector, gauss_newton
-from arcshoot.tp_dynamics import propagate_solution
+from arcshoot.tp_dynamics import propagate_arc
 
 PERTURB_SEED = 20240817
 
@@ -84,4 +84,4 @@ def multi_arc(regulator):
     x0 = rng.uniform(-0.5, 0.5, (struct.N, 3))
     p0 = rng.uniform(0.5, 1.5, (struct.N, 3))   # p3 > 0 keeps S arcs off their guard
     omega = ShootingVector(x0, struct.tau, p0, np.zeros(3), np.zeros(1))
-    return struct, propagate_solution(regulator, struct, omega, 60)
+    return struct, propagate_arc(regulator, struct.kinds, omega.tau, omega.x0, omega.p0, 60)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import arcshoot
 from arcshoot import problems as P
 from arcshoot.arc_structure import write_trajectory_csv
 from arcshoot.cli import main
@@ -188,6 +189,25 @@ class TestDetect:
         assert doc["kinds"] == ["B-", "C", "S"]
         assert abs(doc["tau"][0] - 1.2) <= 0.01 and abs(doc["tau"][1] - 2.6) <= 0.01
 
+    def test_csv_files_end_lines_with_lf(self, tmp_path, solved_dir):
+        # Both CSV files end their lines with LF; the detect --from-csv
+        # structure of the direct trajectory is that of its CRLF copy.
+        assert run(["detect", "--problem", "regulator", "--grid", "40",
+                    "--direct-iters", "100", "--out", tmp_path]) == 0
+        direct = (tmp_path / "direct_trajectory.csv").read_bytes()
+        assert b"\r" not in direct
+        assert b"\r" not in (solved_dir / "trajectory.csv").read_bytes()
+        (tmp_path / "crlf.csv").write_bytes(direct.replace(b"\n", b"\r\n"))
+        docs = []
+        for name in ("direct_trajectory.csv", "crlf.csv"):
+            out = tmp_path / name.replace(".", "_")
+            assert run(["detect", "--problem", "regulator", "--from-csv", tmp_path / name,
+                        "--out", out]) == 0
+            docs.append(_without(json.loads((out / "structure.json").read_text()), "source"))
+        assert docs[0] == docs[1]
+        detected = json.loads((tmp_path / "structure.json").read_text())
+        assert docs[0] == {k: detected[k] for k in ("kinds", "tau")}
+
     def test_empty_csv_fails(self, tmp_path):
         csv_path = tmp_path / "empty.csv"
         csv_path.write_text("t,u,x1,x2,x3\n")
@@ -289,3 +309,8 @@ class TestVerify:
     def test_missing_omega_exits_1(self, tmp_path):
         assert run(["verify", "--problem", "regulator",
                     "--omega", tmp_path / "none.json", "--out", tmp_path]) == 1
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in arcshoot.__all__ if not hasattr(arcshoot, name)]
+    assert not missing and len(set(arcshoot.__all__)) == len(arcshoot.__all__)

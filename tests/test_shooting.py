@@ -10,6 +10,7 @@ from arcshoot import shooting
 from arcshoot.arc_structure import ArcKind, ArcStructure, arcs_of
 from arcshoot.errors import (
     ArcshootError,
+    ConfigurationError,
     MaxIterExceeded,
     RankDeficientJacobian,
 )
@@ -23,6 +24,7 @@ from arcshoot.problem_def import (
     gamma_gradient,
     lie_bracket,
 )
+from arcshoot.second_order import linearized_matrices
 from arcshoot.shooting import (
     ShootingVector,
     _minimum_norm_step,
@@ -44,7 +46,6 @@ from arcshoot.tp_dynamics import (
     durations,
     legendre_clebsch_value,
     propagate_arc,
-    propagate_solution,
 )
 from conftest import perturbed_start
 from test_tp_dynamics import _curved
@@ -434,6 +435,24 @@ class TestBatchIndependence:
                 batch[i], _residual_flat_batch(regulator, reg_struct, flats[i], M))
 
 
+class TestPackedTau:
+    """The entry points check the switching times they compute with, omega.tau."""
+
+    @pytest.mark.parametrize("tau", [[-0.5, 2.6], [1.2, 6.0], [2.6, 1.2]],
+                             ids=["outside_0_T", "past_T", "out_of_order"])
+    @pytest.mark.parametrize("entry", [
+        lambda prob, struct, omega: linearized_matrices(prob, struct, omega, 40),
+        lambda prob, struct, omega: shooting_function(prob, struct, omega, 120),
+        lambda prob, struct, omega: gauss_newton(prob, struct, omega, 120),
+    ], ids=["linearized_matrices", "shooting_function", "gauss_newton"])
+    def test_invalid_packed_tau_raises(self, regulator, reg_struct, reg_omega_exact, entry,
+                                       tau):
+        # The structure's own times stay the valid [1.2, 2.6].
+        ref = reg_omega_exact
+        with pytest.raises(ConfigurationError, match="switching times"):
+            entry(regulator, reg_struct, ShootingVector(ref.x0, tau, ref.p0, ref.psi, ref.gamma))
+
+
 class TestGaussNewtonCore:
     def test_affine_residual_single_step(self):
         # F(y) = (y - 1, 2 (y - 1)) has Jacobian (1, 2): one exact step.
@@ -498,7 +517,8 @@ class TestGaussNewtonCore:
                             lambda *a: passes.append(a) or one_row(*a))
         omega, report = gauss_newton(regulator, reg_struct, omega0, steps=300)
         assert len(passes) > report.n_iter + 1
-        ref = propagate_solution(regulator, reg_struct, omega, steps_per_arc(reg_struct, 300))
+        ref = propagate_arc(regulator, reg_struct.kinds, omega.tau, omega.x0, omega.p0,
+                            steps_per_arc(reg_struct, 300))
         got = report.trajectory
         np.testing.assert_array_equal(got.tau, ref.tau)
         assert got.T == ref.T and got.kinds == ref.kinds
@@ -514,8 +534,9 @@ class TestGaussNewtonCore:
 
 class TestValidation:
     def test_regulator_solution_passes(self, regulator, reg_struct, reg_solution):
-        traj = propagate_solution(regulator, reg_struct, reg_solution["omega"],
-                                  steps_per_arc(reg_struct, 1000))
+        omega = reg_solution["omega"]
+        traj = propagate_arc(regulator, reg_struct.kinds, omega.tau, omega.x0, omega.p0,
+                             steps_per_arc(reg_struct, 1000))
         rep = validate_solution(regulator, reg_struct, traj)
         assert rep.passed, [c.name for c in rep.checks if not c.passed]
         jump = {c.name: c for c in rep.checks}["control_jump_at_cs_junctions"]

@@ -14,13 +14,12 @@ from arcshoot.errors import (
 from arcshoot.problem_def import ProblemDef, gamma_control
 from arcshoot.tp_dynamics import (
     arc_controls,
+    arc_field,
     arc_hamiltonian,
-    arc_rhs,
     constraint_multiplier_density,
     durations,
     propagate_arc,
     propagate_endpoint,
-    propagate_solution,
     write_tp_csv,
 )
 
@@ -43,8 +42,14 @@ def _endpoint(prob, kind, dt, x0, p0, M):
 
 
 def _rhs(prob, kind, dt, x, p):
-    dx, dp = arc_rhs(prob, (kind,), [dt], x[..., None, :], p[..., None, :])
-    return dx[..., 0, :], dp[..., 0, :]
+    """Coupled rates dt (v, -D_x H) of one arc of duration dt."""
+    v, hx = arc_field(prob, (kind,), x[..., None, :], p[..., None, :])
+    return dt * v[..., 0, :], -dt * hx[..., 0, :]
+
+
+def _starts(omega):
+    """(tau, x0, p0) of a shooting vector, the propagators' arguments."""
+    return omega.tau, omega.x0, omega.p0
 
 
 def _ham(prob, kind, x, p):
@@ -229,7 +234,7 @@ class TestPropagate:
         assert np.max(np.abs(gvals)) <= 1e-8
 
     def test_singular_feedback_consistency(self, regulator, reg_struct, reg_omega_exact):
-        traj = propagate_solution(regulator, reg_struct, reg_omega_exact, 300)
+        traj = propagate_arc(regulator, reg_struct.kinds, *_starts(reg_omega_exact), 300)
         x, p, w = traj.x[:, 2], traj.p[:, 2], traj.w[:, 2]
         from arcshoot.problem_def import BRACKET_F1F0_F0, BRACKET_F1F0_F1, lie_bracket
 
@@ -267,7 +272,7 @@ class TestNonFinite:
 
 
 class TestCallbackCounts:
-    """One arc_rhs evaluates each regulator callback it needs once."""
+    """One arc_field call evaluates each regulator callback it needs once."""
 
     @pytest.mark.parametrize("kind, x, p, calls", [
         (B, [0.3, 0.5, 0.1], [0.2, 0.1, 1.0], 4),
@@ -304,7 +309,7 @@ class TestHamiltonian:
         assert _ham(regulator, C, x, p) == pytest.approx(expect)
 
     def test_constant_along_arcs_and_junctions(self, regulator, reg_struct, reg_omega_exact):
-        traj = propagate_solution(regulator, reg_struct, reg_omega_exact, 300)
+        traj = propagate_arc(regulator, reg_struct.kinds, *_starts(reg_omega_exact), 300)
         values = []
         for k, kind in enumerate(traj.kinds):
             h = np.array([_ham(regulator, kind, x, p)
@@ -334,7 +339,7 @@ class TestMultiplierDensity:
 
 class TestExport:
     def test_csv_schema(self, tmp_path, regulator, reg_struct, reg_omega_exact):
-        traj = propagate_solution(regulator, reg_struct, reg_omega_exact, 5)
+        traj = propagate_arc(regulator, reg_struct.kinds, *_starts(reg_omega_exact), 5)
         path = tmp_path / "tp.csv"
         write_tp_csv(path, traj)
         lines = path.read_text().strip().splitlines()
