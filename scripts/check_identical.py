@@ -30,6 +30,9 @@ one subprocess per step:
   trajectory over 60 steps per arc as ``trajectory.csv``, a full-precision
   validation JSON, and the full-precision residual and FD Jacobian at the
   same grid, so that repeated arc kinds and their residual rows are covered.
+  The same four files again for ``make_regulator_fd_brackets`` (subdirectories
+  prefixed ``fd_``), so that the finite-difference second-level brackets and
+  feedback gradient on repeated S and C arcs are covered too.
 
 The exit code of every step goes into ``exit_codes.json``.  The script then
 compares every output file of the two trees byte for byte, lists each one
@@ -68,7 +71,7 @@ SAVE_PERTURBED = (
 )
 
 MULTI_ARC = (
-    "import json, sys\n"
+    "import itertools, json, sys\n"
     "from pathlib import Path\n"
     "import numpy as np\n"
     "from arcshoot import problems as P\n"
@@ -76,9 +79,11 @@ MULTI_ARC = (
     "from arcshoot.shooting import (ShootingVector, fd_jacobian, shooting_function,\n"
     "                               validate_solution)\n"
     "from arcshoot.tp_dynamics import propagate_arc, write_tp_csv\n"
-    "prob = P.make_regulator()\n"
-    "for tokens in (['B-', 'S', 'C', 'S', 'B+'], ['B-', 'C', 'S', 'C', 'S']):\n"
-    "    out = Path(sys.argv[1]) / ''.join(tokens)\n"
+    "for (tag, make), tokens in itertools.product(\n"
+    "        [('', P.make_regulator), ('fd_', P.make_regulator_fd_brackets)],\n"
+    "        [['B-', 'S', 'C', 'S', 'B+'], ['B-', 'C', 'S', 'C', 'S']]):\n"
+    "    prob = make()\n"
+    "    out = Path(sys.argv[1]) / (tag + ''.join(tokens))\n"
     "    out.mkdir()\n"
     "    struct = ArcStructure.from_tokens(tokens, (0.8, 1.7, 2.9, 4.1))\n"
     "    rng = np.random.default_rng(3)\n"

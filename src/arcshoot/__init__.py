@@ -2,7 +2,8 @@
 
 from .arc_structure import ArcKind, ArcStructure, arcs_of, detect_structure
 from .direct_init import DirectSolveConfig, direct_solve
-from .problem_def import ProblemDef, check_first_order, gamma_control, gamma_gradient, lie_bracket
+from .problem_def import (ProblemDef, bracket_f1_f0, check_first_order, gamma_control,
+                          gamma_gradient, second_brackets)
 from .problems import get_problem, problem_names
 from .second_order import assemble_omega, check_positivity, linearized_matrices
 from .shooting import (
@@ -35,6 +36,7 @@ __all__ = [
     "arc_hamiltonian",
     "arcs_of",
     "assemble_omega",
+    "bracket_f1_f0",
     "check_first_order",
     "check_positivity",
     "constraint_multiplier_density",
@@ -45,12 +47,12 @@ __all__ = [
     "gamma_gradient",
     "gauss_newton",
     "get_problem",
-    "lie_bracket",
     "linearized_matrices",
     "load_omega",
     "problem_names",
     "propagate_arc",
     "save_omega",
+    "second_brackets",
     "shooting_function",
     "validate_solution",
 ]

@@ -76,12 +76,17 @@ def _merge_config(args: argparse.Namespace) -> dict:
     """The subcommand's flags over the same keys of the ``--config`` file.
 
     A file value is read as the flag's text would be, by the flag's own type;
-    a JSON list stands for its comma-joined entries, null for no value.
+    a JSON list stands for its comma-joined entries, null for no value.  A
+    key that is a flag of no subcommand is an error.
     """
     types = {a.dest: a.type or str for a in args.parser._actions if a.dest in vars(args)}
     flags = {k: v for k, v in vars(args).items() if k in types and k != "config"}
     cfg = {}
     file_cfg = read_json_object(args.config) if args.config else {}
+    unknown = sorted(set(file_cfg) - args.config_keys)
+    if unknown:
+        raise ConfigurationError(f"{args.config} key {unknown[0]!r} names no flag of any "
+                                 "subcommand; write a flag's name with '_' for '-'")
     for k, v in file_cfg.items():
         try:
             if k in flags and v is not None:
@@ -275,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--omega", help="solved omega.json (default <out>/omega.json)")
     pv.add_argument("--nodes", type=int, help="grid cells per arc (default 200)")
     pv.set_defaults(func=cmd_verify, parser=pv)
+    parser.set_defaults(config_keys={a.dest for p in (ps, pd, pv) for a in p._actions} - {"help"})
     return parser
 
 

@@ -20,11 +20,6 @@ from .errors import ConfigurationError, FirstOrderViolation
 
 Field = Callable[[np.ndarray], np.ndarray]
 
-BRACKET_F1_F0 = "[f1,f0]"
-BRACKET_F1F0_F0 = "[[f1,f0],f0]"
-BRACKET_F1F0_F1 = "[[f1,f0],f1]"
-_BRACKET_IDS = (BRACKET_F1_F0, BRACKET_F1F0_F0, BRACKET_F1F0_F1)
-
 GUARD_COEFF = 1e-10
 
 
@@ -35,8 +30,8 @@ class ProblemDef:
     Conventions: states have shape ``(..., n)``; Jacobians are
     ``(..., n, n)`` with ``J[i, j] = d f_i / d x_j``; ``dg`` is the gradient
     row, ``(..., n)``; ``dphi``/``dPhi`` return the pair of derivatives with
-    respect to the initial and final state.
-    Absent control bounds are encoded as ``None``.
+    respect to the initial and final state.  Absent control bounds and
+    overrides are ``None``; [f1,f0] has no override, it is exact from df0, df1.
     """
 
     n: int
@@ -54,8 +49,8 @@ class ProblemDef:
     dPhi: Callable[[np.ndarray, np.ndarray], tuple]
     u_min: Optional[float] = None
     u_max: Optional[float] = None
-    # Analytic bracket overrides; finite differences are the fallback.
-    bracket_f1_f0: Optional[Field] = None
+    # Analytic second-level bracket overrides; each absent one falls back to a
+    # central difference of the exact first-level bracket [f1,f0].
     bracket_f1f0_f0: Optional[Field] = None
     bracket_f1f0_f1: Optional[Field] = None
     # Analytic gradient of the constrained-arc feedback, if available.
@@ -131,57 +126,49 @@ def guarded_ratio(num, a: np.ndarray, b: np.ndarray, x: np.ndarray, error: type)
     return num / den
 
 
-def lie_bracket(prob: ProblemDef, which: str, x: np.ndarray) -> np.ndarray:
-    """Evaluate one of the brackets [f1,f0], [[f1,f0],f0], [[f1,f0],f1] at x.
+def _apply(jac: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Jacobian-vector products jac v over the batch axes."""
+    return np.einsum("...ij,...j->...i", np.asarray(jac, dtype=float), v)
 
-    Convention [X, Y] = X' Y - Y' X with X' the Jacobian of X.  The
-    first-level bracket uses the analytic Jacobians; second-level brackets
-    differentiate the first-level bracket by central differences unless the
-    problem supplies analytic overrides.
+
+def bracket_f1_f0(prob: ProblemDef, x: np.ndarray) -> np.ndarray:
+    """[f1,f0](x) = df1 f0 - df0 f1, exact from the analytic Jacobians.
+
+    Convention [X, Y] = X' Y - Y' X with X' the Jacobian of X.
     """
-    if which not in _BRACKET_IDS:
-        raise ConfigurationError(f"unknown bracket id {which!r}, use one of {_BRACKET_IDS}")
     x = np.asarray(x, dtype=float)
-    override = {
-        BRACKET_F1_F0: prob.bracket_f1_f0,
-        BRACKET_F1F0_F0: prob.bracket_f1f0_f0,
-        BRACKET_F1F0_F1: prob.bracket_f1f0_f1,
-    }[which]
-    if override is not None:
-        return _check_dim(override(x), prob.n, f"bracket override {which}")
-    if which == BRACKET_F1_F0:
-        return _bracket_f1_f0(prob, x)
-    inner = lambda y: lie_bracket(prob, BRACKET_F1_F0, y)
-    outer = prob.f0 if which == BRACKET_F1F0_F0 else prob.f1
-    douter = prob.df0 if which == BRACKET_F1F0_F0 else prob.df1
-    # [B, Z] = B' Z - Z' B with B' by central FD of the first-level bracket.
-    jac_b = central_diff(inner, x, fd_steps(x))
-    zx = _check_dim(outer(x), prob.n, "vector field")
-    dz = np.asarray(douter(x), dtype=float)
-    b = inner(x)
-    return np.einsum("...ij,...j->...i", jac_b, zx) - np.einsum("...ij,...j->...i", dz, b)
-
-
-def _bracket_f1_f0(prob: ProblemDef, x: np.ndarray) -> np.ndarray:
     f0x = _check_dim(prob.f0(x), prob.n, "f0")
     f1x = _check_dim(prob.f1(x), prob.n, "f1")
-    d0 = np.asarray(prob.df0(x), dtype=float)
-    d1 = np.asarray(prob.df1(x), dtype=float)
-    return np.einsum("...ij,...j->...i", d1, f0x) - np.einsum("...ij,...j->...i", d0, f1x)
+    return _apply(prob.df1(x), f0x) - _apply(prob.df0(x), f1x)
 
 
-def gamma_control(prob: ProblemDef, x: np.ndarray):
-    """Feedback control keeping d/dt g = 0 on a constrained arc.
+def second_brackets(prob: ProblemDef, x: np.ndarray) -> tuple:
+    """([[f1,f0],f0](x), [[f1,f0],f1](x)), the brackets of the singular control.
+
+    Each comes from the problem's override when it gives one.  Otherwise
+    [B, Z] = B' Z - Z' B for B = [f1,f0], with B' from one central
+    difference of :func:`bracket_f1_f0` that both brackets share.
+    """
+    x = np.asarray(x, dtype=float)
+    if prob.bracket_f1f0_f0 is None or prob.bracket_f1f0_f1 is None:
+        jac_b = central_diff(lambda y: bracket_f1_f0(prob, y), x, fd_steps(x))
+        b = bracket_f1_f0(prob, x)
+
+    def bracket(override, z, dz, name):
+        if override is not None:
+            return _check_dim(override(x), prob.n, f"bracket override {name}")
+        return _apply(jac_b, _check_dim(z(x), prob.n, "vector field")) - _apply(dz(x), b)
+
+    return (bracket(prob.bracket_f1f0_f0, prob.f0, prob.df0, "[[f1,f0],f0]"),
+            bracket(prob.bracket_f1f0_f1, prob.f1, prob.df1, "[[f1,f0],f1]"))
+
+
+def gamma_control(prob: ProblemDef, x: np.ndarray, f0x: np.ndarray, f1x: np.ndarray):
+    """Feedback control keeping d/dt g = 0 on a constrained arc, from f0(x) and f1(x).
 
     Returns -(dg.f0)/(dg.f1); raises :class:`FirstOrderViolation` when the
     denominator falls under the scale-aware guard.
     """
-    x = np.asarray(x, dtype=float)
-    return gamma_from_fields(prob, x, prob.f0(x), prob.f1(x))
-
-
-def gamma_from_fields(prob: ProblemDef, x: np.ndarray, f0x: np.ndarray, f1x: np.ndarray):
-    """The feedback of :func:`gamma_control` from given field values f0(x), f1(x)."""
     dgx = _check_dim(prob.dg(x), prob.n, "dg")
     return guarded_ratio(-np.einsum("...i,...i->...", dgx, f0x), dgx, f1x, x,
                          FirstOrderViolation)
@@ -196,7 +183,8 @@ def gamma_gradient(prob: ProblemDef, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if prob.dgamma is not None:
         return _check_dim(prob.dgamma(x), prob.n, "dgamma override")
-    return central_diff(lambda y: gamma_control(prob, y), x, fd_steps(x))
+    return central_diff(lambda y: gamma_control(prob, y, prob.f0(y), prob.f1(y)), x,
+                        fd_steps(x))
 
 
 @dataclass

@@ -14,6 +14,8 @@ Two problems ship with the package:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .arc_structure import ArcKind, ArcStructure
@@ -188,13 +190,6 @@ def make_regulator() -> ProblemDef:
         eye = np.broadcast_to(np.eye(3), x0.shape[:-1] + (3, 3))
         return eye, np.zeros(x0.shape[:-1] + (3, 3))
 
-    def bracket_f1_f0(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., 0] = -1.0
-        out[..., 2] = -x[..., 1]
-        return out
-
     def bracket_f1f0_f0(x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
@@ -225,7 +220,6 @@ def make_regulator() -> ProblemDef:
         dPhi=dPhi,
         u_min=-1.0,
         u_max=1.0,
-        bracket_f1_f0=bracket_f1_f0,
         bracket_f1f0_f0=bracket_f1f0_f0,
         bracket_f1f0_f1=bracket_f1f0_f1,
         dgamma=dgamma,
@@ -236,15 +230,8 @@ def make_regulator() -> ProblemDef:
 
 def make_regulator_fd_brackets() -> ProblemDef:
     """Regulator with every derivative override stripped (pure fallback paths)."""
-    import dataclasses
-
-    return dataclasses.replace(
-        make_regulator(),
-        bracket_f1_f0=None,
-        bracket_f1f0_f0=None,
-        bracket_f1f0_f1=None,
-        dgamma=None,
-    )
+    return dataclasses.replace(make_regulator(), bracket_f1f0_f0=None, bracket_f1f0_f1=None,
+                               dgamma=None)
 
 
 def regulator_structure() -> ArcStructure:
@@ -312,9 +299,6 @@ def make_toy_bang() -> ProblemDef:
             np.zeros(x0.shape[:-1] + (1, 1)),
         )
 
-    def zero_field(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
     return ProblemDef(
         n=1,
         q=1,
@@ -331,9 +315,6 @@ def make_toy_bang() -> ProblemDef:
         dPhi=dPhi,
         u_min=-1.0,
         u_max=1.0,
-        bracket_f1_f0=zero_field,
-        bracket_f1f0_f0=zero_field,
-        bracket_f1f0_f1=zero_field,
         x0_fixed=np.array([0.0]),
         name="toy-bang",
     )

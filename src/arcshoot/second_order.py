@@ -5,10 +5,10 @@ interior switching times, X = (x^1, ..., x^N, tau) of dimension
 D = N n + N - 1, driven by one control channel per singular arc.  Around a
 converged solution the module builds, on a shared normalized-time grid,
 
-* the linearized dynamics matrices A = F_X and B = F_U (central FD of the
-  arc-field F), and E = A B - dB/ds,
-* the Hamiltonian second derivatives H_XX (FD of the analytic gradient)
-  and H_UX (FD of the switching row), the cross matrices M and R,
+* the linearized dynamics matrices A = F_X and B = F_U, and E = A B - dB/ds,
+* the Hamiltonian second derivatives H_XX and H_UX, the cross matrices M
+  and R (A, B, H_XX and H_UX all come from one central difference of the
+  field F, the gradient H_X and the switching row H_U in the joint (X, U)),
 * the endpoint-Lagrangian Hessian (FD of the shooting residual's own
   transversality gradient) and the linearized endpoint map.
 
@@ -66,7 +66,7 @@ def tp_rates(prob: ProblemDef, struct: ArcStructure, U, X, P_arcs):
     """Field F, Hamiltonian gradient H_X and switching row H_U at (U, X).
 
     The three are stacked on the last axis, ``(..., 2 D + S)``, so one
-    central difference in X yields A, H_XX and H_UX together.  ``P_arcs``
+    central difference in (X, U) yields A, B, H_XX and H_UX together.  ``P_arcs``
     holds the frozen arc costates (..., N, n).  Singular controls are held
     at the values in U (..., S), so the feedback terms appear only through
     the constrained-arc substitution.  H is the pre-Hamiltonian
@@ -151,12 +151,12 @@ def linearized_matrices(
     X = np.concatenate([traj.x.reshape(m1, N * n), tau], axis=1)
     U = traj.w[:, arcs_of(struct.kinds, ArcKind.Singular)]
 
-    J = central_diff(lambda Xb: tp_rates(prob, struct, U, Xb, traj.p), X, fd_steps(X))
-    A, HUX = J[:, :D], J[:, 2 * D :]
-    HXX = _symmetrized(J[:, D : 2 * D], "H_XX", "gradient and field evaluations disagree")
-
-    # B = F_U by central differences in the channel values.
-    B = central_diff(lambda Ub: tp_rates(prob, struct, Ub, X, traj.p)[..., :D], U, fd_steps(U))
+    # One central difference in the joint (X, U): columns :D are d/dX, D: are d/dU.
+    XU = np.concatenate([X, U], axis=1)
+    J = central_diff(lambda z: tp_rates(prob, struct, z[..., D:], z[..., :D], traj.p),
+                     XU, fd_steps(XU))
+    A, B, HUX = J[:, :D, :D], J[:, :D, D:], J[:, 2 * D :, :D]
+    HXX = _symmetrized(J[:, D : 2 * D, :D], "H_XX", "gradient and field evaluations disagree")
 
     ds = 1.0 / nodes
     E = np.einsum("tij,tjk->tik", A, B) - np.gradient(B, ds, axis=0)

@@ -30,7 +30,7 @@ from .errors import (
     NonFiniteResidual,
     RankDeficientJacobian,
 )
-from .problem_def import BRACKET_F1_F0, ProblemDef, central_diff, check_first_order, lie_bracket
+from .problem_def import ProblemDef, bracket_f1_f0, central_diff, check_first_order
 from .tp_dynamics import (
     TPTrajectory,
     arc_hamiltonian,
@@ -203,7 +203,7 @@ def _assemble(prob, struct, flats, x1, p1):
               jumps.reshape(jumps.shape[:-2] + (n * (N - 1),)),
               p1[..., N - 1, :] - l1[..., N - 1, :], ham,
               np.einsum("...i,...i->...", ps, prob.f1(xs)),
-              np.einsum("...i,...i->...", ps, lie_bracket(prob, BRACKET_F1_F0, xs))]
+              np.einsum("...i,...i->...", ps, bracket_f1_f0(prob, xs))]
     if not all(np.all(np.isfinite(b)) for b in blocks):
         raise NonFiniteResidual("shooting residual contains non-finite entries")
     return blocks
@@ -275,12 +275,15 @@ class ConvergenceReport:
     iterations: list = field(default_factory=list)
     converged: bool = False
     stalled: bool = False
-    n_iter: int = 0
     final_residual: float = np.inf
     jacobian_rank: int = 0
     smallest_singular_value: float = 0.0
     order_estimate: float = float("nan")
     trajectory: TPTrajectory = None   # grid of the last iterate (the one returned); not in JSON
+
+    @property
+    def n_iter(self) -> int:
+        return len(self.iterations)
 
     @property
     def residual_history(self) -> list:
@@ -368,7 +371,6 @@ def gauss_newton(
             break
         step_norm = alpha * float(np.linalg.norm(step))
         report.iterations.append({"residual_norm": float(rinf), "step_norm": step_norm})
-        report.n_iter += 1
         flat, r, traj = trial, rt, traj_t
         if np.linalg.norm(r, np.inf) < best[0]:
             best = (np.linalg.norm(r, np.inf), flat.copy())

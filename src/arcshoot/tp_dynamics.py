@@ -22,22 +22,13 @@ import numpy as np
 from .arc_structure import ArcKind, arcs_of, write_csv
 from .errors import (ConfigurationError, FirstOrderViolation, NonFiniteState,
                      SingularDenominatorError)
-from .problem_def import (
-    BRACKET_F1F0_F0,
-    BRACKET_F1F0_F1,
-    BRACKET_F1_F0,
-    ProblemDef,
-    gamma_from_fields,
-    gamma_gradient,
-    guarded_ratio,
-    lie_bracket,
-)
+from .problem_def import (ProblemDef, bracket_f1_f0, gamma_control, gamma_gradient,
+                          guarded_ratio, second_brackets)
 
 
 def legendre_clebsch_value(prob: ProblemDef, x: np.ndarray, costate: np.ndarray):
     """p [[f1,f0],f1](x); the strengthened condition requires this < 0 on S arcs."""
-    b1 = lie_bracket(prob, BRACKET_F1F0_F1, x)
-    return np.einsum("...i,...i->...", costate, b1)
+    return np.einsum("...i,...i->...", costate, second_brackets(prob, x)[1])
 
 
 def arc_controls(prob: ProblemDef, kinds, x: np.ndarray, costate: np.ndarray, f0x, f1x,
@@ -62,13 +53,13 @@ def arc_controls(prob: ProblemDef, kinds, x: np.ndarray, costate: np.ndarray, f0
                 raise ConfigurationError(f"{kind.value} arc with absent {side} bound")
             w[..., i] = bound
         elif kind is ArcKind.Constrained:
-            w[..., i] = gamma_from_fields(prob, x[..., i, :], f0x[..., i, :], f1x[..., i, :])
+            w[..., i] = gamma_control(prob, x[..., i, :], f0x[..., i, :], f1x[..., i, :])
         elif singular is not None:
             w[..., i] = singular
         else:
             xk, pk = x[..., i, :], costate[..., i, :]
-            num = -np.einsum("...i,...i->...", pk, lie_bracket(prob, BRACKET_F1F0_F0, xk))
-            w[..., i] = guarded_ratio(num, pk, lie_bracket(prob, BRACKET_F1F0_F1, xk), xk,
+            b0, b1 = second_brackets(prob, xk)
+            w[..., i] = guarded_ratio(-np.einsum("...i,...i->...", pk, b0), pk, b1, xk,
                                       SingularDenominatorError)
     return w
 
@@ -104,7 +95,7 @@ def constraint_multiplier_density(prob: ProblemDef, x: np.ndarray, costate: np.n
 
     Complementarity requires nu >= 0; used as a post-solve sign diagnostic.
     """
-    num = np.einsum("...i,...i->...", costate, lie_bracket(prob, BRACKET_F1_F0, x))
+    num = np.einsum("...i,...i->...", costate, bracket_f1_f0(prob, x))
     return guarded_ratio(num, prob.dg(x), prob.f1(x), x, FirstOrderViolation)
 
 

@@ -18,14 +18,7 @@ import pytest
 
 from arcshoot import problems as P
 from arcshoot.arc_structure import ArcKind, detect_structure
-from arcshoot.problem_def import (
-    BRACKET_F1F0_F0,
-    BRACKET_F1F0_F1,
-    BRACKET_F1_F0,
-    gamma_control,
-    gamma_gradient,
-    lie_bracket,
-)
+from arcshoot.problem_def import bracket_f1_f0, gamma_control, gamma_gradient, second_brackets
 from arcshoot.second_order import (
     check_positivity,
     constraint_nullspace,
@@ -353,7 +346,7 @@ def test_criterion8_property_suite(regulator, toy_bang):
     details.append(f"RK4 halving ratio={ratio:.1f}")
     ok &= 12.0 <= ratio <= 20.0
 
-    # Bracket antisymmetry and FD agreement with the analytic overrides.
+    # First-level antisymmetry and second-level FD agreement with the overrides.
     import dataclasses
 
     fd = P.make_regulator_fd_brackets()
@@ -363,10 +356,9 @@ def test_criterion8_property_suite(regulator, toy_bang):
     for _ in range(5):
         x = rng.uniform(-2, 2, 3)
         worst_anti = max(worst_anti, float(np.max(np.abs(
-            lie_bracket(fd, BRACKET_F1_F0, x) + lie_bracket(swapped, BRACKET_F1_F0, x)))))
-        for which in (BRACKET_F1_F0, BRACKET_F1F0_F0, BRACKET_F1F0_F1):
-            worst_fd = max(worst_fd, float(np.max(np.abs(
-                lie_bracket(fd, which, x) - lie_bracket(regulator, which, x)))))
+            bracket_f1_f0(fd, x) + bracket_f1_f0(swapped, x)))))
+        for b_fd, b_ana in zip(second_brackets(fd, x), second_brackets(regulator, x)):
+            worst_fd = max(worst_fd, float(np.max(np.abs(b_fd - b_ana))))
     details.append(f"antisymmetry={worst_anti:.1e} fd-vs-analytic={worst_fd:.1e}")
     ok &= worst_anti <= 1e-9 and worst_fd <= 1e-6
 
@@ -376,12 +368,14 @@ def test_criterion8_property_suite(regulator, toy_bang):
     curved = ttd2._curved()
     x = np.array([1.3, 1.0 / 1.3])
     grad = gamma_gradient(curved, x)
+    at = lambda y: (y, curved.f0(y), curved.f1(y))
     worst_dir = 0.0
     for _ in range(5):
         d = rng.normal(size=2)
         d /= np.linalg.norm(d)
         h = 1e-5
-        fd_dir = (gamma_control(curved, x + h * d) - gamma_control(curved, x - h * d)) / (2 * h)
+        fd_dir = (gamma_control(curved, *at(x + h * d))
+                  - gamma_control(curved, *at(x - h * d))) / (2 * h)
         worst_dir = max(worst_dir, abs(fd_dir - float(grad @ d)) / max(abs(fd_dir), 1e-9))
     details.append(f"gamma-gradient rel err={worst_dir:.1e}")
     ok &= worst_dir <= 1e-6

@@ -142,6 +142,26 @@ class TestSolve:
         assert run(["solve", "--config", cfg, "--out", tmp_path]) == 1
         assert f"solve: error: {cfg} {what}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["stepz", "max-iter"])
+    def test_unknown_config_key_exits_1(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "toy-bang", "structure": "B-", "init": "analytic",
+                                   key: 0}))
+        assert run(["solve", "--config", cfg, "--out", tmp_path]) == 1
+        assert f"solve: error: {cfg} key {key!r} names no flag" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_one_config_serves_solve_and_verify(self, tmp_path):
+        # Each subcommand reads its own keys and ignores the other's.
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "toy-bang", "structure": "B-", "init": "analytic",
+                                   "steps": 40, "nodes": 30, "out": str(out)}))
+        assert run(["solve", "--config", cfg]) == 0
+        assert run(["verify", "--config", cfg]) == 0
+        assert json.loads((out / "omega.json").read_text())["meta"]["steps"] == 40
+        assert json.loads((out / "positivity.json").read_text())["nodes"] == 30
+
     def test_directory_as_config_exits_1(self, tmp_path, capsys):
         assert run(["solve", "--config", tmp_path, "--out", tmp_path]) == 1
         assert "solve: error: [Errno 21] Is a directory: " in capsys.readouterr().err

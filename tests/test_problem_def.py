@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from arcshoot import problems as P
 from arcshoot.errors import ConfigurationError, FirstOrderViolation
 from arcshoot.problem_def import (
-    BRACKET_F1F0_F0,
-    BRACKET_F1F0_F1,
-    BRACKET_F1_F0,
     ProblemDef,
+    bracket_f1_f0,
     check_first_order,
     gamma_control,
     gamma_gradient,
-    lie_bracket,
+    second_brackets,
 )
 
 finite_coord = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -47,14 +45,15 @@ class TestLieBracket:
         prob = P.make_regulator()
         x = np.array([a, b, c])
         np.testing.assert_allclose(
-            lie_bracket(prob, BRACKET_F1_F0, x), [-1.0, 0.0, -b], atol=1e-12
+            bracket_f1_f0(prob, x), [-1.0, 0.0, -b], atol=1e-12
         )
 
     def test_regulator_second_level(self):
         prob = P.make_regulator()
         x = np.array([0.7, -0.3, 2.0])
-        np.testing.assert_allclose(lie_bracket(prob, BRACKET_F1F0_F0, x), [0, 0, 0.7])
-        np.testing.assert_allclose(lie_bracket(prob, BRACKET_F1F0_F1, x), [0, 0, -1.0])
+        b0, b1 = second_brackets(prob, x)
+        np.testing.assert_allclose(b0, [0, 0, 0.7])
+        np.testing.assert_allclose(b1, [0, 0, -1.0])
 
     def test_fd_matches_analytic_overrides(self):
         ana = P.make_regulator()
@@ -62,27 +61,25 @@ class TestLieBracket:
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.uniform(-2, 2, 3)
-            for which in (BRACKET_F1_F0, BRACKET_F1F0_F0, BRACKET_F1F0_F1):
-                np.testing.assert_allclose(
-                    lie_bracket(fd, which, x), lie_bracket(ana, which, x),
-                    atol=1e-7, err_msg=which,
-                )
+            for which, b_fd, b_ana in zip(("[[f1,f0],f0]", "[[f1,f0],f1]"),
+                                          second_brackets(fd, x), second_brackets(ana, x)):
+                np.testing.assert_allclose(b_fd, b_ana, atol=1e-7, err_msg=which)
 
     def test_identical_fields_bracket_zero(self):
         prob = _linear_problem(np.eye(2), [1.0, 0.0], 2)
         prob = dataclasses.replace(prob, f1=prob.f0, df1=prob.df0)
         x = np.array([0.3, -0.8])
-        np.testing.assert_allclose(lie_bracket(prob, BRACKET_F1_F0, x), 0.0, atol=1e-12)
+        np.testing.assert_allclose(bracket_f1_f0(prob, x), 0.0, atol=1e-12)
 
     def test_linear_fields_exact(self):
         A = np.array([[0.0, 2.0], [-1.0, 0.5]])
         b = np.array([1.0, 3.0])
         prob = _linear_problem(A, b, 2)
         x = np.array([0.4, -1.1])
-        np.testing.assert_allclose(lie_bracket(prob, BRACKET_F1_F0, x), -A @ b, atol=1e-12)
+        np.testing.assert_allclose(bracket_f1_f0(prob, x), -A @ b, atol=1e-12)
         # second level: [[f1,f0],f0] = -A' (-A b) = A A b when first bracket constant
         np.testing.assert_allclose(
-            lie_bracket(prob, BRACKET_F1F0_F0, x), A @ (A @ b), rtol=1e-6, atol=1e-8
+            second_brackets(prob, x)[0], A @ (A @ b), rtol=1e-6, atol=1e-8
         )
 
     @given(a=finite_coord, b=finite_coord, c=finite_coord)
@@ -91,13 +88,31 @@ class TestLieBracket:
         prob = P.make_regulator_fd_brackets()
         swapped = dataclasses.replace(prob, f0=prob.f1, f1=prob.f0, df0=prob.df1, df1=prob.df0)
         x = np.array([a, b, c])
-        fwd = lie_bracket(prob, BRACKET_F1_F0, x)
-        rev = lie_bracket(swapped, BRACKET_F1_F0, x)
+        fwd = bracket_f1_f0(prob, x)
+        rev = bracket_f1_f0(swapped, x)
         np.testing.assert_allclose(fwd, -rev, atol=1e-9)
 
-    def test_unknown_id_rejected(self):
-        with pytest.raises(ConfigurationError):
-            lie_bracket(P.make_regulator(), "[f0,f1]", np.zeros(3))
+    def test_first_level_is_exact_on_the_regulator(self):
+        # df1 f0 - df0 f1 = (-1, 0, -x2): the closed form, bit for bit.
+        x = np.random.default_rng(2).uniform(-3, 3, (7, 3))
+        expect = np.zeros_like(x)
+        expect[:, 0], expect[:, 2] = -1.0, -x[:, 1]
+        assert np.array_equal(bracket_f1_f0(P.make_regulator(), x), expect)
+
+    @pytest.mark.parametrize("kept", [0, 1], ids=["f1f0_f0", "f1f0_f1"])
+    def test_one_override_present(self, kept):
+        # The overridden bracket is the override; the other is the all-FD value.
+        names = ("bracket_f1f0_f0", "bracket_f1f0_f1")
+        ana, fd = P.make_regulator(), P.make_regulator_fd_brackets()
+        mixed = dataclasses.replace(fd, **{names[kept]: getattr(ana, names[kept])})
+        x = np.random.default_rng(4).uniform(-2, 2, (5, 3))
+        got, want_fd = second_brackets(mixed, x), second_brackets(fd, x)
+        assert np.array_equal(got[kept], getattr(ana, names[kept])(x))
+        assert np.array_equal(got[1 - kept], want_fd[1 - kept])
+
+    def test_first_level_override_is_gone(self):
+        with pytest.raises(TypeError):
+            dataclasses.replace(P.make_regulator(), bracket_f1_f0=lambda x: x)
 
 
 def _gamma_is_minus_x1():
@@ -118,17 +133,23 @@ def _gamma_is_minus_x1():
     )
 
 
+def _at(prob, x):
+    """(x, f0(x), f1(x)): the arguments of gamma_control at x."""
+    x = np.asarray(x, dtype=float)
+    return x, prob.f0(x), prob.f1(x)
+
+
 class TestGamma:
     def test_regulator_feedback_is_zero(self):
         prob = P.make_regulator()
         rng = np.random.default_rng(1)
         for _ in range(5):
-            assert gamma_control(prob, rng.uniform(-2, 2, 3)) == pytest.approx(0.0, abs=1e-14)
+            assert gamma_control(prob, *_at(prob, rng.uniform(-2, 2, 3))) == pytest.approx(0.0, abs=1e-14)
 
     def test_substituted_problem(self):
         # dg.f0 = -x1 and dg.f1 = -1, so Gamma = -x1 (sign from both factors).
         prob = _gamma_is_minus_x1()
-        assert gamma_control(prob, np.array([0.7, 2.0])) == pytest.approx(-0.7, abs=1e-12)
+        assert gamma_control(prob, *_at(prob, [0.7, 2.0])) == pytest.approx(-0.7, abs=1e-12)
         np.testing.assert_allclose(
             gamma_gradient(prob, np.array([0.7, 2.0])), [-1.0, 0.0], atol=1e-8
         )
@@ -136,7 +157,7 @@ class TestGamma:
     def test_zero_numerator(self):
         prob = _gamma_is_minus_x1()
         # x1 = 0 makes dg.f0 vanish while the denominator stays -1.
-        assert gamma_control(prob, np.array([0.0, 5.0])) == pytest.approx(0.0, abs=1e-14)
+        assert gamma_control(prob, *_at(prob, [0.0, 5.0])) == pytest.approx(0.0, abs=1e-14)
 
     def test_first_order_violation_raises(self):
         prob = _gamma_is_minus_x1()
@@ -144,7 +165,7 @@ class TestGamma:
             prob, f1=lambda x: np.zeros(np.asarray(x).shape)
         )
         with pytest.raises(FirstOrderViolation):
-            gamma_control(bad, np.array([1.0, 0.0]))
+            gamma_control(bad, *_at(bad, [1.0, 0.0]))
 
     def test_regulator_gradient_zero(self):
         prob = dataclasses.replace(P.make_regulator(), dgamma=None)
@@ -162,7 +183,8 @@ class TestGamma:
             d = rng.normal(size=2)
             d /= np.linalg.norm(d)
             h = 1e-5
-            fd = (gamma_control(prob, x + h * d) - gamma_control(prob, x - h * d)) / (2 * h)
+            fd = (gamma_control(prob, *_at(prob, x + h * d))
+                  - gamma_control(prob, *_at(prob, x - h * d))) / (2 * h)
             assert fd == pytest.approx(float(grad @ d), rel=1e-6, abs=1e-8)
 
 
@@ -225,7 +247,7 @@ class TestProblemDef:
     def test_dimension_mismatch_detected(self):
         bad = dataclasses.replace(
             P.make_regulator(),
-            bracket_f1_f0=lambda x: np.zeros(np.asarray(x).shape[:-1] + (2,)),
+            bracket_f1f0_f1=lambda x: np.zeros(np.asarray(x).shape[:-1] + (2,)),
         )
         with pytest.raises(ConfigurationError):
-            lie_bracket(bad, BRACKET_F1_F0, np.zeros(3))
+            second_brackets(bad, np.zeros(3))

@@ -15,14 +15,12 @@ from arcshoot.errors import (
     RankDeficientJacobian,
 )
 from arcshoot.problem_def import (
-    BRACKET_F1_F0,
-    BRACKET_F1F0_F0,
-    BRACKET_F1F0_F1,
     ProblemDef,
+    bracket_f1_f0,
     central_diff,
     check_first_order,
     gamma_gradient,
-    lie_bracket,
+    second_brackets,
 )
 from arcshoot.second_order import linearized_matrices
 from arcshoot.shooting import (
@@ -308,7 +306,7 @@ class TestKindRows:
         omega = ShootingVector(x0, struct.tau, p0, rng.normal(size=3), rng.normal(size=2))
         res = shooting_function(prob, struct, omega, steps=50)
         dot = lambda a, b: np.einsum("i,i->", a, b)
-        bracket = lambda x: lie_bracket(prob, BRACKET_F1_F0, x)
+        bracket = lambda x: bracket_f1_f0(prob, x)
         np.testing.assert_array_equal(res.constraint_entry, [prob.g(x0[1]), prob.g(x0[3])])
         np.testing.assert_array_equal(res.singular_stationarity,
                                       [dot(p0[k], prob.f1(x0[k])) for k in (2, 4)])
@@ -415,11 +413,11 @@ class TestBatchIndependence:
     def test_fd_brackets(self, xs):
         prob = P.make_regulator_fd_brackets()
         xs = np.array(xs)
-        for which in (BRACKET_F1F0_F0, BRACKET_F1F0_F1):
-            batch = lie_bracket(prob, which, xs)
-            for i, x in enumerate(xs):
-                np.testing.assert_array_equal(batch[i], lie_bracket(prob, which, x),
-                                              err_msg=which)
+        batch = second_brackets(prob, xs)
+        for i, x in enumerate(xs):
+            for which, b_batch, b_row in zip(("[[f1,f0],f0]", "[[f1,f0],f1]"), batch,
+                                             second_brackets(prob, x)):
+                np.testing.assert_array_equal(b_batch[i], b_row, err_msg=which)
 
     @given(seed=st.integers(min_value=0, max_value=2**31), rows=st.integers(2, 4),
            scale=st.sampled_from([0.01, 0.05, 0.2]))

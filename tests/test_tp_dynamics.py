@@ -11,7 +11,7 @@ from arcshoot.errors import (
     NonFiniteState,
     SingularDenominatorError,
 )
-from arcshoot.problem_def import ProblemDef, gamma_control
+from arcshoot.problem_def import ProblemDef, gamma_control, second_brackets
 from arcshoot.tp_dynamics import (
     arc_controls,
     arc_field,
@@ -135,7 +135,8 @@ class TestArcRhs:
         _, dp = _rhs(prob, C, 1.0, x, p)
 
         def ham(y):
-            return float(p @ (prob.f0(y) + gamma_control(prob, y) * prob.f1(y)))
+            return float(p @ (prob.f0(y) + gamma_control(prob, y, prob.f0(y), prob.f1(y))
+                              * prob.f1(y)))
 
         fd = np.array([
             (ham(x + h_vec) - ham(x - h_vec)) / (2e-6)
@@ -170,7 +171,7 @@ class TestBatchGuards:
         x = np.ones((2, 3, 2))
         x[1, 2] = [0.0, 4.0]
         with pytest.raises(FirstOrderViolation) as err:
-            gamma_control(prob, x)
+            gamma_control(prob, x, prob.f0(x), prob.f1(x))
         np.testing.assert_array_equal(err.value.x, [0.0, 4.0])
         assert err.value.denominator == 0.0
 
@@ -236,10 +237,8 @@ class TestPropagate:
     def test_singular_feedback_consistency(self, regulator, reg_struct, reg_omega_exact):
         traj = propagate_arc(regulator, reg_struct.kinds, *_starts(reg_omega_exact), 300)
         x, p, w = traj.x[:, 2], traj.p[:, 2], traj.w[:, 2]
-        from arcshoot.problem_def import BRACKET_F1F0_F0, BRACKET_F1F0_F1, lie_bracket
-
-        resid = np.einsum("ti,ti->t", p, lie_bracket(regulator, BRACKET_F1F0_F0, x)) \
-            + w * np.einsum("ti,ti->t", p, lie_bracket(regulator, BRACKET_F1F0_F1, x))
+        b0, b1 = second_brackets(regulator, x)
+        resid = np.einsum("ti,ti->t", p, b0) + w * np.einsum("ti,ti->t", p, b1)
         assert np.max(np.abs(resid)) <= 1e-8
 
 
@@ -281,6 +280,21 @@ class TestCallbackCounts:
         (C, [0.4, -0.2, 0.1], [0.45, 0.02, 1.0], 6),
     ], ids=["B-", "B+", "S", "C"])
     def test_calls_per_rhs(self, regulator, kind, x, p, calls):
+        counts = self._counts(regulator, kind, x, p)
+        assert sum(counts.values()) == calls, counts
+        assert max(counts.values()) == 1, counts
+
+    def test_fd_singular_rule_shares_one_stencil(self):
+        # f0, f1, df0, df1 for the field; both second-level brackets from one
+        # central difference of [f1,f0] (4 calls) plus [f1,f0] itself (4) and
+        # the outer fields and their Jacobians (4).
+        counts = self._counts(P.make_regulator_fd_brackets(), S, [0.17, -0.17, 0.5],
+                              [0.17, 0.0, 1.0])
+        assert counts == {"f0": 4, "f1": 4, "df0": 4, "df1": 4}
+
+    @staticmethod
+    def _counts(regulator, kind, x, p):
+        """Callback name -> number of calls in one one-arc arc_field call."""
         counts = {}
 
         def counted(name, fn):
@@ -294,8 +308,7 @@ class TestCallbackCounts:
         prob = dataclasses.replace(regulator, **{
             name: counted(name, getattr(regulator, name)) for name in names})
         _rhs(prob, kind, 1.0, np.array(x), np.array(p))
-        assert sum(counts.values()) == calls, counts
-        assert max(counts.values()) == 1, counts
+        return counts
 
 
 class TestHamiltonian:
@@ -404,7 +417,7 @@ class TestJointPass:
         )
         x0 = np.array([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(FirstOrderViolation):
-            gamma_control(prob, x0[0])
+            gamma_control(prob, x0[0], prob.f0(x0[0]), prob.f1(x0[0]))
         traj = propagate_arc(prob, (B, C), [0.5], x0, np.ones((2, 2)), 10)
         np.testing.assert_array_equal(traj.x[:, 0, 0], 0.0)
         np.testing.assert_array_equal(traj.w[:, 0], -1.0)
