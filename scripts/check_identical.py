@@ -32,7 +32,11 @@ one subprocess per step:
   same grid, so that repeated arc kinds and their residual rows are covered.
   The same four files again for ``make_regulator_fd_brackets`` (subdirectories
   prefixed ``fd_``), so that the finite-difference second-level brackets and
-  feedback gradient on repeated S and C arcs are covered too.
+  feedback gradient on repeated S and C arcs are covered too;
+* ``direct``: every field of two direct solves as full-precision JSON, the
+  toy-bang with a free initial state (grid 20, 1500 iterations) and the
+  regulator with its pinned one (grid 60, 250 iterations, penalty weight 10),
+  so that both kinds of start are covered.
 
 The exit code of every step goes into ``exit_codes.json``.  The script then
 compares every output file of the two trees byte for byte, lists each one
@@ -99,6 +103,27 @@ MULTI_ARC = (
     "    np.savetxt(out / 'fd_jacobian.txt', fd_jacobian(prob, struct, omega, 300), fmt='%.17g')\n"
 )
 
+DIRECT = (
+    "import dataclasses, json, sys\n"
+    "from pathlib import Path\n"
+    "import numpy as np\n"
+    "from arcshoot import problems as P\n"
+    "from arcshoot.direct_init import DirectSolveConfig, direct_solve\n"
+    "runs = {\n"
+    "    'toy_bang_free': (dataclasses.replace(P.make_toy_bang(), x0_fixed=None),\n"
+    "                      DirectSolveConfig(grid_size=20, max_iters=1500)),\n"
+    "    'regulator': (P.make_regulator(),\n"
+    "                  DirectSolveConfig(grid_size=60, penalty_weight=10.0, max_iters=250)),\n"
+    "}\n"
+    "for name, (prob, cfg) in runs.items():\n"
+    "    res = direct_solve(prob, cfg)\n"
+    "    doc = {k: np.asarray(getattr(res, k)).tolist() for k in\n"
+    "           ('t', 'u', 'x', 'x_model', 'lam', 'cost', 'stalled', 'n_iters',\n"
+    "            'objective_history')}\n"
+    "    (Path(sys.argv[1]) / f'{name}.json').write_text(\n"
+    "        json.dumps(doc, indent=1, sort_keys=True) + '\\n')\n"
+)
+
 
 def steps(out: Path) -> list:
     """(name, argv) of every pipeline step, writing under ``out``."""
@@ -140,6 +165,7 @@ def steps(out: Path) -> list:
                                            "--out", str(out / f"solve_perturbed{tag}"), *extra])
           for tag, extra in (("", []), ("_max_iter_1", ["--max-iter", "1"]))],
         ("multi_arc", [py, "-c", MULTI_ARC, str(out / "multi_arc")]),
+        ("direct", [py, "-c", DIRECT, str(out / "direct")]),
     ]
 
 
@@ -153,6 +179,7 @@ def run_tree(src: Path, out: Path) -> None:
     (out / "analytic").mkdir(parents=True)
     (out / "perturbed_start").mkdir()
     (out / "multi_arc").mkdir()
+    (out / "direct").mkdir()
     codes = {}
     for name, argv in steps(out):
         proc = subprocess.run(argv, env=env, cwd=out, capture_output=True, text=True)

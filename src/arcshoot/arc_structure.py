@@ -144,8 +144,7 @@ def detect_structure(
         else:
             raw[i] = ArcKind.Singular
 
-    runs = _runs(raw)
-    runs = _merge_short_runs(runs, grid, min_len)
+    runs = _merge_short_runs([(kind, i, i) for i, kind in enumerate(raw)], grid, min_len)
 
     kinds = tuple(kind for kind, _, _ in runs)
     tau = tuple(
@@ -159,19 +158,8 @@ def detect_structure(
     return struct
 
 
-def _runs(raw: np.ndarray) -> list:
-    """Contiguous (kind, first_index, last_index) runs of the classification."""
-    runs = []
-    start = 0
-    for i in range(1, raw.size + 1):
-        if i == raw.size or raw[i] != raw[start]:
-            runs.append((raw[start], start, i - 1))
-            start = i
-    return runs
-
-
 def _merge_short_runs(runs: list, grid: np.ndarray, min_len: float) -> list:
-    runs = list(runs)
+    runs = _coalesce(runs)
     while len(runs) > 1:
         durations = [grid[e] - grid[s] for _, s, e in runs]
         shortest = int(np.argmin(durations))
@@ -199,6 +187,7 @@ def _merge_short_runs(runs: list, grid: np.ndarray, min_len: float) -> list:
 
 
 def _coalesce(runs: list) -> list:
+    """Join neighbouring (kind, first_index, last_index) runs of one kind."""
     out = [runs[0]]
     for kind, s, e in runs[1:]:
         pk, ps, pe = out[-1]

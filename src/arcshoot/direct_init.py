@@ -1,6 +1,7 @@
 """Rough direct solve used to detect the arc structure and seed the shooting.
 
-Euler-discretized control grid, quadratic penalty on the state constraint,
+Euler-discretized control grid, one decision vector (cell controls, initial
+state), quadratic penalty on the state constraint and the endpoint map,
 projected gradient with a Barzilai-Borwein step and monotone backtracking.
 The Euler recursion is only the optimization model; the returned trajectory
 and cost re-integrate the found control accurately (RK4 substeps), which
@@ -40,6 +41,8 @@ class DirectSolveConfig:
             raise ConfigurationError(f"grid_size must be >= 10, got {self.grid_size}")
         if self.penalty_weight <= 0:
             raise ConfigurationError(f"penalty_weight must be > 0, got {self.penalty_weight}")
+        if self.max_iters < 0:
+            raise ConfigurationError(f"max_iters must be >= 0, got {self.max_iters}")
 
 
 @dataclass
@@ -51,20 +54,11 @@ class DirectSolveResult:
     lam: np.ndarray        # (K+1, n) discrete adjoint, a costate estimate
     cost: float            # endpoint cost of the re-simulated trajectory
     stalled: bool
-    n_iters: int
     objective_history: list  # Euler-model cost + penalty at each accepted iterate
 
-
-def _initial_control(prob: ProblemDef) -> float:
-    if prob.u_min is not None and prob.u_max is not None:
-        return 0.5 * (prob.u_min + prob.u_max)
-    return 0.0
-
-
-def _clip(prob: ProblemDef, u: np.ndarray) -> np.ndarray:
-    lo = -np.inf if prob.u_min is None else prob.u_min
-    hi = np.inf if prob.u_max is None else prob.u_max
-    return np.clip(u, lo, hi)
+    @property
+    def n_iters(self) -> int:
+        return len(self.objective_history) - 1
 
 
 def _pen_grad(prob, x, rho, dt):
@@ -74,110 +68,97 @@ def _pen_grad(prob, x, rho, dt):
 
 
 def direct_solve(prob: ProblemDef, cfg: Optional[DirectSolveConfig] = None) -> DirectSolveResult:
-    """Minimize the Euler-discretized penalized cost over piecewise controls.
+    """Minimize the Euler-discretized penalized cost over z = (u, x0).
 
-    A pinned initial state (``prob.x0_fixed``) is handled exactly;
-    otherwise the initial state joins the decision variables and the
-    endpoint map is enforced through the same quadratic penalty as the
-    state constraint.  The reported objective is non-increasing across
-    accepted iterations; a stalled flag is set when no backtracked step
-    decreases it.
+    The decision vector holds the K cell controls and the initial state.
+    One projection clips u to its bounds and holds x0 at ``prob.x0_fixed``
+    when the problem pins it.  The objective adds to the endpoint cost the
+    quadratic penalty of the state constraint and of every row of the
+    endpoint map Phi, pinned start or not.  The reported objective is
+    non-increasing across accepted iterations; a stalled flag is set when
+    no backtracked step decreases it.
     """
     cfg = cfg or DirectSolveConfig()
-    free_x0 = prob.x0_fixed is None
     K = cfg.grid_size
     dt = prob.T / K
     rho = cfg.penalty_weight
+    # The box of z: the control bounds, then x0_fixed as both bounds of x0 (or none).
+    u_box = (-np.inf if prob.u_min is None else prob.u_min,
+             np.inf if prob.u_max is None else prob.u_max)
+    x0_box = (-np.inf, np.inf) if prob.x0_fixed is None else (prob.x0_fixed, prob.x0_fixed)
+    lower, upper = (np.concatenate([np.full(K, u_end), np.broadcast_to(x0_end, prob.n)])
+                    for u_end, x0_end in zip(u_box, x0_box))
+    moves = lower < upper  # BB sums skip pinned entries: their zeros would change BLAS rounding
 
-    def forward(x0, uu):
+    def forward(z):
         xs = np.empty((K + 1, prob.n))
-        xs[0] = x0
+        xs[0] = z[K:]
         for i in range(K):
-            xs[i + 1] = xs[i] + dt * (prob.f0(xs[i]) + uu[i] * prob.f1(xs[i]))
+            xs[i + 1] = xs[i] + dt * (prob.f0(xs[i]) + z[i] * prob.f1(xs[i]))
         return xs
 
     def objective(xs):
         viol = np.maximum(0.0, np.asarray(prob.g(xs[1:]), dtype=float))
-        val = float(prob.phi(xs[0], xs[-1])) + rho * float(viol @ viol) * dt
-        if free_x0 and prob.q:
-            bc = np.asarray(prob.Phi(xs[0], xs[-1]), dtype=float)
-            val += rho * float(bc @ bc)
-        return val
+        bc = np.asarray(prob.Phi(xs[0], xs[-1]), dtype=float)
+        return (float(prob.phi(xs[0], xs[-1])) + rho * float(viol @ viol) * dt
+                + rho * float(bc @ bc))
 
-    def gradient(uu, xs):
+    def gradient(z, xs):
         lam = np.empty((K + 1, prob.n))
         pen = _pen_grad(prob, xs, rho, dt)
-        d0, dT = prob.dphi(xs[0], xs[-1])
-        lam[K] = np.asarray(dT, dtype=float) + pen[K]
-        extra0 = np.asarray(d0, dtype=float)
-        if free_x0 and prob.q:
-            bc = np.asarray(prob.Phi(xs[0], xs[-1]), dtype=float)
-            D0, DT = prob.dPhi(xs[0], xs[-1])
-            lam[K] = lam[K] + 2.0 * rho * bc @ np.asarray(DT, dtype=float)
-            extra0 = extra0 + 2.0 * rho * bc @ np.asarray(D0, dtype=float)
-        trans = np.eye(prob.n) + dt * (prob.df0(xs[:-1]) + uu[:, None, None] * prob.df1(xs[:-1]))
+        (d0, dT), (D0, DT) = prob.dphi(xs[0], xs[-1]), prob.dPhi(xs[0], xs[-1])
+        w = 2.0 * rho * np.asarray(prob.Phi(xs[0], xs[-1]), dtype=float)
+        lam[K] = np.asarray(dT, dtype=float) + pen[K] + w @ np.asarray(DT, dtype=float)
+        trans = np.eye(prob.n) + dt * (prob.df0(xs[:-1]) + z[:K, None, None] * prob.df1(xs[:-1]))
         for i in range(K - 1, -1, -1):
             lam[i] = lam[i + 1] @ trans[i]
             if i >= 1:
                 lam[i] += pen[i]
         gu = dt * np.einsum("ij,ij->i", lam[1:], prob.f1(xs[:-1]))
-        gx0 = lam[0] + extra0 if free_x0 else np.zeros(prob.n)
-        return gu, gx0, lam
+        gx0 = lam[0] + (np.asarray(d0, dtype=float) + w @ np.asarray(D0, dtype=float))
+        return np.concatenate([gu, gx0]), lam
 
-    x0 = np.zeros(prob.n) if free_x0 else np.asarray(prob.x0_fixed, dtype=float)
-    u = _clip(prob, np.full(K, _initial_control(prob)))
-    xs = forward(x0, u)
+    u0 = 0.0 if None in (prob.u_min, prob.u_max) else 0.5 * (prob.u_min + prob.u_max)
+    z = np.clip(np.concatenate([np.full(K, u0), np.zeros(prob.n)]), lower, upper)
+    xs = forward(z)
     J = objective(xs)
     history = [J]
-    alpha = STEP_INIT
-    stalled = False
-    n_iters = 0
-    z_old = None
-    g_old = None
+    alpha, stalled = STEP_INIT, False
+    z_old = g_old = None
     lam = np.zeros((K + 1, prob.n))
     for _ in range(cfg.max_iters):
-        gu, gx0, lam = gradient(u, xs)
-        grad = np.concatenate([gu, gx0]) if free_x0 else gu
-        z = np.concatenate([u, x0]) if free_x0 else u
+        grad, lam = gradient(z, xs)
         if g_old is not None:
-            dz = z - z_old
-            dg = grad - g_old
+            dz = (z - z_old)[moves]
+            dg = (grad - g_old)[moves]
             denom = float(dz @ dg)
             alpha = float(dz @ dz) / denom if denom > 1e-14 else STEP_INIT
             alpha = float(np.clip(alpha, 1e-4, 1e3))
-        accepted = False
         for _ in range(MAX_BACKTRACKS):
-            z_t = z - alpha * grad
-            u_t = _clip(prob, z_t[:K])
-            x0_t = z_t[K:] if free_x0 else x0
-            xs_t = forward(x0_t, u_t)
+            z_t = np.clip(z - alpha * grad, lower, upper)
+            xs_t = forward(z_t)
             J_t = objective(xs_t)
             if J_t < J:
-                accepted = True
                 break
             alpha *= STEP_SHRINK
-        if not accepted:
+        else:
             stalled = True
             break
         z_old, g_old = z, grad
-        u, x0, xs, J = u_t, x0_t, xs_t, J_t
+        z, xs, J = z_t, xs_t, J_t
         history.append(J)
-        n_iters += 1
-        z_new = np.concatenate([u, x0]) if free_x0 else u
-        if np.max(np.abs(z_new - z_old)) == 0.0:
+        if np.max(np.abs(z - z_old)) == 0.0:
             break
 
-    x_acc = _resimulate(prob, x0, u, dt)
-    u_nodes = np.concatenate([u, u[-1:]])
+    x_acc = _resimulate(prob, z[K:], z[:K], dt)
     return DirectSolveResult(
         t=np.linspace(0.0, prob.T, K + 1),
-        u=u_nodes,
+        u=np.concatenate([z[:K], z[K - 1 : K]]),
         x=x_acc,
         x_model=xs,
         lam=lam,
         cost=float(prob.phi(x_acc[0], x_acc[-1])),
         stalled=stalled,
-        n_iters=n_iters,
         objective_history=history,
     )
 

@@ -55,7 +55,7 @@ class ProblemDef:
     bracket_f1f0_f1: Optional[Field] = None
     # Analytic gradient of the constrained-arc feedback, if available.
     dgamma: Optional[Field] = None
-    # Fully determined initial state, when the endpoint map pins it.
+    # Initial state pinned by Phi; the direct method holds x0 there and penalizes every Phi row.
     x0_fixed: Optional[np.ndarray] = None
     name: str = ""
 

@@ -36,7 +36,7 @@ import numpy as np
 from .arc_structure import ArcKind, ArcStructure, arcs_of
 from .errors import AssemblyError
 from .problem_def import ProblemDef, central_diff, fd_steps
-from .shooting import ShootingVector, constraint_rows, endpoint_gradient
+from .shooting import ShootingVector, check_sizes, constraint_rows, endpoint_gradient
 from .tp_dynamics import arc_field, durations, propagate_arc, rk4
 
 POSITIVITY_MARGIN = 1e-6
@@ -140,6 +140,7 @@ def linearized_matrices(
     ``nodes`` is the number of grid cells per arc (the shared normalized
     grid has nodes + 1 points).
     """
+    check_sizes(prob, struct, omega)
     struct.with_tau(omega.tau).validate(prob)
     N, n = struct.N, prob.n
     D = N * n + N - 1

@@ -50,13 +50,16 @@ STEP_FLOOR = 1e-12
 # ---------------------------------------------------------------------------
 
 
+def _packed_size(N: int, n: int, q: int, n_c: int) -> int:
+    return 2 * N * n + (N - 1) + q + n_c
+
+
 def unknown_dim(struct: ArcStructure, n: int, q: int) -> int:
-    return 2 * struct.N * n + (struct.N - 1) + q + struct.kinds.count(ArcKind.Constrained)
+    return _packed_size(struct.N, n, q, struct.kinds.count(ArcKind.Constrained))
 
 
 def residual_dim(struct: ArcStructure, n: int, q: int) -> int:
-    n_c, n_s = (struct.kinds.count(kind) for kind in (ArcKind.Constrained, ArcKind.Singular))
-    return 2 * struct.N * n + (struct.N - 1) + q + n_c + 2 * n_s
+    return unknown_dim(struct, n, q) + 2 * struct.kinds.count(ArcKind.Singular)
 
 
 @dataclass
@@ -100,10 +103,19 @@ class ShootingVector:
     @classmethod
     def unpack(cls, flat: np.ndarray, N: int, n: int, q: int, n_c: int) -> "ShootingVector":
         flat = np.asarray(flat, dtype=float).reshape(-1)
-        expect = 2 * N * n + (N - 1) + q + n_c
+        expect = _packed_size(N, n, q, n_c)
         if flat.size != expect:
             raise ConfigurationError(f"packed length {flat.size}, expected {expect}")
         return cls(*_unpack_batch(flat, N, n, q))
+
+
+def check_sizes(prob: ProblemDef, struct: ArcStructure, omega: ShootingVector) -> None:
+    """Raise :class:`ConfigurationError` unless omega's fields have the sizes of struct and prob."""
+    for name, want in (("x0", (struct.N, prob.n)), ("p0", (struct.N, prob.n)), ("psi", (prob.q,)),
+                       ("gamma", (struct.kinds.count(ArcKind.Constrained),))):
+        got = getattr(omega, name).shape
+        if got != want:
+            raise ConfigurationError(f"omega.{name} has shape {got}, the structure expects {want}")
 
 
 def _unpack_batch(flats: np.ndarray, N: int, n: int, q: int):
@@ -232,16 +244,11 @@ def shooting_function(
     prob: ProblemDef, struct: ArcStructure, omega: ShootingVector, steps: int = 1000
 ) -> ShootingResidual:
     """Evaluate the residual blocks at omega with the given total step count."""
+    check_sizes(prob, struct, omega)
     struct.with_tau(omega.tau).validate(prob)
     M = steps_per_arc(struct, steps)
-    flat = omega.pack()
-    if flat.size != unknown_dim(struct, prob.n, prob.q):
-        raise ConfigurationError(
-            f"omega has {flat.size} entries, structure expects "
-            f"{unknown_dim(struct, prob.n, prob.q)}"
-        )
     ends = propagate_endpoint(prob, struct.kinds, omega.tau, omega.x0, omega.p0, M)
-    return ShootingResidual(*_assemble(prob, struct, flat, *ends))
+    return ShootingResidual(*_assemble(prob, struct, omega.pack(), *ends))
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +260,7 @@ def fd_jacobian(
     prob: ProblemDef, struct: ArcStructure, omega: ShootingVector, steps: int = 1000
 ) -> np.ndarray:
     """Central-difference Jacobian of the stacked residual, all stencil rows in one batch."""
+    check_sizes(prob, struct, omega)
     M = steps_per_arc(struct, steps)
     flat = omega.pack()
     h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(flat))
@@ -336,6 +344,7 @@ def gauss_newton(
     is not met and :class:`RankDeficientJacobian` when the final Jacobian
     loses full column rank.
     """
+    check_sizes(prob, struct, omega0)
     struct.with_tau(omega0.tau).validate(prob)
     M = steps_per_arc(struct, steps)
     flat = omega0.pack().copy()

@@ -228,6 +228,13 @@ class TestDetect:
         detected = json.loads((tmp_path / "structure.json").read_text())
         assert docs[0] == {k: detected[k] for k in ("kinds", "tau")}
 
+    @pytest.mark.parametrize("iters", ["-1", "-5"])
+    def test_negative_direct_iters_exits_1(self, tmp_path, capsys, iters):
+        assert run(["detect", "--problem", "regulator", "--direct-iters", iters,
+                    "--out", tmp_path]) == 1
+        assert f"detect: error: max_iters must be >= 0, got {iters}" in capsys.readouterr().err
+        assert not (tmp_path / "structure.json").exists()
+
     def test_empty_csv_fails(self, tmp_path):
         csv_path = tmp_path / "empty.csv"
         csv_path.write_text("t,u,x1,x2,x3\n")

@@ -18,6 +18,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             DirectSolveConfig(penalty_weight=0.0)
 
+    @pytest.mark.parametrize("iters", [-1, -5])
+    def test_negative_iteration_cap_rejected(self, iters):
+        with pytest.raises(ConfigurationError, match=f"max_iters must be >= 0, got {iters}"):
+            DirectSolveConfig(max_iters=iters)
+
+    def test_zero_iteration_cap_keeps_the_start(self, regulator):
+        res = direct_solve(regulator, DirectSolveConfig(grid_size=20, max_iters=0))
+        assert res.n_iters == 0 and len(res.objective_history) == 1
+        np.testing.assert_array_equal(res.u, 0.0)
+
     def test_free_initial_state_via_penalty(self, toy_bang):
         # Without a pinned x0 the endpoint map Phi = x0 is enforced through
         # the quadratic penalty; the solve should land near x0 = 0, u = -1.
@@ -67,3 +77,43 @@ class TestOptimization:
         # costate start; loose tolerance, it only seeds the shooting.
         _, p0, _ = P.regulator_solution(0.0)
         np.testing.assert_allclose(reg_direct.lam[0], p0, atol=0.2)
+
+    def test_n_iters_counts_accepted_iterates(self, reg_direct):
+        assert reg_direct.n_iters == len(reg_direct.objective_history) - 1
+        with pytest.raises(AttributeError):
+            reg_direct.n_iters = 3
+
+
+class TestEndpointPenalty:
+    """Every row of Phi is penalized, whether x0 is pinned or free."""
+
+    @staticmethod
+    def _terminal_row(toy_bang, x0_fixed):
+        # Phi = (x0, x(1) + 0.5): the terminal row holds x(1) above the
+        # lower bang's -1, at -0.5 - 1/(2 rho) for the penalized cost x(1).
+        def Phi(x0, xT):
+            return np.concatenate([np.asarray(x0, dtype=float),
+                                   np.asarray(xT, dtype=float) + 0.5], axis=-1)
+
+        def dPhi(x0, xT):
+            x0 = np.asarray(x0, dtype=float)
+            lead = x0.shape[:-1]
+            return (np.broadcast_to(np.array([[1.0], [0.0]]), lead + (2, 1)),
+                    np.broadcast_to(np.array([[0.0], [1.0]]), lead + (2, 1)))
+
+        return dataclasses.replace(toy_bang, q=2, Phi=Phi, dPhi=dPhi, x0_fixed=x0_fixed)
+
+    @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "free"])
+    def test_terminal_row_is_enforced(self, toy_bang, pinned):
+        prob = self._terminal_row(toy_bang, toy_bang.x0_fixed if pinned else None)
+        res = direct_solve(prob, DirectSolveConfig(grid_size=20, penalty_weight=1e3,
+                                                   max_iters=1500))
+        bc = prob.Phi(res.x[0], res.x[-1])
+        assert np.max(np.abs(bc)) <= 1e-3
+        assert abs(res.x[-1, 0] - (-0.5 - 1.0 / 2e3)) <= 1e-3
+
+    def test_pinned_start_is_held(self, toy_bang):
+        prob = self._terminal_row(toy_bang, np.array([0.25]))
+        res = direct_solve(prob, DirectSolveConfig(grid_size=20, max_iters=200))
+        # x0 stays at its pin although Phi's first row pulls it to 0.
+        assert res.x[0, 0] == 0.25 and res.x_model[0, 0] == 0.25

@@ -451,6 +451,31 @@ class TestPackedTau:
             entry(regulator, reg_struct, ShootingVector(ref.x0, tau, ref.p0, ref.psi, ref.gamma))
 
 
+class TestFieldSizes:
+    """Every entry point checks each field of omega against the structure."""
+
+    @pytest.mark.parametrize("split", ["psi_into_gamma", "two_gammas"])
+    @pytest.mark.parametrize("entry", [
+        lambda prob, struct, omega: shooting_function(prob, struct, omega, 120),
+        lambda prob, struct, omega: fd_jacobian(prob, struct, omega, 120),
+        lambda prob, struct, omega: gauss_newton(prob, struct, omega, 120),
+        lambda prob, struct, omega: linearized_matrices(prob, struct, omega, 40),
+    ], ids=["shooting_function", "fd_jacobian", "gauss_newton", "linearized_matrices"])
+    def test_misfit_field_raises(self, regulator, reg_struct, reg_omega_exact, entry, split):
+        ref = reg_omega_exact
+        psi, gamma = ((ref.psi[:2], np.concatenate([ref.psi[2:], ref.gamma]))
+                      if split == "psi_into_gamma" else (ref.psi, np.repeat(ref.gamma, 2)))
+        bad = ShootingVector(ref.x0, ref.tau, ref.p0, psi, gamma)
+        with pytest.raises(ConfigurationError, match=r"omega\.(psi|gamma) has shape"):
+            entry(regulator, reg_struct, bad)
+
+    def test_states_of_another_dimension_raise(self, regulator, reg_struct, reg_omega_exact):
+        ref = reg_omega_exact
+        bad = ShootingVector(ref.x0[:, :2], ref.tau, ref.p0[:, :2], ref.psi, ref.gamma)
+        with pytest.raises(ConfigurationError, match=r"omega\.x0 has shape \(3, 2\)"):
+            fd_jacobian(regulator, reg_struct, bad, 120)
+
+
 class TestGaussNewtonCore:
     def test_affine_residual_single_step(self):
         # F(y) = (y - 1, 2 (y - 1)) has Jacobian (1, 2): one exact step.
