@@ -37,6 +37,12 @@ one subprocess per step:
   toy-bang with a free initial state (grid 20, 1500 iterations) and the
   regulator with its pinned one (grid 60, 250 iterations, penalty weight 10),
   so that both kinds of start are covered.
+* ``perturbed_pool``: ``gauss_newton`` at 1000 steps on the regulator from 8
+  starts, start ``j`` being the analytic entries scaled by ``1 + s U(-1, 1)``
+  with ``default_rng([1, j])`` and ``s`` cycling through 5, 10 and 20 %; the
+  full-precision report (``to_json_dict``), the exception if one ends the
+  solve, and the packed solution of every start go into one JSON file, so
+  that Gauss-Newton's step and line-search decisions are covered.
 
 The exit code of every step goes into ``exit_codes.json``.  The script then
 compares every output file of the two trees byte for byte, lists each one
@@ -124,6 +130,33 @@ DIRECT = (
     "        json.dumps(doc, indent=1, sort_keys=True) + '\\n')\n"
 )
 
+PERTURBED_POOL = (
+    "import json, sys\n"
+    "import numpy as np\n"
+    "from arcshoot import problems as P\n"
+    "from arcshoot.errors import ArcshootError\n"
+    "from arcshoot.shooting import ShootingVector, gauss_newton\n"
+    "prob, struct = P.make_regulator(), P.regulator_structure()\n"
+    "flat = P.regulator_analytic_omega().pack()\n"
+    "runs = []\n"
+    "for j in range(8):\n"
+    "    s = (0.05, 0.1, 0.2)[j % 3]\n"
+    "    start = flat * (1.0 + s * np.random.default_rng([1, j]).uniform(-1.0, 1.0, flat.size))\n"
+    "    try:\n"
+    "        omega, report = gauss_newton(prob, struct, ShootingVector.unpack(start, 3, 3, 3, 1),\n"
+    "                                     steps=1000)\n"
+    "        error = None\n"
+    "    except ArcshootError as exc:\n"
+    "        omega, report = getattr(exc, 'omega', None), getattr(exc, 'report', None)\n"
+    "        error = f'{type(exc).__name__}: {exc}'\n"
+    "    runs.append({'scale': s, 'error': error,\n"
+    "                 'report': report.to_json_dict() if report is not None else None,\n"
+    "                 'omega': omega.pack().tolist() if omega is not None else None})\n"
+    "with open(sys.argv[1], 'w') as fh:\n"
+    "    json.dump(runs, fh, indent=1, sort_keys=True)\n"
+    "    fh.write('\\n')\n"
+)
+
 
 def steps(out: Path) -> list:
     """(name, argv) of every pipeline step, writing under ``out``."""
@@ -166,6 +199,7 @@ def steps(out: Path) -> list:
           for tag, extra in (("", []), ("_max_iter_1", ["--max-iter", "1"]))],
         ("multi_arc", [py, "-c", MULTI_ARC, str(out / "multi_arc")]),
         ("direct", [py, "-c", DIRECT, str(out / "direct")]),
+        ("perturbed_pool", [py, "-c", PERTURBED_POOL, str(out / "perturbed_pool.json")]),
     ]
 
 

@@ -169,6 +169,15 @@ def _omega_from_direct(prob, struct, dres) -> ShootingVector:
     )
 
 
+def _failed_solve(out_dir, cfg, message, report, **found) -> int:
+    """Print ``message``, write report.json for a solve without a solution; exit code 1."""
+    print(f"solve: {message}", file=sys.stderr)
+    doc = {"problem": cfg["problem"], "converged": False,
+           "gauss_newton": report.to_json_dict() if report else None, **found}
+    write_json(out_dir / "report.json", _round9(doc))
+    return 1
+
+
 def cmd_solve(cfg, out_dir, prob) -> int:
     steps = cfg.get("steps", 1000)
     struct, dres = _resolve_structure(prob, cfg)
@@ -184,13 +193,12 @@ def cmd_solve(cfg, out_dir, prob) -> int:
         omega, report = exc.omega, exc.report
         rank_deficient = True
     except MaxIterExceeded as exc:
-        print(f"solve: {exc}", file=sys.stderr)
-        doc = {"problem": cfg["problem"], "converged": False,
-               "gauss_newton": exc.report.to_json_dict() if exc.report else None}
-        write_json(out_dir / "report.json", _round9(doc))
-        return 1
-
-    struct = struct.with_tau(omega.tau)  # solved switching times out of order are an error
+        return _failed_solve(out_dir, cfg, exc, exc.report)
+    try:
+        struct = struct.with_tau(omega.tau)
+    except ConfigurationError as exc:  # solved switching times out of order
+        return _failed_solve(out_dir, cfg, f"error: {exc}", report,
+                             tau=[float(t) for t in omega.tau], error=str(exc))
     traj = report.trajectory
     validation = validate_solution(prob, struct, traj)
     write_tp_csv(out_dir / "trajectory.csv", traj)

@@ -66,6 +66,9 @@ class ProblemDef:
             raise ConfigurationError(f"endpoint constraint count must be >= 0, got {self.q}")
         if self.T <= 0:
             raise ConfigurationError(f"horizon must be positive, got {self.T}")
+        for name, bound in (("u_min", self.u_min), ("u_max", self.u_max)):
+            if bound is not None and not np.isfinite(bound):
+                raise ConfigurationError(f"{name} = {bound} is not finite; pass None for no bound")
         if self.u_min is not None and self.u_max is not None and not self.u_min < self.u_max:
             raise ConfigurationError(
                 f"control bounds must satisfy u_min < u_max, got [{self.u_min}, {self.u_max}]"
@@ -79,25 +82,25 @@ def _check_dim(v: np.ndarray, n: int, what: str) -> np.ndarray:
     return v
 
 
-def central_diff(fn: Callable, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of ``fn`` at every row of ``x``.
+def central_diff(fn: Callable, x: np.ndarray, h: np.ndarray) -> tuple:
+    """Value ``fn(x)`` and central-difference Jacobian of ``fn`` at every row of ``x``.
 
     ``x`` has shape ``(..., D)`` and ``h`` holds one step per entry of ``x``.
-    All ``2 D`` stencil points go to ``fn`` in one ``(2 D, ..., D)`` batch,
-    so ``fn`` may broadcast against arrays with the leading shape of ``x``.
-    ``fn`` maps ``(..., D)`` to ``(..., *out)``, and the result has shape
-    ``(..., *out, D)`` with ``[..., i, j] = d fn_i / d x_j``.
+    The centre and all ``2 D`` stencil points go to ``fn`` in one batch
+    ``(2 D + 1, ..., D)``, centre first; ``fn`` may broadcast against arrays with
+    the leading shape of ``x`` and maps ``(..., D)`` to ``(..., *out)``.  The
+    Jacobian has shape ``(..., *out, D)`` with ``[..., i, j] = d fn_i / d x_j``.
     """
     x = np.asarray(x, dtype=float)
     D = x.shape[-1]
     hT = np.moveaxis(np.broadcast_to(h, x.shape), -1, 0)
     idx = np.arange(D)
-    stencil = np.broadcast_to(x, (2 * D,) + x.shape).copy()
-    stencil[idx, ..., idx] += hT
-    stencil[D + idx, ..., idx] -= hT
+    stencil = np.broadcast_to(x, (2 * D + 1,) + x.shape).copy()
+    stencil[1 + idx, ..., idx] += hT
+    stencil[1 + D + idx, ..., idx] -= hT
     vals = np.asarray(fn(stencil), dtype=float)
     hT = hT.reshape(hT.shape + (1,) * (vals.ndim - x.ndim))
-    return np.moveaxis((vals[:D] - vals[D:]) / (2.0 * hT), 0, -1)
+    return vals[0], np.moveaxis((vals[1 : D + 1] - vals[D + 1 :]) / (2.0 * hT), 0, -1)
 
 
 def fd_steps(x: np.ndarray) -> np.ndarray:
@@ -151,8 +154,7 @@ def second_brackets(prob: ProblemDef, x: np.ndarray) -> tuple:
     """
     x = np.asarray(x, dtype=float)
     if prob.bracket_f1f0_f0 is None or prob.bracket_f1f0_f1 is None:
-        jac_b = central_diff(lambda y: bracket_f1_f0(prob, y), x, fd_steps(x))
-        b = bracket_f1_f0(prob, x)
+        b, jac_b = central_diff(lambda y: bracket_f1_f0(prob, y), x, fd_steps(x))
 
     def bracket(override, z, dz, name):
         if override is not None:
@@ -184,7 +186,7 @@ def gamma_gradient(prob: ProblemDef, x: np.ndarray) -> np.ndarray:
     if prob.dgamma is not None:
         return _check_dim(prob.dgamma(x), prob.n, "dgamma override")
     return central_diff(lambda y: gamma_control(prob, y, prob.f0(y), prob.f1(y)), x,
-                        fd_steps(x))
+                        fd_steps(x))[1]
 
 
 @dataclass

@@ -155,7 +155,7 @@ def linearized_matrices(
     # One central difference in the joint (X, U): columns :D are d/dX, D: are d/dU.
     XU = np.concatenate([X, U], axis=1)
     J = central_diff(lambda z: tp_rates(prob, struct, z[..., D:], z[..., :D], traj.p),
-                     XU, fd_steps(XU))
+                     XU, fd_steps(XU))[1]
     A, B, HUX = J[:, :D, :D], J[:, :D, D:], J[:, 2 * D :, :D]
     HXX = _symmetrized(J[:, D : 2 * D, :D], "H_XX", "gradient and field evaluations disagree")
 
@@ -203,7 +203,7 @@ def _endpoint_derivatives(prob, struct, omega, X0, X1):
                                *constraint_rows(prob, struct, x0, x1)], axis=-1)
 
     z = np.concatenate([X0, X1])
-    J = central_diff(rows, z, fd_steps(z))
+    J = central_diff(rows, z, fd_steps(z))[1]
     hess = _symmetrized(J[: 2 * D], "endpoint Hessian", "dphi, dPhi or dg is not a gradient")
     return hess, J[2 * D :]
 

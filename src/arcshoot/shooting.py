@@ -221,23 +221,17 @@ def _assemble(prob, struct, flats, x1, p1):
     return blocks
 
 
-def _residual(prob, struct, flats, x1, p1):
-    """Stacked residual of packed vectors (..., m) whose arcs end at (x1, p1)."""
-    return np.concatenate(_assemble(prob, struct, flats, x1, p1), axis=-1)
-
-
 def _residual_flat_batch(prob, struct, flats, M):
     """Stacked residual of packed vectors (..., m); a 1-D vector is one row."""
     x0, tau, p0, _, _ = _unpack_batch(flats, struct.N, prob.n, prob.q)
     ends = propagate_endpoint(prob, struct.kinds, tau, x0, p0, M)
-    return _residual(prob, struct, flats, *ends)
+    return np.concatenate(_assemble(prob, struct, flats, *ends), axis=-1)
 
 
-def _residual_and_grid(prob, struct, flat, M):
-    """One-row residual of a packed vector and its full grid; the arcs end at its last node."""
-    x0, tau, p0, _, _ = _unpack_batch(flat, struct.N, prob.n, prob.q)
-    traj = propagate_arc(prob, struct.kinds, tau, x0, p0, M)
-    return _residual(prob, struct, flat, traj.x[-1], traj.p[-1]), traj
+def _linearize(prob, struct, flat, M):
+    """Residual and central-difference Jacobian at a packed vector, one (2m + 1)-row pass."""
+    h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(flat))
+    return central_diff(lambda z: _residual_flat_batch(prob, struct, z, M), flat, h)
 
 
 def shooting_function(
@@ -261,10 +255,7 @@ def fd_jacobian(
 ) -> np.ndarray:
     """Central-difference Jacobian of the stacked residual, all stencil rows in one batch."""
     check_sizes(prob, struct, omega)
-    M = steps_per_arc(struct, steps)
-    flat = omega.pack()
-    h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(flat))
-    return central_diff(lambda z: _residual_flat_batch(prob, struct, z, M), flat, h)
+    return _linearize(prob, struct, omega.pack(), steps_per_arc(struct, steps))[1]
 
 
 def _minimum_norm_step(J: np.ndarray, r: np.ndarray):
@@ -339,6 +330,8 @@ def gauss_newton(
 
     Each step is the minimum-norm solution of the linearized system; the
     2-norm of the residual gates acceptance with up to 20 step halvings.
+    Each point (the start and every trial) takes its residual and Jacobian
+    from one batched pass; the rank verdict reads the last accepted one.
     Returns the solution and a :class:`ConvergenceReport`.  Raises
     :class:`MaxIterExceeded` (carrying the best iterate) when the tolerance
     is not met and :class:`RankDeficientJacobian` when the final Jacobian
@@ -347,40 +340,36 @@ def gauss_newton(
     check_sizes(prob, struct, omega0)
     struct.with_tau(omega0.tau).validate(prob)
     M = steps_per_arc(struct, steps)
-    flat = omega0.pack().copy()
-    m = flat.size
+    flat = omega0.pack()
     report = ConvergenceReport()
     unpack = lambda f: ShootingVector.unpack(f, struct.N, prob.n, prob.q,
                                              struct.kinds.count(ArcKind.Constrained))
 
-    r, traj = _residual_and_grid(prob, struct, flat, M)
+    r, J = _linearize(prob, struct, flat, M)
     best = (np.linalg.norm(r, np.inf), flat.copy())
     for _ in range(max_iter):
         rinf = np.linalg.norm(r, np.inf)
         if rinf <= tol:
             break
-        J = fd_jacobian(prob, struct, unpack(flat), steps)
         step, _, _ = _minimum_norm_step(J, r)
         r2 = np.linalg.norm(r)
         alpha = 1.0
-        accepted = False
         for _ in range(MAX_HALVINGS + 1):
             trial = flat + alpha * step
             try:
-                rt, traj_t = _residual_and_grid(prob, struct, trial, M)
-            except ArcshootError:
-                alpha *= 0.5
-                continue
-            if np.linalg.norm(rt) < r2:
-                accepted = True
-                break
+                rt, Jt = _linearize(prob, struct, trial, M)
+            except ArcshootError:  # raised in the centre or any stencil row
+                pass
+            else:
+                if np.linalg.norm(rt) < r2:
+                    break
             alpha *= 0.5
-        if not accepted:
+        else:
             report.stalled = True
             break
         step_norm = alpha * float(np.linalg.norm(step))
         report.iterations.append({"residual_norm": float(rinf), "step_norm": step_norm})
-        flat, r, traj = trial, rt, traj_t
+        flat, r, J = trial, rt, Jt
         if np.linalg.norm(r, np.inf) < best[0]:
             best = (np.linalg.norm(r, np.inf), flat.copy())
         if step_norm <= STEP_FLOOR:
@@ -388,14 +377,14 @@ def gauss_newton(
     rinf = float(np.linalg.norm(r, np.inf))
 
     omega_star = unpack(flat)
-    J = fd_jacobian(prob, struct, omega_star, steps)
     _, svals, rank = _minimum_norm_step(J, r)
     report.converged = rinf <= tol
     report.final_residual = rinf
     report.jacobian_rank = rank
     report.smallest_singular_value = float(svals[-1]) if svals.size else 0.0
     report.order_estimate = _order_estimate(report.residual_history)
-    report.trajectory = traj
+    report.trajectory = propagate_arc(prob, struct.kinds, omega_star.tau, omega_star.x0,
+                                      omega_star.p0, M)
 
     if not report.converged:
         raise MaxIterExceeded(
@@ -403,9 +392,9 @@ def gauss_newton(
             omega=unpack(best[1]),
             report=report,
         )
-    if rank < m:
+    if rank < flat.size:
         raise RankDeficientJacobian(
-            f"Jacobian rank {rank} < {m} unknowns at the final iterate",
+            f"Jacobian rank {rank} < {flat.size} unknowns at the final iterate",
             omega=omega_star,
             report=report,
         )

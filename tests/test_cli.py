@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import arcshoot
+from arcshoot import cli
 from arcshoot import problems as P
 from arcshoot.arc_structure import write_trajectory_csv
 from arcshoot.cli import main
-from arcshoot.shooting import gauss_newton, load_omega, save_omega
+from arcshoot.shooting import ConvergenceReport, gauss_newton, load_omega, save_omega
 
 
 def run(args):
@@ -98,6 +99,25 @@ class TestSolve:
     def test_analytic_init_structure_mismatch_exits_1(self, tmp_path):
         assert run(["solve", "--problem", "regulator", "--structure", "S",
                     "--init", "analytic", "--out", tmp_path]) == 1
+
+    def test_out_of_order_solved_tau_writes_report(self, tmp_path, capsys, monkeypatch):
+        # Gauss-Newton "converges" to switching times that collapse an arc.
+        solved = P.regulator_analytic_omega()
+        solved.tau = np.array([2.14227789, 2.14227789])
+        gn = ConvergenceReport(iterations=[{"residual_norm": 0.25, "step_norm": 0.5}],
+                               converged=True, final_residual=4.4e-11, jacobian_rank=24,
+                               smallest_singular_value=0.067)
+        monkeypatch.setattr(cli, "gauss_newton", lambda *a, **k: (solved, gn))
+        assert run(["solve", "--problem", "regulator", "--structure", "B-,C,S",
+                    "--init", "analytic", "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert "switching times must be strictly increasing" in err
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report == {"problem": "regulator", "converged": False,
+                          "tau": [2.14227789, 2.14227789],
+                          "error": err.split("solve: error: ", 1)[1].strip(),
+                          "gauss_newton": gn.to_json_dict()}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
     def test_validation_checks_without_c_or_s_arcs(self, toy_bang_dir):
         # One B- arc: the four checks over C/S arcs and CS junctions pass

@@ -236,6 +236,12 @@ class TestProblemDef:
     def test_bound_order_enforced(self):
         with pytest.raises(ConfigurationError):
             dataclasses.replace(P.make_regulator(), u_min=1.0, u_max=-1.0)
+        # A bound is finite or left out with None.
+        for bounds in ({"u_min": -np.inf, "u_max": np.inf}, {"u_min": -np.inf},
+                       {"u_max": np.inf}, {"u_min": np.nan}):
+            name = next(iter(bounds))
+            with pytest.raises(ConfigurationError, match=f"{name} = .* is not finite; pass None"):
+                dataclasses.replace(P.make_regulator(), **bounds)
 
     def test_purity_bit_identical(self):
         prob = P.make_regulator()

@@ -25,6 +25,7 @@ from arcshoot.problem_def import (
 from arcshoot.second_order import linearized_matrices
 from arcshoot.shooting import (
     ShootingVector,
+    _linearize,
     _minimum_norm_step,
     _residual_flat_batch,
     endpoint_gradient,
@@ -255,7 +256,7 @@ class TestEndpointGradient:
         split = lambda zz: (zz[..., : N * n].reshape(zz.shape[:-1] + (N, n)),
                             zz[..., N * n :].reshape(zz.shape[:-1] + (N, n)))
         ref = central_diff(lambda zz: endpoint_lagrangian(prob, struct, *split(zz), psi, gamma),
-                           z, np.full(z.size, 1e-5))
+                           z, np.full(z.size, 1e-5))[1]
         l0, l1 = endpoint_gradient(prob, struct, *split(z), psi, gamma)
         np.testing.assert_allclose(np.concatenate([l0.ravel(), l1.ravel()]), ref,
                                    rtol=0.0, atol=1e-9)
@@ -532,14 +533,23 @@ class TestGaussNewtonCore:
     def test_trajectory_is_that_of_the_returned_iterate(self, regulator, reg_struct,
                                                         reg_omega_exact, monkeypatch):
         # From this 40 % start GN halves its step once (no 20 % start tried
-        # halves); the grid it keeps must be the returned iterate's, bit for bit.
+        # halves); the grid it keeps must be the returned iterate's, bit for bit,
+        # and each point it evaluates must cost one (2m + 1)-row pass.
         omega0 = perturbed_start(regulator, reg_struct, reg_omega_exact, scale=0.4, seed=1)
-        passes = []
-        one_row = shooting._residual_and_grid
-        monkeypatch.setattr(shooting, "_residual_and_grid",
-                            lambda *a: passes.append(a) or one_row(*a))
+        m = omega0.pack().size
+        points, grids, rows = [], [], []
+        for calls, name in ((points, "_linearize"), (grids, "propagate_arc")):
+            real = getattr(shooting, name)
+            monkeypatch.setattr(shooting, name,
+                                lambda *a, calls=calls, real=real: calls.append(a) or real(*a))
+        endpoint = shooting.propagate_endpoint
+        monkeypatch.setattr(shooting, "propagate_endpoint",
+                            lambda prob, kinds, tau, x0, p0, M:
+                            rows.append(x0.shape[:-2]) or endpoint(prob, kinds, tau, x0, p0, M))
         omega, report = gauss_newton(regulator, reg_struct, omega0, steps=300)
-        assert len(passes) > report.n_iter + 1
+        assert len(points) > report.n_iter + 1
+        assert len(grids) == 1
+        assert rows == [(2 * m + 1,)] * len(points)
         ref = propagate_arc(regulator, reg_struct.kinds, omega.tau, omega.x0, omega.p0,
                             steps_per_arc(reg_struct, 300))
         got = report.trajectory
@@ -547,6 +557,16 @@ class TestGaussNewtonCore:
         assert got.T == ref.T and got.kinds == ref.kinds
         for f in "sxpw":
             np.testing.assert_array_equal(getattr(got, f), getattr(ref, f))
+
+    @pytest.mark.parametrize("scale", [0.0, 0.01], ids=["analytic", "perturbed_1pct"])
+    def test_linearized_residual_is_the_shooting_function(self, regulator, reg_struct,
+                                                          reg_omega_exact, scale):
+        # The centre row of the stencil pass is the residual, bit for bit.
+        omega = perturbed_start(regulator, reg_struct, reg_omega_exact, scale=scale, seed=1)
+        r, J = _linearize(regulator, reg_struct, omega.pack(), steps_per_arc(reg_struct, 300))
+        np.testing.assert_array_equal(r, shooting_function(regulator, reg_struct, omega,
+                                                           300).stacked)
+        assert J.shape == (r.size, omega.pack().size)
 
     def test_regulator_converges_from_perturbation(self, reg_solution):
         report = reg_solution["report"]

@@ -286,11 +286,11 @@ class TestCallbackCounts:
 
     def test_fd_singular_rule_shares_one_stencil(self):
         # f0, f1, df0, df1 for the field; both second-level brackets from one
-        # central difference of [f1,f0] (4 calls) plus [f1,f0] itself (4) and
-        # the outer fields and their Jacobians (4).
+        # central difference of [f1,f0] whose centre row is [f1,f0] itself (4
+        # calls) and the outer fields and their Jacobians (4).
         counts = self._counts(P.make_regulator_fd_brackets(), S, [0.17, -0.17, 0.5],
                               [0.17, 0.0, 1.0])
-        assert counts == {"f0": 4, "f1": 4, "df0": 4, "df1": 4}
+        assert counts == {"f0": 3, "f1": 3, "df0": 3, "df1": 3}
 
     @staticmethod
     def _counts(regulator, kind, x, p):
