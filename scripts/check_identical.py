@@ -41,8 +41,9 @@ one subprocess per step:
   starts, start ``j`` being the analytic entries scaled by ``1 + s U(-1, 1)``
   with ``default_rng([1, j])`` and ``s`` cycling through 5, 10 and 20 %; the
   full-precision report (``to_json_dict``), the exception if one ends the
-  solve, and the packed solution of every start go into one JSON file, so
-  that Gauss-Newton's step and line-search decisions are covered.
+  solve, the packed solution and the report's trajectory (``x``, ``p`` and
+  ``w``) of every start go into one JSON file, so that Gauss-Newton's step
+  and line-search decisions and the grid it keeps on every exit are covered.
 
 The exit code of every step goes into ``exit_codes.json``.  The script then
 compares every output file of the two trees byte for byte, lists each one
@@ -149,9 +150,12 @@ PERTURBED_POOL = (
     "    except ArcshootError as exc:\n"
     "        omega, report = getattr(exc, 'omega', None), getattr(exc, 'report', None)\n"
     "        error = f'{type(exc).__name__}: {exc}'\n"
+    "    traj = getattr(report, 'trajectory', None)\n"
     "    runs.append({'scale': s, 'error': error,\n"
     "                 'report': report.to_json_dict() if report is not None else None,\n"
-    "                 'omega': omega.pack().tolist() if omega is not None else None})\n"
+    "                 'omega': omega.pack().tolist() if omega is not None else None,\n"
+    "                 'trajectory': None if traj is None else\n"
+    "                     {f: getattr(traj, f).tolist() for f in ('x', 'p', 'w')}})\n"
     "with open(sys.argv[1], 'w') as fh:\n"
     "    json.dump(runs, fh, indent=1, sort_keys=True)\n"
     "    fh.write('\\n')\n"

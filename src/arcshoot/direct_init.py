@@ -3,6 +3,9 @@
 Euler-discretized control grid, one decision vector (cell controls, initial
 state), quadratic penalty on the state constraint and the endpoint map,
 projected gradient with a Barzilai-Borwein step and monotone backtracking.
+All backtracking trials of an iteration, the steps alpha * STEP_SHRINK^k,
+go through one batched Euler recursion, and the first trial that lowers
+the objective is taken.
 The Euler recursion is only the optimization model; the returned trajectory
 and cost re-integrate the found control accurately (RK4 substeps), which
 removes the first-order discretization bias from the reported numbers.
@@ -91,17 +94,21 @@ def direct_solve(prob: ProblemDef, cfg: Optional[DirectSolveConfig] = None) -> D
     moves = lower < upper  # BB sums skip pinned entries: their zeros would change BLAS rounding
 
     def forward(z):
-        xs = np.empty((K + 1, prob.n))
-        xs[0] = z[K:]
+        """Euler states (..., K+1, n) of decision vectors z (..., K + n)."""
+        xs = np.empty(z.shape[:-1] + (K + 1, prob.n))
+        xs[..., 0, :] = z[..., K:]
         for i in range(K):
-            xs[i + 1] = xs[i] + dt * (prob.f0(xs[i]) + z[i] * prob.f1(xs[i]))
+            x = xs[..., i, :]
+            xs[..., i + 1, :] = x + dt * (prob.f0(x) + z[..., i, None] * prob.f1(x))
         return xs
 
     def objective(xs):
-        viol = np.maximum(0.0, np.asarray(prob.g(xs[1:]), dtype=float))
-        bc = np.asarray(prob.Phi(xs[0], xs[-1]), dtype=float)
-        return (float(prob.phi(xs[0], xs[-1])) + rho * float(viol @ viol) * dt
-                + rho * float(bc @ bc))
+        """Cost plus penalties of Euler states (..., K+1, n), (...)."""
+        sq = lambda v: np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]  # v @ v per row
+        viol = np.maximum(0.0, np.asarray(prob.g(xs[..., 1:, :]), dtype=float))
+        bc = np.asarray(prob.Phi(xs[..., 0, :], xs[..., -1, :]), dtype=float)
+        return (np.asarray(prob.phi(xs[..., 0, :], xs[..., -1, :]), dtype=float)
+                + rho * sq(viol) * dt + rho * sq(bc))
 
     def gradient(z, xs):
         lam = np.empty((K + 1, prob.n))
@@ -121,7 +128,7 @@ def direct_solve(prob: ProblemDef, cfg: Optional[DirectSolveConfig] = None) -> D
     u0 = 0.0 if None in (prob.u_min, prob.u_max) else 0.5 * (prob.u_min + prob.u_max)
     z = np.clip(np.concatenate([np.full(K, u0), np.zeros(prob.n)]), lower, upper)
     xs = forward(z)
-    J = objective(xs)
+    J = float(objective(xs))
     history = [J]
     alpha, stalled = STEP_INIT, False
     z_old = g_old = None
@@ -134,18 +141,18 @@ def direct_solve(prob: ProblemDef, cfg: Optional[DirectSolveConfig] = None) -> D
             denom = float(dz @ dg)
             alpha = float(dz @ dz) / denom if denom > 1e-14 else STEP_INIT
             alpha = float(np.clip(alpha, 1e-4, 1e3))
-        for _ in range(MAX_BACKTRACKS):
-            z_t = np.clip(z - alpha * grad, lower, upper)
-            xs_t = forward(z_t)
-            J_t = objective(xs_t)
-            if J_t < J:
-                break
-            alpha *= STEP_SHRINK
-        else:
+        # The trial steps alpha, alpha * STEP_SHRINK, ..., as repeated products.
+        alphas = np.cumprod(np.r_[alpha, np.full(MAX_BACKTRACKS - 1, STEP_SHRINK)])
+        z_t = np.clip(z - alphas[:, None] * grad, lower, upper)
+        xs_t = forward(z_t)
+        J_t = objective(xs_t)
+        lower_J = np.flatnonzero(J_t < J)
+        if not lower_J.size:
             stalled = True
             break
+        k = lower_J[0]
         z_old, g_old = z, grad
-        z, xs, J = z_t, xs_t, J_t
+        z, xs, J = z_t[k], xs_t[k], float(J_t[k])
         history.append(J)
         if np.max(np.abs(z - z_old)) == 0.0:
             break

@@ -122,7 +122,7 @@ def guarded_ratio(num, a: np.ndarray, b: np.ndarray, x: np.ndarray, error: type)
     """
     den = np.einsum("...i,...i->...", a, b)
     bad = np.abs(den) < denominator_guard(a, b)
-    if np.any(bad):
+    if bad.any():
         i = int(np.argmax(np.ravel(bad)))
         x = np.asarray(x, dtype=float)
         raise error(x.reshape(-1, x.shape[-1])[i], float(np.ravel(den)[i]))

@@ -36,7 +36,7 @@ from .tp_dynamics import (
     arc_hamiltonian,
     constraint_multiplier_density,
     legendre_clebsch_value,
-    propagate_arc,
+    node_trajectory,
     propagate_endpoint,
 )
 
@@ -221,17 +221,27 @@ def _assemble(prob, struct, flats, x1, p1):
     return blocks
 
 
-def _residual_flat_batch(prob, struct, flats, M):
-    """Stacked residual of packed vectors (..., m); a 1-D vector is one row."""
+def _residual_flat_batch(prob, struct, flats, M, centre=None):
+    """Stacked residual of packed vectors (..., m); a 1-D vector is one row.
+
+    ``centre`` goes to :func:`propagate_endpoint`, which appends the first
+    row's nodes to it.
+    """
     x0, tau, p0, _, _ = _unpack_batch(flats, struct.N, prob.n, prob.q)
-    ends = propagate_endpoint(prob, struct.kinds, tau, x0, p0, M)
+    ends = propagate_endpoint(prob, struct.kinds, tau, x0, p0, M, centre=centre)
     return np.concatenate(_assemble(prob, struct, flats, *ends), axis=-1)
 
 
 def _linearize(prob, struct, flat, M):
-    """Residual and central-difference Jacobian at a packed vector, one (2m + 1)-row pass."""
+    """Residual, central-difference Jacobian and grid nodes at a packed vector.
+
+    One (2m + 1)-row pass with the point itself as row 0; the nodes, a list
+    of (N, 2n) arrays for :func:`node_trajectory`, are that row's.
+    """
     h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(flat))
-    return central_diff(lambda z: _residual_flat_batch(prob, struct, z, M), flat, h)
+    nodes = []
+    r, J = central_diff(lambda z: _residual_flat_batch(prob, struct, z, M, nodes), flat, h)
+    return r, J, nodes
 
 
 def shooting_function(
@@ -255,6 +265,7 @@ def fd_jacobian(
 ) -> np.ndarray:
     """Central-difference Jacobian of the stacked residual, all stencil rows in one batch."""
     check_sizes(prob, struct, omega)
+    struct.with_tau(omega.tau).validate(prob)
     return _linearize(prob, struct, omega.pack(), steps_per_arc(struct, steps))[1]
 
 
@@ -278,7 +289,7 @@ class ConvergenceReport:
     jacobian_rank: int = 0
     smallest_singular_value: float = 0.0
     order_estimate: float = float("nan")
-    trajectory: TPTrajectory = None   # grid of the last iterate (the one returned); not in JSON
+    trajectory: TPTrajectory = None   # grid of the last accepted iterate; not in JSON
 
     @property
     def n_iter(self) -> int:
@@ -330,8 +341,9 @@ def gauss_newton(
 
     Each step is the minimum-norm solution of the linearized system; the
     2-norm of the residual gates acceptance with up to 20 step halvings.
-    Each point (the start and every trial) takes its residual and Jacobian
-    from one batched pass; the rank verdict reads the last accepted one.
+    Each point (the start and every trial) takes its residual, Jacobian and
+    grid from one batched pass; the rank verdict and the report's trajectory
+    read the last accepted one.
     Returns the solution and a :class:`ConvergenceReport`.  Raises
     :class:`MaxIterExceeded` (carrying the best iterate) when the tolerance
     is not met and :class:`RankDeficientJacobian` when the final Jacobian
@@ -345,7 +357,7 @@ def gauss_newton(
     unpack = lambda f: ShootingVector.unpack(f, struct.N, prob.n, prob.q,
                                              struct.kinds.count(ArcKind.Constrained))
 
-    r, J = _linearize(prob, struct, flat, M)
+    r, J, nodes = _linearize(prob, struct, flat, M)
     best = (np.linalg.norm(r, np.inf), flat.copy())
     for _ in range(max_iter):
         rinf = np.linalg.norm(r, np.inf)
@@ -357,7 +369,7 @@ def gauss_newton(
         for _ in range(MAX_HALVINGS + 1):
             trial = flat + alpha * step
             try:
-                rt, Jt = _linearize(prob, struct, trial, M)
+                rt, Jt, nodes_t = _linearize(prob, struct, trial, M)
             except ArcshootError:  # raised in the centre or any stencil row
                 pass
             else:
@@ -369,7 +381,7 @@ def gauss_newton(
             break
         step_norm = alpha * float(np.linalg.norm(step))
         report.iterations.append({"residual_norm": float(rinf), "step_norm": step_norm})
-        flat, r, J = trial, rt, Jt
+        flat, r, J, nodes = trial, rt, Jt, nodes_t
         if np.linalg.norm(r, np.inf) < best[0]:
             best = (np.linalg.norm(r, np.inf), flat.copy())
         if step_norm <= STEP_FLOOR:
@@ -383,8 +395,7 @@ def gauss_newton(
     report.jacobian_rank = rank
     report.smallest_singular_value = float(svals[-1]) if svals.size else 0.0
     report.order_estimate = _order_estimate(report.residual_history)
-    report.trajectory = propagate_arc(prob, struct.kinds, omega_star.tau, omega_star.x0,
-                                      omega_star.p0, M)
+    report.trajectory = node_trajectory(prob, struct.kinds, omega_star.tau, nodes)
 
     if not report.converged:
         raise MaxIterExceeded(

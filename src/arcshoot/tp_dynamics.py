@@ -10,7 +10,12 @@ Once their initial (x, p) and durations are known the arcs are independent,
 so all arcs of a structure step together: the field takes states
 (..., N, n), one row of the arc axis per arc kind, and one RK4 pass
 propagates every arc.  All helpers broadcast over the leading batch axes as
-well, so many shooting iterates or grid nodes propagate at once.
+well, so many shooting iterates or grid nodes propagate at once.  What the
+control rules need from the arc kinds alone (each kind's positions, the
+bang bounds, the constrained arcs' slice) is set up once per pass by
+:func:`arc_rules`, not at every RK4 stage.  A pass over a batch can keep
+the nodes of its first row, which :func:`node_trajectory` turns into the
+same trajectory a one-row :func:`propagate_arc` gives.
 """
 
 from __future__ import annotations
@@ -31,8 +36,25 @@ def legendre_clebsch_value(prob: ProblemDef, x: np.ndarray, costate: np.ndarray)
     return np.einsum("...i,...i->...", costate, second_brackets(prob, x)[1])
 
 
+def arc_rules(prob: ProblemDef, kinds) -> dict:
+    """Kind -> (positions, bang bound or None) of every kind in ``kinds``, in order of appearance.
+
+    The set-up the control rules share, made once per pass: each kind's
+    arc positions (:func:`arcs_of`) and the bound a bang arc takes.  Raises
+    :class:`ConfigurationError` when a bang arc's bound is absent.
+    """
+    bounds = {ArcKind.BMinus: ("lower", prob.u_min), ArcKind.BPlus: ("upper", prob.u_max)}
+    rules = {}
+    for kind in dict.fromkeys(kinds):
+        side, bound = bounds.get(kind, (None, None))
+        if side is not None and bound is None:
+            raise ConfigurationError(f"{kind.value} arc with absent {side} bound")
+        rules[kind] = (arcs_of(kinds, kind), bound)
+    return rules
+
+
 def arc_controls(prob: ProblemDef, kinds, x: np.ndarray, costate: np.ndarray, f0x, f1x,
-                 singular=None):
+                 singular=None, rules=None):
     """Control of every arc, (..., N), from states and costates (..., N, n).
 
     Each kind's rule runs on its own arcs' slice only, so a guard never sees
@@ -40,17 +62,13 @@ def arc_controls(prob: ProblemDef, kinds, x: np.ndarray, costate: np.ndarray, f0
     feedback Gamma from the field values f0x, f1x, and singular arcs
     -(p [[f1,f0],f0]) / (p [[f1,f0],f1]) with a guarded denominator (the
     Legendre-Clebsch sign is checked by the solution validator), or the
-    values ``singular`` (..., S) if given.
+    values ``singular`` (..., S) if given.  ``rules`` is
+    ``arc_rules(prob, kinds)``, made here when not given.
     """
     extra = () if singular is None else np.shape(singular)[:-1] + (len(kinds),)
     w = np.empty(np.broadcast_shapes(x.shape[:-1], costate.shape[:-1], extra))
-    bounds = {ArcKind.BMinus: ("lower", prob.u_min), ArcKind.BPlus: ("upper", prob.u_max)}
-    for kind in dict.fromkeys(kinds):
-        i = arcs_of(kinds, kind)
-        if kind in bounds:
-            side, bound = bounds[kind]
-            if bound is None:
-                raise ConfigurationError(f"{kind.value} arc with absent {side} bound")
+    for kind, (i, bound) in (arc_rules(prob, kinds) if rules is None else rules).items():
+        if bound is not None:
             w[..., i] = bound
         elif kind is ArcKind.Constrained:
             w[..., i] = gamma_control(prob, x[..., i, :], f0x[..., i, :], f1x[..., i, :])
@@ -64,21 +82,24 @@ def arc_controls(prob: ProblemDef, kinds, x: np.ndarray, costate: np.ndarray, f0
     return w
 
 
-def arc_field(prob: ProblemDef, kinds, x: np.ndarray, costate: np.ndarray, singular=None):
+def arc_field(prob: ProblemDef, kinds, x: np.ndarray, costate: np.ndarray, singular=None,
+              rules=None):
     """Velocity v = f0 + w f1 and D_x H for H = p (f0 + w f1) of all arcs, (..., N, n) each.
 
     f0, f1, df0 and df1 are evaluated once on the stack.  On constrained arcs
     D_x H carries the feedback-gradient term (p f1) dGamma; a singular control,
     from its rule or held fixed by ``singular``, is treated as independent of
-    x (the chain-rule term vanishes at solutions where H_u = 0).
+    x (the chain-rule term vanishes at solutions where H_u = 0).  ``rules`` is
+    ``arc_rules(prob, kinds)``, made here when not given.
     """
+    rules = arc_rules(prob, kinds) if rules is None else rules
     x = np.asarray(x, dtype=float)
     f0x, f1x = prob.f0(x), prob.f1(x)
-    w = arc_controls(prob, kinds, x, costate, f0x, f1x, singular)
+    w = arc_controls(prob, kinds, x, costate, f0x, f1x, singular, rules)
     v = f0x + w[..., None] * f1x
     hx = np.einsum("...i,...ij->...j", costate, prob.df0(x) + w[..., None, None] * prob.df1(x))
-    if ArcKind.Constrained in kinds:
-        c = arcs_of(kinds, ArcKind.Constrained)
+    if ArcKind.Constrained in rules:
+        c = rules[ArcKind.Constrained][0]
         pf1 = np.einsum("...i,...i->...", costate[..., c, :], f1x[..., c, :])
         hx[..., c, :] = hx[..., c, :] + pf1[..., None] * gamma_gradient(prob, x[..., c, :])
     return v, hx
@@ -126,14 +147,19 @@ def durations(tau, T):
 
 
 def _arc_nodes(prob, kinds, tau, x0, p0, M):
-    """RK4 nodes of the stacked (x, p) system of all arcs, step 1/M, as a generator."""
+    """RK4 nodes of the stacked (x, p) system of all arcs, step 1/M, as a generator.
+
+    The arc-kind set-up (:func:`arc_rules`) is made here, once per pass, so
+    an absent bang bound raises before the first step.
+    """
     if M < 1:
         raise ConfigurationError(f"step count must be >= 1, got {M}")
     n, dts = prob.n, durations(tau, prob.T)[..., None]
+    rules = arc_rules(prob, kinds)
 
     def rate(i, c, y):
         """Coupled rates dt_k (v, -D_x H) of the rescaled arcs."""
-        v, hx = arc_field(prob, kinds, y[..., :n], y[..., n:])
+        v, hx = arc_field(prob, kinds, y[..., :n], y[..., n:], rules=rules)
         return np.concatenate([dts * v, -dts * hx], axis=-1)
 
     y0 = np.concatenate(np.broadcast_arrays(np.asarray(x0, dtype=float),
@@ -176,23 +202,37 @@ class TPTrajectory:
         return float(prob.phi(self.x[0, 0], self.x[-1, -1]))
 
 
-def propagate_arc(prob: ProblemDef, kinds, tau, x0: np.ndarray, p0: np.ndarray,
-                  M: int) -> TPTrajectory:
-    """One RK4 pass, step 1/M, over every arc from (x0, p0), (..., N, n), with times ``tau``."""
-    nodes = []
-    for y in _arc_nodes(prob, kinds, tau, x0, p0, M):
-        _check_finite(y, kinds, f"at arc node {len(nodes)}")
-        nodes.append(y)
-    y = np.stack(nodes)
+def node_trajectory(prob: ProblemDef, kinds, tau, nodes) -> TPTrajectory:
+    """The trajectory of RK4 nodes y_0, ..., y_M of the stacked (x, p) system, (..., N, 2n) each.
+
+    ``nodes`` may be a generator: each node is checked for finiteness as it
+    comes, and the first non-finite one raises :class:`NonFiniteState`.
+    """
+    ys = []
+    for y in nodes:
+        _check_finite(y, kinds, f"at arc node {len(ys)}")
+        ys.append(y)
+    y = np.stack(ys)
     x, p = y[..., : prob.n], y[..., prob.n :]
     return TPTrajectory(kinds=tuple(kinds), tau=np.asarray(tau, dtype=float), T=prob.T, x=x, p=p,
                         w=arc_controls(prob, kinds, x, p, prob.f0(x), prob.f1(x)))
 
 
-def propagate_endpoint(prob, kinds, tau, x0, p0, M):
-    """Terminal (x, p) of every arc, (..., N, n) each, from one RK4 pass with times ``tau``."""
+def propagate_arc(prob: ProblemDef, kinds, tau, x0: np.ndarray, p0: np.ndarray,
+                  M: int) -> TPTrajectory:
+    """One RK4 pass, step 1/M, over every arc from (x0, p0), (..., N, n), with times ``tau``."""
+    return node_trajectory(prob, kinds, tau, _arc_nodes(prob, kinds, tau, x0, p0, M))
+
+
+def propagate_endpoint(prob, kinds, tau, x0, p0, M, centre=None):
+    """Terminal (x, p) of every arc, (..., N, n) each, from one RK4 pass with times ``tau``.
+
+    With a list ``centre``, a copy of every node's first batch row, (N, 2n),
+    is appended to it: that row's grid, for :func:`node_trajectory`.
+    """
     for y in _arc_nodes(prob, kinds, tau, x0, p0, M):
-        pass
+        if centre is not None:
+            centre.append(y[(0,) * (y.ndim - 2)].copy())
     _check_finite(y, kinds, "at the arc ends")
     return y[..., : prob.n], y[..., prob.n :]
 

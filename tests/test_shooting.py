@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcshoot import problems as P
-from arcshoot import shooting
+from arcshoot import shooting, tp_dynamics
 from arcshoot.arc_structure import ArcKind, ArcStructure, arcs_of
 from arcshoot.errors import (
     ArcshootError,
@@ -44,6 +44,7 @@ from arcshoot.tp_dynamics import (
     constraint_multiplier_density,
     durations,
     legendre_clebsch_value,
+    node_trajectory,
     propagate_arc,
 )
 from conftest import perturbed_start
@@ -442,8 +443,9 @@ class TestPackedTau:
     @pytest.mark.parametrize("entry", [
         lambda prob, struct, omega: linearized_matrices(prob, struct, omega, 40),
         lambda prob, struct, omega: shooting_function(prob, struct, omega, 120),
+        lambda prob, struct, omega: fd_jacobian(prob, struct, omega, 120),
         lambda prob, struct, omega: gauss_newton(prob, struct, omega, 120),
-    ], ids=["linearized_matrices", "shooting_function", "gauss_newton"])
+    ], ids=["linearized_matrices", "shooting_function", "fd_jacobian", "gauss_newton"])
     def test_invalid_packed_tau_raises(self, regulator, reg_struct, reg_omega_exact, entry,
                                        tau):
         # The structure's own times stay the valid [1.2, 2.6].
@@ -475,6 +477,14 @@ class TestFieldSizes:
         bad = ShootingVector(ref.x0[:, :2], ref.tau, ref.p0[:, :2], ref.psi, ref.gamma)
         with pytest.raises(ConfigurationError, match=r"omega\.x0 has shape \(3, 2\)"):
             fd_jacobian(regulator, reg_struct, bad, 120)
+
+
+def _assert_same_trajectory(got, ref):
+    """Every field of two trajectories, bit for bit."""
+    np.testing.assert_array_equal(got.tau, ref.tau)
+    assert got.T == ref.T and got.kinds == ref.kinds
+    for f in "sxpw":
+        np.testing.assert_array_equal(getattr(got, f), getattr(ref, f))
 
 
 class TestGaussNewtonCore:
@@ -534,36 +544,71 @@ class TestGaussNewtonCore:
                                                         reg_omega_exact, monkeypatch):
         # From this 40 % start GN halves its step once (no 20 % start tried
         # halves); the grid it keeps must be the returned iterate's, bit for bit,
-        # and each point it evaluates must cost one (2m + 1)-row pass.
+        # and each point it evaluates must cost one (2m + 1)-row pass and no
+        # other pass: the grid comes from the centre row of the last point's.
         omega0 = perturbed_start(regulator, reg_struct, reg_omega_exact, scale=0.4, seed=1)
         m = omega0.pack().size
-        points, grids, rows = [], [], []
-        for calls, name in ((points, "_linearize"), (grids, "propagate_arc")):
-            real = getattr(shooting, name)
-            monkeypatch.setattr(shooting, name,
+        points, passes, rows = [], [], []
+        for calls, mod, name in ((points, shooting, "_linearize"),
+                                 (passes, tp_dynamics, "_arc_nodes")):
+            real = getattr(mod, name)
+            monkeypatch.setattr(mod, name,
                                 lambda *a, calls=calls, real=real: calls.append(a) or real(*a))
         endpoint = shooting.propagate_endpoint
         monkeypatch.setattr(shooting, "propagate_endpoint",
-                            lambda prob, kinds, tau, x0, p0, M:
-                            rows.append(x0.shape[:-2]) or endpoint(prob, kinds, tau, x0, p0, M))
+                            lambda prob, kinds, tau, x0, p0, M, centre=None:
+                            rows.append(x0.shape[:-2])
+                            or endpoint(prob, kinds, tau, x0, p0, M, centre=centre))
         omega, report = gauss_newton(regulator, reg_struct, omega0, steps=300)
         assert len(points) > report.n_iter + 1
-        assert len(grids) == 1
+        assert len(passes) == len(points)
         assert rows == [(2 * m + 1,)] * len(points)
-        ref = propagate_arc(regulator, reg_struct.kinds, omega.tau, omega.x0, omega.p0,
-                            steps_per_arc(reg_struct, 300))
-        got = report.trajectory
-        np.testing.assert_array_equal(got.tau, ref.tau)
-        assert got.T == ref.T and got.kinds == ref.kinds
-        for f in "sxpw":
-            np.testing.assert_array_equal(getattr(got, f), getattr(ref, f))
+        monkeypatch.undo()
+        _assert_same_trajectory(report.trajectory, propagate_arc(
+            regulator, reg_struct.kinds, omega.tau, omega.x0, omega.p0,
+            steps_per_arc(reg_struct, 300)))
+
+    def test_max_iter_exit_keeps_the_last_iterates_trajectory(self, regulator, reg_struct,
+                                                             reg_omega_exact, monkeypatch):
+        # One iteration, then MaxIterExceeded: the report's grid is that of the
+        # accepted iterate, the last point evaluated, not the start's.
+        omega0 = perturbed_start(regulator, reg_struct, reg_omega_exact, scale=0.2, seed=1)
+        points = []
+        real = shooting._linearize
+        monkeypatch.setattr(shooting, "_linearize",
+                            lambda prob, struct, flat, M: points.append(flat)
+                            or real(prob, struct, flat, M))
+        with pytest.raises(MaxIterExceeded) as exc:
+            gauss_newton(regulator, reg_struct, omega0, steps=120, tol=1e-14, max_iter=1)
+        report = exc.value.report
+        assert report.n_iter == 1 and len(points) >= 2
+        last = ShootingVector.unpack(points[-1], reg_struct.N, 3, 3, 1)
+        assert not np.array_equal(last.pack(), omega0.pack())
+        _assert_same_trajectory(report.trajectory, propagate_arc(
+            regulator, reg_struct.kinds, last.tau, last.x0, last.p0,
+            steps_per_arc(reg_struct, 120)))
+
+    @pytest.mark.parametrize("make", [P.make_regulator, P.make_regulator_fd_brackets],
+                             ids=["regulator", "fd_brackets"])
+    def test_centre_row_grid_is_the_one_row_pass(self, multi_arc, make):
+        # B-,S,C,S,B+ (repeated kinds): the nodes _linearize keeps from row 0 of
+        # its stencil pass give the grid of a separate one-row pass, bit for bit.
+        prob = make()
+        struct, traj = multi_arc
+        omega = ShootingVector(traj.x[0], traj.tau, traj.p[0], np.zeros(3), np.zeros(1))
+        r, _, nodes = _linearize(prob, struct, omega.pack(), 60)
+        assert len(nodes) == 61 and nodes[0].shape == (struct.N, 6)
+        np.testing.assert_array_equal(r, shooting_function(prob, struct, omega, 300).stacked)
+        _assert_same_trajectory(node_trajectory(prob, struct.kinds, omega.tau, nodes),
+                                propagate_arc(prob, struct.kinds, omega.tau, omega.x0,
+                                              omega.p0, 60))
 
     @pytest.mark.parametrize("scale", [0.0, 0.01], ids=["analytic", "perturbed_1pct"])
     def test_linearized_residual_is_the_shooting_function(self, regulator, reg_struct,
                                                           reg_omega_exact, scale):
         # The centre row of the stencil pass is the residual, bit for bit.
         omega = perturbed_start(regulator, reg_struct, reg_omega_exact, scale=scale, seed=1)
-        r, J = _linearize(regulator, reg_struct, omega.pack(), steps_per_arc(reg_struct, 300))
+        r, J, _ = _linearize(regulator, reg_struct, omega.pack(), steps_per_arc(reg_struct, 300))
         np.testing.assert_array_equal(r, shooting_function(regulator, reg_struct, omega,
                                                            300).stacked)
         assert J.shape == (r.size, omega.pack().size)
