@@ -37,10 +37,11 @@ one subprocess per step:
   toy-bang with a free initial state (grid 20, 1500 iterations) and the
   regulator with its pinned one (grid 60, 250 iterations, penalty weight 10),
   so that both kinds of start are covered.
-* ``perturbed_pool``: ``gauss_newton`` at 1000 steps on the regulator from 8
+* ``perturbed_pool``: ``gauss_newton`` at 1000 steps on the regulator from 9
   starts, start ``j`` being the analytic entries scaled by ``1 + s U(-1, 1)``
   with ``default_rng([1, j])`` and ``s`` cycling through 5, 10 and 20 %; the
-  full-precision report (``to_json_dict``), the exception if one ends the
+  last start is solved with ``max_iter=1`` and ends in ``MaxIterExceeded``.
+  The full-precision report (``to_json_dict``), the exception if one ends the
   solve, the packed solution and the report's trajectory (``x``, ``p`` and
   ``w``) of every start go into one JSON file, so that Gauss-Newton's step
   and line-search decisions and the grid it keeps on every exit are covered.
@@ -140,18 +141,19 @@ PERTURBED_POOL = (
     "prob, struct = P.make_regulator(), P.regulator_structure()\n"
     "flat = P.regulator_analytic_omega().pack()\n"
     "runs = []\n"
-    "for j in range(8):\n"
+    "for j in range(9):\n"
     "    s = (0.05, 0.1, 0.2)[j % 3]\n"
+    "    cap = {'max_iter': 1} if j == 8 else {}\n"
     "    start = flat * (1.0 + s * np.random.default_rng([1, j]).uniform(-1.0, 1.0, flat.size))\n"
     "    try:\n"
     "        omega, report = gauss_newton(prob, struct, ShootingVector.unpack(start, 3, 3, 3, 1),\n"
-    "                                     steps=1000)\n"
+    "                                     steps=1000, **cap)\n"
     "        error = None\n"
     "    except ArcshootError as exc:\n"
     "        omega, report = getattr(exc, 'omega', None), getattr(exc, 'report', None)\n"
     "        error = f'{type(exc).__name__}: {exc}'\n"
     "    traj = getattr(report, 'trajectory', None)\n"
-    "    runs.append({'scale': s, 'error': error,\n"
+    "    runs.append({'scale': s, 'max_iter': cap.get('max_iter'), 'error': error,\n"
     "                 'report': report.to_json_dict() if report is not None else None,\n"
     "                 'omega': omega.pack().tolist() if omega is not None else None,\n"
     "                 'trajectory': None if traj is None else\n"

@@ -40,6 +40,7 @@ from .shooting import ShootingVector, check_sizes, constraint_rows, endpoint_gra
 from .tp_dynamics import arc_field, durations, propagate_arc, rk4
 
 POSITIVITY_MARGIN = 1e-6
+NODE_BLOCK = 64          # nodes of Xi paths that assemble_omega holds at once
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +225,7 @@ class QuadraticFormData:
     lin: TPLinearization
     hess: np.ndarray
     cons: np.ndarray
-    gram: np.ndarray
-    xi_basis: np.ndarray     # (M+1, D, ncoord): Xi path of every coordinate
+    gram_diag: np.ndarray    # (ncoord,): the order-norm Gram matrix is diagonal
 
     @property
     def ncoord(self) -> int:
@@ -234,7 +234,7 @@ class QuadraticFormData:
     @property
     def nodes(self) -> int:
         """Grid cells per arc."""
-        return self.xi_basis.shape[0] - 1
+        return self.lin.s.size - 1
 
     def h_index(self, channel: int) -> int:
         """Coordinate of the terminal shift h of ``channel``: its last Y sample."""
@@ -254,26 +254,30 @@ class QuadraticFormData:
         return float(coords @ self.hess @ coords)
 
 
-def _propagate_linear(lin: TPLinearization, G: np.ndarray, drive: np.ndarray,
-                      Z0: np.ndarray) -> np.ndarray:
-    """RK4 for Z' = A Z + G drive with nodal coefficients.
+def _linear_nodes(lin: TPLinearization, G: np.ndarray, drive: np.ndarray, Z0: np.ndarray):
+    """RK4 nodes of Z' = A Z + G drive with nodal coefficients, one at a time.
 
     ``G`` is the per-node drive matrix grid (``lin.E`` or ``lin.B``).  ``Z0``
     may be a matrix of stacked initial columns; ``drive`` holds the per-node
     channel values with matching trailing columns.  The midpoint stages use
-    the mean of the two nodal values.
+    the mean of the two nodal values, formed at the stage.
     """
     mid = lambda a: 0.5 * (a[:-1] + a[1:])
-    coeffs = {0.0: (lin.A[:-1], G[:-1], drive[:-1]),
-              0.5: (mid(lin.A), mid(G), mid(drive)),
-              1.0: (lin.A[1:], G[1:], drive[1:])}
+    A_mid, G_mid = mid(lin.A), mid(G)
 
     def rate(i, c, z):
-        Ai, Gi, di = (a[i] for a in coeffs[c])
-        return Ai @ z + Gi @ di
+        if c == 0.5:
+            return A_mid[i] @ z + G_mid[i] @ (0.5 * (drive[i] + drive[i + 1]))
+        j = i if c == 0.0 else i + 1
+        return lin.A[j] @ z + G[j] @ drive[j]
 
-    m1 = lin.s.size
-    return np.fromiter(rk4(rate, Z0, m1 - 1, lin.s[1] - lin.s[0]), (float, Z0.shape), m1)
+    return rk4(rate, Z0, lin.s.size - 1, lin.s[1] - lin.s[0])
+
+
+def _propagate_linear(lin: TPLinearization, G: np.ndarray, drive: np.ndarray,
+                      Z0: np.ndarray) -> np.ndarray:
+    """All nodes (M+1, ...) of :func:`_linear_nodes`, stacked."""
+    return np.fromiter(_linear_nodes(lin, G, drive, Z0), (float, Z0.shape), lin.s.size)
 
 
 def integrate_goh(lin: TPLinearization, Xi0: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -336,24 +340,41 @@ def q_form_value(lin: TPLinearization, Z0: np.ndarray, V: np.ndarray) -> float:
 
 
 def assemble_omega(lin: TPLinearization) -> QuadraticFormData:
-    """Assemble the discretized quadratic form, constraints and Gram matrix on ``lin``."""
+    """Assemble the discretized quadratic form, constraints and Gram matrix on ``lin``.
+
+    The Xi paths of all coordinates are consumed from :func:`_linear_nodes`
+    in blocks of ``NODE_BLOCK`` nodes, so no full (M+1, D, ncoord) table is
+    held; only the last node is kept, for the endpoint terms.
+    """
     D, S, m1, w = lin.D, lin.n_channels, lin.s.size, lin.weights
     ncoord = D + S * m1
+    N, n = lin.struct.N, lin.prob.n
+    c = arcs_of(lin.struct.kinds, ArcKind.Constrained)
+    on_c = lambda a: a[:, : N * n].reshape((a.shape[0], N, n) + a.shape[2:])[:, c]
 
     # Xi path of every basis coordinate: Xi' = A Xi + E Y.
     Xi0_basis = np.eye(D, ncoord)
     ys = D + np.arange(S)[:, None] * m1 + np.arange(m1)     # (S, M+1) Y columns
     Y_basis = np.zeros((m1, S, ncoord))
     Y_basis[np.arange(m1), np.arange(S)[:, None], ys] = 1.0
-    xi_basis = _propagate_linear(lin, lin.E, Y_basis, Xi0_basis)
+    xi_nodes = _linear_nodes(lin, lin.E, Y_basis, Xi0_basis)
 
-    # int Xi' H_XX Xi, one GEMM per state row.
     WH = w[:, None, None] * lin.HXX
+    WM = w[:, None, None] * lin.Mmat
+    dgx = np.asarray(lin.prob.dg(on_c(lin.X)), dtype=float)
     hess = np.zeros((ncoord, ncoord))
-    for i in range(D):
-        hess += xi_basis[:, i, :].T @ np.einsum("tj,tjc->tc", WH[:, i, :], xi_basis)
-    # 2 int Y M Xi: the Y sample of channel s at node t only meets node t.
-    cross = np.einsum("tja,tsj->ast", xi_basis, w[:, None, None] * lin.Mmat)
+    cross = np.empty((ncoord, S, m1))
+    row = np.empty((dgx.shape[1], m1, ncoord))
+    for start in range(0, m1, NODE_BLOCK):
+        blk = slice(start, min(start + NODE_BLOCK, m1))
+        xi = np.fromiter(xi_nodes, (float, (D, ncoord)), blk.stop - start)
+        # int Xi' H_XX Xi: one GEMM over the flattened (node, state-row) axis.
+        hess += xi.reshape(-1, ncoord).T @ (WH[blk] @ xi).reshape(-1, ncoord)
+        # 2 int Y M Xi: the Y sample of channel s at node t only meets node t.
+        cross[:, :, blk] = np.einsum("tja,tsj->ast", xi, WM[blk])
+        # The active state constraint along every constrained arc node, arc-major.
+        row[:, blk] = np.einsum("tki,tkic->ktc", dgx[blk], on_c(xi))
+    xi1 = xi[-1]
     cross = cross.reshape(ncoord, S * m1)
     hess[:, D:] += cross
     hess[D:, :] += cross.T
@@ -361,24 +382,19 @@ def assemble_omega(lin: TPLinearization) -> QuadraticFormData:
     hess[ys[:, None, :], ys[None, :, :]] += np.einsum("t,tsr->srt", w, lin.Rmat)
     # Endpoint term rho on (Xi0, Xi(1), h); h is the last Y sample.
     H_basis = Y_basis[-1]
-    P = np.vstack([Xi0_basis, xi_basis[-1], H_basis])
+    P = np.vstack([Xi0_basis, xi1, H_basis])
     hess += P.T @ rho_matrix(lin) @ P
     hess = 0.5 * (hess + hess.T)
 
-    # Constraint rows: endpoint map on (Xi0, Xi1 + B1 h), then the active
-    # state constraint along every constrained arc node, arc-major.
-    N, n = lin.struct.N, lin.prob.n
-    c = arcs_of(lin.struct.kinds, ArcKind.Constrained)
-    on_c = lambda a: a[:, : N * n].reshape((m1, N, n) + a.shape[2:])[:, c]
-    dgx = np.asarray(lin.prob.dg(on_c(lin.X)), dtype=float)
-    row = np.einsum("tki,tkic->ktc", dgx, on_c(xi_basis))
+    # Constraint rows: endpoint map on (Xi0, Xi1 + B1 h), then the
+    # constrained-arc rows.
     row[:, np.arange(m1)[:, None], ys.T] += np.einsum("tki,tkis->kts", dgx, on_c(lin.B))
-    cons = np.vstack([lin.dcons @ np.vstack([Xi0_basis, xi_basis[-1] + lin.B[-1] @ H_basis]),
+    cons = np.vstack([lin.dcons @ np.vstack([Xi0_basis, xi1 + lin.B[-1] @ H_basis]),
                       row.reshape(-1, ncoord)])
 
-    gram = np.diag(np.concatenate([np.ones(D), np.tile(w, S)]))
-    gram[ys[:, -1], ys[:, -1]] += 1.0
-    return QuadraticFormData(lin=lin, hess=hess, cons=cons, gram=gram, xi_basis=xi_basis)
+    gram_diag = np.concatenate([np.ones(D), np.tile(w, S)])
+    gram_diag[ys[:, -1]] += 1.0
+    return QuadraticFormData(lin=lin, hess=hess, cons=cons, gram_diag=gram_diag)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +445,7 @@ def check_positivity(qfd: QuadraticFormData) -> PositivityReport:
         return PositivityReport(c_est=np.inf, lam_max=np.inf, passed=True, smallest=[],
                                 vacuous=True, **sizes)
     Hr = Z.T @ qfd.hess @ Z
-    Gr = Z.T @ qfd.gram @ Z
+    Gr = (Z.T * qfd.gram_diag) @ Z
     L = np.linalg.cholesky(Gr)
     Linv = np.linalg.inv(L)
     W = Linv @ Hr @ Linv.T

@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from arcshoot import problems as P
+from arcshoot import second_order
 from arcshoot.arc_structure import ArcKind, ArcStructure, arcs_of
 from arcshoot.errors import AssemblyError
 from arcshoot.problem_def import ProblemDef
@@ -16,6 +18,7 @@ from arcshoot.second_order import (
     check_positivity,
     constraint_nullspace,
     cumulative_trapezoid,
+    integrate_goh,
     linearized_matrices,
     omega_form_value,
     q_form_value,
@@ -196,9 +199,9 @@ def _reference_assembly(lin):
         for i in range(m1):
             dgx = np.asarray(lin.prob.dg(lin.X[i, blk]), dtype=float)
             rows.append((dgx @ xi[i][blk, :] + dgx @ lin.B[i][blk, :] @ Yb[i])[None, :])
-    gram = np.diag(np.concatenate([np.ones(D), np.tile(w, S)]))
-    gram[Hb.argmax(axis=1), Hb.argmax(axis=1)] += 1.0
-    return 0.5 * (hess + hess.T), np.vstack(rows), gram, xi
+    gram_diag = np.concatenate([np.ones(D), np.tile(w, S)])
+    gram_diag[Hb.argmax(axis=1)] += 1.0
+    return 0.5 * (hess + hess.T), np.vstack(rows), gram_diag, xi
 
 
 def _two_channel_lin(regulator, nodes=30, seed=21):
@@ -224,13 +227,25 @@ def _two_channel_lin(regulator, nodes=30, seed=21):
 
 
 class TestAssemblyEquivalence:
-    def _check(self, lin):
-        qfd = assemble_omega(lin)
-        hess, cons, gram, xi = _reference_assembly(lin)
+    def _check(self, lin, block=None):
+        hess, cons, gram_diag, xi = _reference_assembly(lin)
+        # Record the Xi nodes that the assembly consumes from the generator.
+        consumed, linear_nodes = [], second_order._linear_nodes
+
+        def recorded(*args):
+            for z in linear_nodes(*args):
+                consumed.append(z)
+                yield z
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(second_order, "_linear_nodes", recorded)
+            if block is not None:
+                mp.setattr(second_order, "NODE_BLOCK", block)
+            qfd = assemble_omega(lin)
         assert np.max(np.abs(qfd.hess - hess)) <= 1e-12 * np.max(np.abs(hess))
         np.testing.assert_array_equal(qfd.cons, cons)
-        np.testing.assert_array_equal(qfd.gram, gram)
-        np.testing.assert_array_equal(qfd.xi_basis, xi)
+        np.testing.assert_array_equal(qfd.gram_diag, gram_diag)
+        np.testing.assert_array_equal(np.stack(consumed), xi)
 
     @pytest.mark.parametrize("nodes", [20, 60])
     def test_regulator_matches_node_loop(self, regulator, reg_struct, reg_omega_exact,
@@ -252,6 +267,28 @@ class TestAssemblyEquivalence:
         assert lin.n_channels == 2
         self._check(lin)
 
+    # Grids that span several node blocks, the last one partial: the H_XX
+    # sum, the M columns and the constraint rows cross block boundaries.
+    @pytest.mark.parametrize("block", [7, 16])
+    def test_regulator_node_blocks_match_node_loop(self, regulator, reg_struct,
+                                                   reg_omega_exact, block):
+        lin = linearized_matrices(regulator, reg_struct, reg_omega_exact, 60)
+        assert lin.s.size > 2 * block     # at least three blocks
+        self._check(lin, block=block)
+
+    def test_two_constrained_arcs_node_blocks_match_node_loop(self, regulator):
+        struct = ArcStructure((B, C, S, C, S), (0.8, 1.7, 2.9, 4.1))
+        rng = np.random.default_rng(7)
+        omega = ShootingVector(rng.uniform(-0.5, 0.5, (5, 3)), struct.tau,
+                               rng.uniform(0.5, 1.5, (5, 3)), rng.normal(size=3),
+                               rng.normal(size=2))
+        self._check(linearized_matrices(regulator, struct, omega, 40), block=16)
+
+    def test_two_channel_node_blocks_match_node_loop(self, regulator):
+        lin = _two_channel_lin(regulator)
+        assert lin.s.size > 2 * 8
+        self._check(lin, block=8)
+
     def test_rho_value_reads_the_assembled_endpoint_block(self, regulator):
         # The endpoint block of the assembled form and rho_value come from
         # rho_matrix alone: on a pure (Xi0, h) direction with zero E the
@@ -267,9 +304,26 @@ class TestAssemblyEquivalence:
         c[: lin.D] = rng.normal(size=lin.D)
         h = rng.normal(size=2)
         c[[qfd.h_index(0), qfd.h_index(1)]] = h
-        xi0 = c[: lin.D]
-        xi1 = (qfd.xi_basis @ c)[-1]
+        xi0, Y, _ = qfd.split(c)
+        xi1 = integrate_goh(lin, xi0, Y)[-1]
         assert qfd.value(c) == pytest.approx(rho_value(lin, xi0, xi1, h), rel=1e-12)
+
+
+class TestAssemblyMemory:
+    def test_peak_stays_below_one_xi_table(self, regulator, reg_struct, reg_omega_exact):
+        # The Xi paths are consumed in node blocks: at 400 nodes the traced
+        # peak of the assembly stays below one (M+1) x D x ncoord table of
+        # them (14.5 MB), the array the assembly held before.
+        lin = linearized_matrices(regulator, reg_struct, reg_omega_exact, 400)
+        m1, D = lin.s.size, lin.D
+        table = m1 * D * (D + lin.n_channels * m1) * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            assemble_omega(lin)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table, f"traced peak {peak / 1e6:.1f} MB, table {table / 1e6:.1f} MB"
 
 
 class TestClosedFormComparison:
@@ -291,7 +345,7 @@ class TestClosedFormComparison:
         for _ in range(20):
             c = Z @ rng.normal(size=Z.shape[1])
             xi0, Y, h = qfd.split(c)
-            Xi = qfd.xi_basis @ c
+            Xi = integrate_goh(lin, xi0, Y)
             ours = qfd.value(c) - rho_value(lin, Xi[0], Xi[-1], Y[-1])
             closed = 0.0
             for k, kind in enumerate(reg_struct.kinds):
@@ -303,23 +357,29 @@ class TestClosedFormComparison:
 
 
 class TestPositivity:
-    def _wrap(self, hess, cons, gram):
-        lin = SimpleNamespace(goh_asymmetry=0.0)
-        return QuadraticFormData(lin=lin, hess=hess, cons=cons, gram=gram,
-                                 xi_basis=np.zeros((1, 1, hess.shape[0])))
+    def _wrap(self, hess, cons, gram_diag):
+        lin = SimpleNamespace(goh_asymmetry=0.0, s=np.zeros(1))
+        return QuadraticFormData(lin=lin, hess=hess, cons=cons, gram_diag=gram_diag)
 
     def test_identity_form_gives_one(self):
-        qfd = self._wrap(np.eye(5), np.zeros((0, 5)), np.eye(5))
+        qfd = self._wrap(np.eye(5), np.zeros((0, 5)), np.ones(5))
         rep = check_positivity(qfd)
         assert rep.c_est == pytest.approx(1.0) and rep.passed
 
     def test_indefinite_fails(self):
-        qfd = self._wrap(np.diag([1.0, 1.0, -0.5]), np.zeros((0, 3)), np.eye(3))
+        qfd = self._wrap(np.diag([1.0, 1.0, -0.5]), np.zeros((0, 3)), np.ones(3))
         rep = check_positivity(qfd)
         assert rep.c_est == pytest.approx(-0.5) and not rep.passed
 
+    def test_gram_diagonal_weights_each_coordinate(self):
+        # Against the order norm sum_i g_i c_i^2, a diagonal form has the
+        # eigenvalues a_i / g_i.
+        qfd = self._wrap(np.diag([2.0, 3.0, 4.0]), np.zeros((0, 3)), np.array([2.0, 1.0, 8.0]))
+        rep = check_positivity(qfd)
+        assert rep.smallest == pytest.approx([0.5, 1.0, 3.0])
+
     def test_empty_nullspace_vacuous(self):
-        qfd = self._wrap(np.eye(3), np.eye(3), np.eye(3))
+        qfd = self._wrap(np.eye(3), np.eye(3), np.ones(3))
         rep = check_positivity(qfd)
         assert rep.vacuous and rep.passed and rep.nullspace_dim == 0
 
@@ -328,7 +388,7 @@ class TestPositivity:
         hess = rng.normal(size=(6, 6))
         hess = hess + hess.T
         cons = rng.normal(size=(2, 6))
-        gram = np.eye(6)
+        gram = np.ones(6)
         base = check_positivity(self._wrap(hess, cons, gram))
         mixed = check_positivity(self._wrap(hess, rng.normal(size=(2, 2)) @ cons, gram))
         assert mixed.c_est == pytest.approx(base.c_est, rel=1e-9)
@@ -358,7 +418,7 @@ class TestPositivity:
 def _second_smallest(qfd):
     Z = constraint_nullspace(qfd.cons, qfd.ncoord)
     Hr = Z.T @ qfd.hess @ Z
-    Gr = Z.T @ qfd.gram @ Z
+    Gr = (Z.T * qfd.gram_diag) @ Z
     L = np.linalg.cholesky(Gr)
     Linv = np.linalg.inv(L)
     W = Linv @ Hr @ Linv.T
