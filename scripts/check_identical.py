@@ -30,9 +30,12 @@ one subprocess per step:
   trajectory over 60 steps per arc as ``trajectory.csv``, a full-precision
   validation JSON, and the full-precision residual and FD Jacobian at the
   same grid, so that repeated arc kinds and their residual rows are covered.
-  The same four files again for ``make_regulator_fd_brackets`` (subdirectories
-  prefixed ``fd_``), so that the finite-difference second-level brackets and
-  feedback gradient on repeated S and C arcs are covered too;
+  For ``B-,C,S,C,S`` also the full-precision ``check_positivity`` report
+  at 60 nodes (``positivity.json``), so that the certificate's constraint
+  rows of two constrained arcs are covered.  The same files again for
+  ``make_regulator_fd_brackets`` (subdirectories prefixed ``fd_``), so that
+  the finite-difference second-level brackets and feedback gradient on
+  repeated S and C arcs are covered too;
 * ``direct``: every field of two direct solves as full-precision JSON, the
   toy-bang with a free initial state (grid 20, 1500 iterations) and the
   regulator with its pinned one (grid 60, 250 iterations, penalty weight 10),
@@ -88,6 +91,7 @@ MULTI_ARC = (
     "import numpy as np\n"
     "from arcshoot import problems as P\n"
     "from arcshoot.arc_structure import ArcStructure\n"
+    "from arcshoot.second_order import assemble_omega, check_positivity, linearized_matrices\n"
     "from arcshoot.shooting import (ShootingVector, fd_jacobian, shooting_function,\n"
     "                               validate_solution)\n"
     "from arcshoot.tp_dynamics import propagate_arc, write_tp_csv\n"
@@ -109,6 +113,10 @@ MULTI_ARC = (
     "    np.savetxt(out / 'residual.txt', shooting_function(prob, struct, omega, 300).stacked,\n"
     "               fmt='%.17g')\n"
     "    np.savetxt(out / 'fd_jacobian.txt', fd_jacobian(prob, struct, omega, 300), fmt='%.17g')\n"
+    "    if tokens.count('C') == 2:\n"
+    "        rep = check_positivity(assemble_omega(linearized_matrices(prob, struct, omega, 60)))\n"
+    "        (out / 'positivity.json').write_text(\n"
+    "            json.dumps(rep.to_json_dict(), indent=1, sort_keys=True) + '\\n')\n"
 )
 
 DIRECT = (

@@ -22,9 +22,13 @@ quadratic form is
 with rho(z0, z1, h) = (z0, z1 + B_1 h)' L'' (z0, z1 + B_1 h)
 + h H_UX(1) (2 z1 + B_1 h); the companion form Q on untransformed
 directions (V, Z) satisfies Q = Omega under Y = int V, Xi = Z - B Y, which
-is the main self-check of the assembly.  Positivity of Omega against the
-order norm |Xi_0|^2 + int |Y|^2 + |h|^2 on the discretized critical
-subspace is the certificate for local convergence of the shooting method.
+is the main self-check of the assembly.  The critical subspace is cut out
+by the linearized shooting constraints alone (endpoint map, constrained-arc
+entry values, state continuity) on (Xi_0, Xi_1 + B_1 h): the feedback of a
+constrained arc keeps g constant along it, so its entry row is the whole
+constraint.  Positivity of Omega against the order norm
+|Xi_0|^2 + int |Y|^2 + |h|^2 on the discretized critical subspace is the
+certificate for local convergence of the shooting method.
 """
 
 from __future__ import annotations
@@ -219,7 +223,9 @@ class QuadraticFormData:
     """Discretized quadratic form, constraint rows and order-norm Gram matrix.
 
     Coordinates are (Xi_0 in R^D, Y samples channel-major over the nodes);
-    the terminal shift h of each channel is its last Y sample.
+    the terminal shift h of each channel is its last Y sample.  ``cons``
+    holds the linearized shooting constraints, one row per row of
+    ``lin.dcons``.
     """
 
     lin: TPLinearization
@@ -340,17 +346,15 @@ def q_form_value(lin: TPLinearization, Z0: np.ndarray, V: np.ndarray) -> float:
 
 
 def assemble_omega(lin: TPLinearization) -> QuadraticFormData:
-    """Assemble the discretized quadratic form, constraints and Gram matrix on ``lin``.
+    """Assemble the discretized quadratic form, constraint rows and Gram matrix on ``lin``.
 
     The Xi paths of all coordinates are consumed from :func:`_linear_nodes`
     in blocks of ``NODE_BLOCK`` nodes, so no full (M+1, D, ncoord) table is
-    held; only the last node is kept, for the endpoint terms.
+    held; only the last node is kept, for the endpoint terms and the
+    constraint rows.
     """
     D, S, m1, w = lin.D, lin.n_channels, lin.s.size, lin.weights
     ncoord = D + S * m1
-    N, n = lin.struct.N, lin.prob.n
-    c = arcs_of(lin.struct.kinds, ArcKind.Constrained)
-    on_c = lambda a: a[:, : N * n].reshape((a.shape[0], N, n) + a.shape[2:])[:, c]
 
     # Xi path of every basis coordinate: Xi' = A Xi + E Y.
     Xi0_basis = np.eye(D, ncoord)
@@ -361,10 +365,8 @@ def assemble_omega(lin: TPLinearization) -> QuadraticFormData:
 
     WH = w[:, None, None] * lin.HXX
     WM = w[:, None, None] * lin.Mmat
-    dgx = np.asarray(lin.prob.dg(on_c(lin.X)), dtype=float)
     hess = np.zeros((ncoord, ncoord))
     cross = np.empty((ncoord, S, m1))
-    row = np.empty((dgx.shape[1], m1, ncoord))
     for start in range(0, m1, NODE_BLOCK):
         blk = slice(start, min(start + NODE_BLOCK, m1))
         xi = np.fromiter(xi_nodes, (float, (D, ncoord)), blk.stop - start)
@@ -372,8 +374,6 @@ def assemble_omega(lin: TPLinearization) -> QuadraticFormData:
         hess += xi.reshape(-1, ncoord).T @ (WH[blk] @ xi).reshape(-1, ncoord)
         # 2 int Y M Xi: the Y sample of channel s at node t only meets node t.
         cross[:, :, blk] = np.einsum("tja,tsj->ast", xi, WM[blk])
-        # The active state constraint along every constrained arc node, arc-major.
-        row[:, blk] = np.einsum("tki,tkic->ktc", dgx[blk], on_c(xi))
     xi1 = xi[-1]
     cross = cross.reshape(ncoord, S * m1)
     hess[:, D:] += cross
@@ -386,11 +386,8 @@ def assemble_omega(lin: TPLinearization) -> QuadraticFormData:
     hess += P.T @ rho_matrix(lin) @ P
     hess = 0.5 * (hess + hess.T)
 
-    # Constraint rows: endpoint map on (Xi0, Xi1 + B1 h), then the
-    # constrained-arc rows.
-    row[:, np.arange(m1)[:, None], ys.T] += np.einsum("tki,tkis->kts", dgx, on_c(lin.B))
-    cons = np.vstack([lin.dcons @ np.vstack([Xi0_basis, xi1 + lin.B[-1] @ H_basis]),
-                      row.reshape(-1, ncoord)])
+    # The linearized shooting constraints on (Xi0, Xi1 + B1 h).
+    cons = lin.dcons @ np.vstack([Xi0_basis, xi1 + lin.B[-1] @ H_basis])
 
     gram_diag = np.concatenate([np.ones(D), np.tile(w, S)])
     gram_diag[ys[:, -1]] += 1.0
@@ -433,23 +430,22 @@ def constraint_nullspace(cons: np.ndarray, ncoord: int) -> np.ndarray:
 def check_positivity(qfd: QuadraticFormData) -> PositivityReport:
     """Smallest generalized eigenvalue of the form against the order norm.
 
-    Reduces the assembled form to the discretized critical subspace (the
-    nullspace of the constraint rows) and solves the generalized symmetric
-    eigenproblem against the Gram matrix of the order norm.  Passes when
-    the smallest eigenvalue clears the relative margin ``POSITIVITY_MARGIN``.
+    Works in Gram-scaled coordinates c = r * c' with r = 1 / sqrt(gram_diag),
+    in which the order norm is the Euclidean one: the critical subspace is
+    the nullspace of the scaled linearized shooting constraints, and the
+    generalized eigenvalues of the form against the Gram matrix are the
+    standard ones of the reduced scaled form.  Passes when the smallest
+    eigenvalue clears the relative margin ``POSITIVITY_MARGIN``.
     """
-    Z = constraint_nullspace(qfd.cons, qfd.ncoord)
+    r = 1.0 / np.sqrt(qfd.gram_diag)
+    Z = constraint_nullspace(qfd.cons * r, qfd.ncoord)
     sizes = dict(nodes=qfd.nodes, ncoord=qfd.ncoord, nullspace_dim=Z.shape[1],
                  goh_asymmetry=qfd.lin.goh_asymmetry)
     if Z.shape[1] == 0:
         return PositivityReport(c_est=np.inf, lam_max=np.inf, passed=True, smallest=[],
                                 vacuous=True, **sizes)
-    Hr = Z.T @ qfd.hess @ Z
-    Gr = (Z.T * qfd.gram_diag) @ Z
-    L = np.linalg.cholesky(Gr)
-    Linv = np.linalg.inv(L)
-    W = Linv @ Hr @ Linv.T
-    eig = np.linalg.eigvalsh(0.5 * (W + W.T))
+    Zr = r[:, None] * Z
+    eig = np.linalg.eigvalsh(Zr.T @ qfd.hess @ Zr)
     c_est, lam_max = float(eig[0]), float(np.max(np.abs(eig)))
     return PositivityReport(c_est=c_est, lam_max=lam_max,
                             passed=bool(c_est > POSITIVITY_MARGIN * lam_max),

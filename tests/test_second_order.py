@@ -174,7 +174,12 @@ class TestTransformationIdentity:
 
 
 def _reference_assembly(lin):
-    """The per-node loop of dense rank updates that assemble_omega replaced."""
+    """The per-node loop of dense rank updates that assemble_omega replaced.
+
+    Returns the form, the linearized shooting constraint rows, the per-node
+    constrained-arc rows that the assembly once added to them, the Gram
+    diagonal and the Xi nodes.
+    """
     D, S, m1, w = lin.D, lin.n_channels, lin.s.size, lin.weights
     nc = D + S * m1
     Xi0, Yb, Hb = np.eye(D, nc), np.zeros((m1, S, nc)), np.zeros((S, nc))
@@ -192,7 +197,7 @@ def _reference_assembly(lin):
     cross = Hb.T @ lin.HUX[-1] @ xi[-1]
     hb = lin.HUX[-1] @ lin.B[-1]
     hess += dz.T @ lin.ell_hess @ dz + cross + cross.T + Hb.T @ (0.5 * (hb + hb.T)) @ Hb
-    rows = [lin.dcons @ dz]
+    rows = [np.zeros((0, nc))]
     n = lin.prob.n
     for k in np.arange(lin.struct.N)[arcs_of(lin.struct.kinds, ArcKind.Constrained)]:
         blk = slice(k * n, (k + 1) * n)
@@ -201,7 +206,7 @@ def _reference_assembly(lin):
             rows.append((dgx @ xi[i][blk, :] + dgx @ lin.B[i][blk, :] @ Yb[i])[None, :])
     gram_diag = np.concatenate([np.ones(D), np.tile(w, S)])
     gram_diag[Hb.argmax(axis=1)] += 1.0
-    return 0.5 * (hess + hess.T), np.vstack(rows), gram_diag, xi
+    return 0.5 * (hess + hess.T), lin.dcons @ dz, np.vstack(rows), gram_diag, xi
 
 
 def _two_channel_lin(regulator, nodes=30, seed=21):
@@ -228,7 +233,7 @@ def _two_channel_lin(regulator, nodes=30, seed=21):
 
 class TestAssemblyEquivalence:
     def _check(self, lin, block=None):
-        hess, cons, gram_diag, xi = _reference_assembly(lin)
+        hess, cons, node_rows, gram_diag, xi = _reference_assembly(lin)
         # Record the Xi nodes that the assembly consumes from the generator.
         consumed, linear_nodes = [], second_order._linear_nodes
 
@@ -244,6 +249,12 @@ class TestAssemblyEquivalence:
             qfd = assemble_omega(lin)
         assert np.max(np.abs(qfd.hess - hess)) <= 1e-12 * np.max(np.abs(hess))
         np.testing.assert_array_equal(qfd.cons, cons)
+        # The feedback keeps g constant along a constrained arc, so each
+        # per-node row lies in the row space of the shooting constraints.
+        if node_rows.size:
+            coef = np.linalg.lstsq(qfd.cons.T, node_rows.T, rcond=None)[0]
+            off = np.max(np.abs(coef.T @ qfd.cons - node_rows))
+            assert off <= 1e-12 * np.max(np.abs(node_rows))
         np.testing.assert_array_equal(qfd.gram_diag, gram_diag)
         np.testing.assert_array_equal(np.stack(consumed), xi)
 
@@ -402,28 +413,84 @@ class TestPositivity:
         assert rep.nullspace_dim > 0
         assert rep.goh_asymmetry <= 1e-10
 
-    def test_c_est_scales_with_node_spacing(self, regulator, reg_struct, reg_solution):
+    def test_c_est_scales_with_node_spacing(self, reg_qfd_100, reg_qfd):
         # With the terminal shift tied to the last sample, the smallest
         # clearly positive eigenvalue halves when the grid doubles (the
         # terminal-concentration direction); the certificate is therefore
         # reported at the configured grid rather than extrapolated.
-        omega = reg_solution["omega"]
-        qfd1 = assemble_omega(linearized_matrices(regulator, reg_struct, omega, nodes=100))
-        qfd2 = assemble_omega(linearized_matrices(regulator, reg_struct, omega, nodes=200))
-        e1 = _second_smallest(qfd1)
-        e2 = _second_smallest(qfd2)
+        e1 = check_positivity(reg_qfd_100).smallest[1]
+        e2 = check_positivity(reg_qfd).smallest[1]
         assert 0.3 <= e2 / e1 <= 0.8
 
+    @pytest.mark.parametrize("nodes", [100, 200])
+    def test_regulator_matches_generalized_eigenproblem(self, reg_qfd_100, reg_qfd, nodes):
+        qfd = {100: reg_qfd_100, 200: reg_qfd}[nodes]
+        rep = check_positivity(qfd)
+        assert rep.smallest == pytest.approx(_generalized_eigs(qfd)[:3], rel=1e-9)
 
-def _second_smallest(qfd):
+    def test_random_form_matches_generalized_eigenproblem(self):
+        rng = np.random.default_rng(15)
+        hess = rng.normal(size=(8, 8))
+        qfd = self._wrap(hess + hess.T, rng.normal(size=(2, 8)), rng.uniform(0.1, 3.0, 8))
+        rep = check_positivity(qfd)
+        assert rep.nullspace_dim == 6
+        assert rep.smallest == pytest.approx(_generalized_eigs(qfd)[:3], rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def reg_qfd_100(regulator, reg_struct, reg_solution):
+    return assemble_omega(linearized_matrices(regulator, reg_struct, reg_solution["omega"],
+                                              nodes=100))
+
+
+def _generalized_eigs(qfd):
+    """Eigenvalues of Z' H Z against Z' G Z, by Cholesky factor of the reduced Gram."""
     Z = constraint_nullspace(qfd.cons, qfd.ncoord)
     Hr = Z.T @ qfd.hess @ Z
     Gr = (Z.T * qfd.gram_diag) @ Z
     L = np.linalg.cholesky(Gr)
     Linv = np.linalg.inv(L)
     W = Linv @ Hr @ Linv.T
-    eig = np.linalg.eigvalsh(0.5 * (W + W.T))
-    return float(eig[1])
+    return np.linalg.eigvalsh(0.5 * (W + W.T))
+
+
+def _curved_constraint_regulator():
+    """Regulator with the constraint g = -x2 - 0.2 + 0.1 x1^2 and no overrides."""
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        return -x[..., 1] - 0.2 + 0.1 * x[..., 0] ** 2
+
+    def dg(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        out[..., 0] = 0.2 * x[..., 0]
+        out[..., 1] = -1.0
+        return out
+
+    return dataclasses.replace(P.make_regulator_fd_brackets(), g=g, dg=dg)
+
+
+class TestCurvedConstraint:
+    # A nonlinear g: the feedback still keeps g constant along the C arc,
+    # so the entry row is the whole constraint and the critical subspace has
+    # the dimension the shooting constraints leave, at every grid.
+    @pytest.fixture(scope="class")
+    def reports(self, reg_struct, reg_omega_exact):
+        prob = _curved_constraint_regulator()
+        out = {}
+        for nodes in (20, 50, 200):
+            lin = linearized_matrices(prob, reg_struct, reg_omega_exact, nodes)
+            qfd = assemble_omega(lin)
+            out[nodes] = (qfd.ncoord - np.linalg.matrix_rank(lin.dcons), check_positivity(qfd))
+        return out
+
+    @pytest.mark.parametrize("nodes", [20, 50, 200])
+    def test_nullspace_is_the_shooting_constraints(self, reports, nodes):
+        cone_dim, rep = reports[nodes]
+        assert rep.nullspace_dim == cone_dim
+
+    def test_c_est_settles_with_the_grid(self, reports):
+        assert reports[200][1].c_est == pytest.approx(reports[50][1].c_est, rel=0.02)
 
 
 class TestTpField:
