@@ -32,7 +32,11 @@ one subprocess per step:
   same grid, so that repeated arc kinds and their residual rows are covered.
   For ``B-,C,S,C,S`` also the full-precision ``check_positivity`` report
   at 60 nodes (``positivity.json``), so that the certificate's constraint
-  rows of two constrained arcs are covered.  The same files again for
+  rows of two constrained arcs are covered.  For ``B-,S,C,S,B+`` also the
+  full-precision singular-arc coefficients ``B``, ``E``, ``HUX``, ``Mmat``
+  and ``Rmat`` of ``linearized_matrices`` at 60 nodes (one ``.txt`` file
+  each, one row per node), so that a change to their derivation shows on
+  two channels and both tau columns.  The same files again for
   ``make_regulator_fd_brackets`` (subdirectories prefixed ``fd_``), so that
   the finite-difference second-level brackets and feedback gradient on
   repeated S and C arcs are covered too;
@@ -117,6 +121,11 @@ MULTI_ARC = (
     "        rep = check_positivity(assemble_omega(linearized_matrices(prob, struct, omega, 60)))\n"
     "        (out / 'positivity.json').write_text(\n"
     "            json.dumps(rep.to_json_dict(), indent=1, sort_keys=True) + '\\n')\n"
+    "    else:\n"
+    "        lin = linearized_matrices(prob, struct, omega, 60)\n"
+    "        for name in ('B', 'E', 'HUX', 'Mmat', 'Rmat'):\n"
+    "            a = getattr(lin, name)\n"
+    "            np.savetxt(out / f'{name}.txt', a.reshape(a.shape[0], -1), fmt='%.17g')\n"
 )
 
 DIRECT = (

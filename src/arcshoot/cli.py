@@ -45,10 +45,6 @@ def _round9(obj):
         return {k: _round9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round9(v) for v in obj]
-    if isinstance(obj, np.floating):
-        return float(f"{float(obj):.9g}")
-    if isinstance(obj, np.integer):
-        return int(obj)
     return obj
 
 

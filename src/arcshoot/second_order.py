@@ -5,10 +5,13 @@ interior switching times, X = (x^1, ..., x^N, tau) of dimension
 D = N n + N - 1, driven by one control channel per singular arc.  Around a
 converged solution the module builds, on a shared normalized-time grid,
 
-* the linearized dynamics matrices A = F_X and B = F_U, and E = A B - dB/ds,
-* the Hamiltonian second derivatives H_XX and H_UX, the cross matrices M
-  and R (A, B, H_XX and H_UX all come from one central difference of the
-  field F, the gradient H_X and the switching row H_U in the joint (X, U)),
+* the linearized dynamics matrix A = F_X and the Hamiltonian Hessian H_XX,
+  from one central difference of the field F and the gradient H_X in X,
+* per singular arc, in closed form from f1, df1 and the brackets
+  b = [f1,f0] and [[f1,f0],f1]: B = F_U, H_UX, E = A B - dB/ds = -dt^2 b,
+  M and the strengthened Legendre-Clebsch coefficient
+  R = -dt^3 p [[f1,f0],f1] (Goh, SIAM J. Control 1966; Aronna, Bonnans,
+  Dmitruk & Lotito, Math. Program. 2012),
 * the endpoint-Lagrangian Hessian (FD of the shooting residual's own
   transversality gradient) and the linearized endpoint map.
 
@@ -39,9 +42,9 @@ import numpy as np
 
 from .arc_structure import ArcKind, ArcStructure, arcs_of
 from .errors import AssemblyError
-from .problem_def import ProblemDef, central_diff, fd_steps
+from .problem_def import ProblemDef, bracket_f1_f0, central_diff, fd_steps
 from .shooting import ShootingVector, check_sizes, constraint_rows, endpoint_gradient
-from .tp_dynamics import arc_field, durations, propagate_arc, rk4
+from .tp_dynamics import arc_field, durations, legendre_clebsch_value, propagate_arc, rk4
 
 POSITIVITY_MARGIN = 1e-6
 NODE_BLOCK = 64          # nodes of Xi paths that assemble_omega holds at once
@@ -68,10 +71,9 @@ def _symmetrized(H: np.ndarray, what: str, cause: str) -> np.ndarray:
 
 
 def tp_rates(prob: ProblemDef, struct: ArcStructure, U, X, P_arcs):
-    """Field F, Hamiltonian gradient H_X and switching row H_U at (U, X).
+    """Field F and Hamiltonian gradient H_X at (U, X), stacked on the last axis, ``(..., 2 D)``.
 
-    The three are stacked on the last axis, ``(..., 2 D + S)``, so one
-    central difference in (X, U) yields A, B, H_XX and H_UX together.  ``P_arcs``
+    One central difference in X yields A and H_XX together.  ``P_arcs``
     holds the frozen arc costates (..., N, n).  Singular controls are held
     at the values in U (..., S), so the feedback terms appear only through
     the constrained-arc substitution.  H is the pre-Hamiltonian
@@ -83,11 +85,9 @@ def tp_rates(prob: ProblemDef, struct: ArcStructure, U, X, P_arcs):
     dts = durations(X[..., N * n :], prob.T)[..., None]
     v, hx = arc_field(prob, struct.kinds, x, P_arcs, U)
     h = np.einsum("...i,...i->...", P_arcs, v)
-    s = arcs_of(struct.kinds, ArcKind.Singular)
-    switching = dts[..., s, 0] * np.einsum("...i,...i->...", P_arcs, prob.f1(x))[..., s]
     flat = lambda a: a.reshape(a.shape[:-2] + (N * n,))
     # d dt_k / d tau_j is +1 for k = j, -1 for k = j + 1.
-    rows = [flat(dts * v), np.zeros(N - 1), flat(dts * hx), h[..., :-1] - h[..., 1:], switching]
+    rows = [flat(dts * v), np.zeros(N - 1), flat(dts * hx), h[..., :-1] - h[..., 1:]]
     return np.concatenate([np.broadcast_to(r, v.shape[:-2] + r.shape[-1:]) for r in rows],
                           axis=-1)
 
@@ -113,10 +113,9 @@ class TPLinearization:
     HXX: np.ndarray          # (M+1, D, D)
     HUX: np.ndarray          # (M+1, S, D)
     Mmat: np.ndarray         # (M+1, S, D)
-    Rmat: np.ndarray         # (M+1, S, S), symmetrized
+    Rmat: np.ndarray         # (M+1, S, S), diagonal
     ell_hess: np.ndarray     # (2D, 2D)
     dcons: np.ndarray        # (q + |C| + n(N-1), 2D)
-    goh_asymmetry: float
 
     @property
     def D(self) -> int:
@@ -146,46 +145,49 @@ def linearized_matrices(
     grid has nodes + 1 points).
     """
     check_sizes(prob, struct, omega)
-    struct.with_tau(omega.tau).validate(prob)
     N, n = struct.N, prob.n
     D = N * n + N - 1
-    S = struct.kinds.count(ArcKind.Singular)
     traj = propagate_arc(prob, struct.kinds, omega.tau, omega.x0, omega.p0, nodes)
     m1 = nodes + 1
 
     tau = np.broadcast_to(omega.tau, (m1, N - 1))
     X = np.concatenate([traj.x.reshape(m1, N * n), tau], axis=1)
-    U = traj.w[:, arcs_of(struct.kinds, ArcKind.Singular)]
+    k = np.arange(N)[arcs_of(struct.kinds, ArcKind.Singular)]    # arc of each channel
+    U = traj.w[:, k]
 
-    # One central difference in the joint (X, U): columns :D are d/dX, D: are d/dU.
-    XU = np.concatenate([X, U], axis=1)
-    J = central_diff(lambda z: tp_rates(prob, struct, z[..., D:], z[..., :D], traj.p),
-                     XU, fd_steps(XU))[1]
-    A, B, HUX = J[:, :D, :D], J[:, :D, D:], J[:, 2 * D :, :D]
-    HXX = _symmetrized(J[:, D : 2 * D, :D], "H_XX", "gradient and field evaluations disagree")
+    # One central difference in X, the singular controls held at U: A and H_XX.
+    J = central_diff(lambda z: tp_rates(prob, struct, U, z, traj.p), X, fd_steps(X))[1]
+    A = J[:, :D]
+    HXX = _symmetrized(J[:, D:], "H_XX", "gradient and field evaluations disagree")
 
-    ds = 1.0 / nodes
-    E = np.einsum("tij,tjk->tik", A, B) - np.gradient(B, ds, axis=0)
-    Mmat = (
-        np.einsum("tjs,tji->tsi", B, HXX)
-        - np.gradient(HUX, ds, axis=0)
-        - np.einsum("tsi,tij->tsj", HUX, A)
-    )
-    HUXB = np.einsum("tsi,tik->tsk", HUX, B)
-    Rmat = (
-        np.einsum("tis,tij,tjr->tsr", B, HXX, B)
-        - 2.0 * np.einsum("tsi,tik->tsk", HUX, E)
-        - np.gradient(HUXB, ds, axis=0)
-    )
-    Rmat = 0.5 * (Rmat + np.swapaxes(Rmat, 1, 2))
-    goh = float(np.max(np.abs(HUXB - np.swapaxes(HUXB, 1, 2)))) if S else 0.0
+    # Channel j drives only its arc k, of duration dt, with b = [f1,f0]:
+    # B = dt f1, H_UX = dt p df1, E = -dt^2 b, M = -dt^2 p D_x b and
+    # R = -dt^3 p [[f1,f0],f1].  The tau columns of H_UX and M are
+    # d dt / d tau times p f1 and -2 dt p b.
+    S = k.size
+    x, p = traj.x[:, k], traj.p[:, k]
+    dt = durations(omega.tau, prob.T)[k][:, None]
+    b, db = central_diff(lambda y: bracket_f1_f0(prob, y), x, fd_steps(x))
+    f1x = prob.f1(x)
+    ddt = (np.eye(N, N - 1) - np.eye(N, N - 1, -1))[k]            # d dt_k / d tau, (S, N-1)
+    pdot = lambda a: np.einsum("tsi,tsi->ts", p, a)[..., None]
+    j, rows = np.arange(S), k[:, None] * n + np.arange(n)
+    B, E = np.zeros((m1, D, S)), np.zeros((m1, D, S))
+    HUX, Mmat, Rmat = np.zeros((m1, S, D)), np.zeros((m1, S, D)), np.zeros((m1, S, S))
+    B[:, rows, j[:, None]] = dt * f1x
+    E[:, rows, j[:, None]] = -dt ** 2 * b
+    HUX[:, j[:, None], rows] = dt * np.einsum("tsi,tsij->tsj", p, prob.df1(x))
+    HUX[:, :, N * n :] = pdot(f1x) * ddt
+    Mmat[:, j[:, None], rows] = -dt ** 2 * np.einsum("tsi,tsij->tsj", p, db)
+    Mmat[:, :, N * n :] = -2.0 * dt * pdot(b) * ddt
+    Rmat[:, j, j] = -dt[:, 0] ** 3 * legendre_clebsch_value(prob, x, p)
 
     ell_hess, dcons = _endpoint_derivatives(prob, struct, omega, X[0], X[-1])
 
     return TPLinearization(
         prob=prob, struct=struct, omega=omega, s=np.linspace(0.0, 1.0, m1),
         X=X, U=U, A=A, B=B, E=E, HXX=HXX, HUX=HUX,
-        Mmat=Mmat, Rmat=Rmat, ell_hess=ell_hess, dcons=dcons, goh_asymmetry=goh,
+        Mmat=Mmat, Rmat=Rmat, ell_hess=ell_hess, dcons=dcons,
     )
 
 
@@ -404,7 +406,6 @@ class PositivityReport:
     c_est: float
     lam_max: float
     nullspace_dim: int
-    goh_asymmetry: float
     passed: bool
     nodes: int
     ncoord: int
@@ -412,7 +413,7 @@ class PositivityReport:
     vacuous: bool = False
 
     def to_json_dict(self) -> dict:
-        keys = ("c_est", "nullspace_dim", "goh_asymmetry", "nodes", "ncoord", "lam_max")
+        keys = ("c_est", "nullspace_dim", "nodes", "ncoord", "lam_max")
         return {"pass": self.passed, "smallest_eigenvalues": self.smallest,
                 **{k: getattr(self, k) for k in keys}}
 
@@ -439,8 +440,7 @@ def check_positivity(qfd: QuadraticFormData) -> PositivityReport:
     """
     r = 1.0 / np.sqrt(qfd.gram_diag)
     Z = constraint_nullspace(qfd.cons * r, qfd.ncoord)
-    sizes = dict(nodes=qfd.nodes, ncoord=qfd.ncoord, nullspace_dim=Z.shape[1],
-                 goh_asymmetry=qfd.lin.goh_asymmetry)
+    sizes = dict(nodes=qfd.nodes, ncoord=qfd.ncoord, nullspace_dim=Z.shape[1])
     if Z.shape[1] == 0:
         return PositivityReport(c_est=np.inf, lam_max=np.inf, passed=True, smallest=[],
                                 vacuous=True, **sizes)

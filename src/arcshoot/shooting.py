@@ -87,14 +87,6 @@ class ShootingVector:
                 f"{self.x0.shape[0]} arcs require {self.x0.shape[0] - 1} switching times"
             )
 
-    @property
-    def N(self) -> int:
-        return self.x0.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.x0.shape[1]
-
     def pack(self) -> np.ndarray:
         return np.concatenate(
             [self.x0.ravel(), self.tau, self.p0.ravel(), self.psi, self.gamma]
@@ -110,12 +102,17 @@ class ShootingVector:
 
 
 def check_sizes(prob: ProblemDef, struct: ArcStructure, omega: ShootingVector) -> None:
-    """Raise :class:`ConfigurationError` unless omega's fields have the sizes of struct and prob."""
+    """Raise :class:`ConfigurationError` unless omega fits struct and prob.
+
+    Omega's fields must have the sizes of struct and prob, then struct with
+    omega's switching times must pass :meth:`ArcStructure.validate`.
+    """
     for name, want in (("x0", (struct.N, prob.n)), ("p0", (struct.N, prob.n)), ("psi", (prob.q,)),
                        ("gamma", (struct.kinds.count(ArcKind.Constrained),))):
         got = getattr(omega, name).shape
         if got != want:
             raise ConfigurationError(f"omega.{name} has shape {got}, the structure expects {want}")
+    struct.with_tau(omega.tau).validate(prob)
 
 
 def _unpack_batch(flats: np.ndarray, N: int, n: int, q: int):
@@ -249,7 +246,6 @@ def shooting_function(
 ) -> ShootingResidual:
     """Evaluate the residual blocks at omega with the given total step count."""
     check_sizes(prob, struct, omega)
-    struct.with_tau(omega.tau).validate(prob)
     M = steps_per_arc(struct, steps)
     ends = propagate_endpoint(prob, struct.kinds, omega.tau, omega.x0, omega.p0, M)
     return ShootingResidual(*_assemble(prob, struct, omega.pack(), *ends))
@@ -265,7 +261,6 @@ def fd_jacobian(
 ) -> np.ndarray:
     """Central-difference Jacobian of the stacked residual, all stencil rows in one batch."""
     check_sizes(prob, struct, omega)
-    struct.with_tau(omega.tau).validate(prob)
     return _linearize(prob, struct, omega.pack(), steps_per_arc(struct, steps))[1]
 
 
@@ -350,7 +345,6 @@ def gauss_newton(
     loses full column rank.
     """
     check_sizes(prob, struct, omega0)
-    struct.with_tau(omega0.tau).validate(prob)
     M = steps_per_arc(struct, steps)
     flat = omega0.pack()
     report = ConvergenceReport()

@@ -9,7 +9,7 @@ from arcshoot import problems as P
 from arcshoot import second_order
 from arcshoot.arc_structure import ArcKind, ArcStructure, arcs_of
 from arcshoot.errors import AssemblyError
-from arcshoot.problem_def import ProblemDef
+from arcshoot.problem_def import ProblemDef, central_diff, fd_steps
 from arcshoot.second_order import (
     QuadraticFormData,
     TPLinearization,
@@ -26,7 +26,7 @@ from arcshoot.second_order import (
     tp_rates,
 )
 from arcshoot.shooting import ShootingVector
-from arcshoot.tp_dynamics import durations
+from arcshoot.tp_dynamics import durations, legendre_clebsch_value
 from test_shooting import endpoint_problem
 
 B, C, S = ArcKind.BMinus, ArcKind.Constrained, ArcKind.Singular
@@ -75,9 +75,6 @@ class TestLinearization:
         n = prob.n
         assert np.max(np.abs(lin.A[:, : 2 * n, : 2 * n])) <= 1e-9
         assert lin.B.shape[-1] == 0 and lin.E.shape[-1] == 0
-
-    def test_goh_condition_diagnostic(self, reg_lin):
-        assert reg_lin.goh_asymmetry <= 1e-10
 
     def test_inconsistent_override_triggers_assembly_error(self, regulator, reg_struct,
                                                            reg_solution):
@@ -227,7 +224,6 @@ def _two_channel_lin(regulator, nodes=30, seed=21):
         HXX=sym((m1, D, D)), HUX=rng.normal(size=(m1, Sn, D)),
         Mmat=rng.normal(size=(m1, Sn, D)), Rmat=sym((m1, Sn, Sn)),
         ell_hess=sym((2 * D, 2 * D)), dcons=rng.normal(size=(9, 2 * D)),
-        goh_asymmetry=0.0,
     )
 
 
@@ -369,7 +365,7 @@ class TestClosedFormComparison:
 
 class TestPositivity:
     def _wrap(self, hess, cons, gram_diag):
-        lin = SimpleNamespace(goh_asymmetry=0.0, s=np.zeros(1))
+        lin = SimpleNamespace(s=np.zeros(1))
         return QuadraticFormData(lin=lin, hess=hess, cons=cons, gram_diag=gram_diag)
 
     def test_identity_form_gives_one(self):
@@ -411,7 +407,6 @@ class TestPositivity:
         assert rep.c_est > 0.0
         assert rep.c_est < 1e-4
         assert rep.nullspace_dim > 0
-        assert rep.goh_asymmetry <= 1e-10
 
     def test_c_est_scales_with_node_spacing(self, reg_qfd_100, reg_qfd):
         # With the terminal shift tied to the last sample, the smallest
@@ -506,10 +501,134 @@ class TestTpField:
             out[6:9], 2.4 * (regulator.f0(x3) + 0.2 * regulator.f1(x3))
         )
         np.testing.assert_allclose(out[9:], 0.0)
-        # H_X rows of the S arc hold the control at U; H_U is dt p f1.
+        # H_X rows of the S arc hold the control at U.
         np.testing.assert_allclose(
             rates[D + 6 : D + 9], 2.4 * p3 @ (regulator.df0(x3) + 0.2 * regulator.df1(x3)),
             atol=1e-14,
         )
-        assert rates[2 * D] == pytest.approx(2.4 * p3 @ regulator.f1(x3))
-        assert rates.shape == (2 * D + 1,)
+        assert rates.shape == (2 * D,)
+
+
+def _curved_f1_regulator():
+    """Regulator with f1 = (0.1 x2, 1 + 0.05 x1^2, 0.05 x1) and no overrides."""
+    def f1(x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([0.1 * x[..., 1], 1.0 + 0.05 * x[..., 0] ** 2, 0.05 * x[..., 0]], -1)
+
+    def df1(x):
+        x = np.asarray(x, dtype=float)
+        jac = np.zeros(x.shape + (3,))
+        jac[..., 0, 1] = 0.1
+        jac[..., 1, 0] = 0.1 * x[..., 0]
+        jac[..., 2, 0] = 0.05
+        return jac
+
+    return dataclasses.replace(P.make_regulator_fd_brackets(), f1=f1, df1=df1)
+
+
+def _linearization_and_costates(prob, struct, omega, nodes):
+    """linearized_matrices at ``nodes`` and the arc costates (M+1, N, n) of its grid."""
+    grids, real = [], second_order.propagate_arc
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(second_order, "propagate_arc", lambda *a: grids.append(real(*a)) or grids[0])
+        lin = linearized_matrices(prob, struct, omega, nodes)
+    return lin, grids[0].p
+
+
+def _reference_coefficients(lin, P_arcs):
+    """B, E, H_UX, M and R as linearized_matrices once built them.
+
+    One central difference of F, H_X and the switching row H_U = dt p f1 in
+    the joint (X, U), then E = A B - dB/ds, M = B' H_XX - dH_UX/ds - H_UX A
+    and R = B' H_XX B - 2 H_UX E - d(H_UX B)/ds, with np.gradient along the
+    grid and R symmetrized.  ``P_arcs`` holds the arc costates of the grid.
+    """
+    prob, struct = lin.prob, lin.struct
+    N, n, D, nodes = struct.N, prob.n, lin.D, lin.s.size - 1
+    k = arcs_of(struct.kinds, S)
+
+    def rates(z):
+        X, U = z[..., :D], z[..., D:]
+        x = X[..., : N * n].reshape(X.shape[:-1] + (N, n))[..., k, :]
+        dts = durations(X[..., N * n :], prob.T)[..., k]
+        switching = dts * np.einsum("...i,...i->...", P_arcs[:, k], prob.f1(x))
+        return np.concatenate([tp_rates(prob, struct, U, X, P_arcs), switching], axis=-1)
+
+    XU = np.concatenate([lin.X, lin.U], axis=1)
+    J = central_diff(rates, XU, fd_steps(XU))[1]
+    A, B, HUX = J[:, :D, :D], J[:, :D, D:], J[:, 2 * D :, :D]
+    HXX = J[:, D : 2 * D, :D]
+    HXX = 0.5 * (HXX + np.swapaxes(HXX, 1, 2))
+    ds = 1.0 / nodes
+    E = np.einsum("tij,tjk->tik", A, B) - np.gradient(B, ds, axis=0)
+    M = (np.einsum("tjs,tji->tsi", B, HXX) - np.gradient(HUX, ds, axis=0)
+         - np.einsum("tsi,tij->tsj", HUX, A))
+    HUXB = np.einsum("tsi,tik->tsk", HUX, B)
+    R = (np.einsum("tis,tij,tjr->tsr", B, HXX, B) - 2.0 * np.einsum("tsi,tik->tsk", HUX, E)
+         - np.gradient(HUXB, ds, axis=0))
+    return B, E, HUX, M, 0.5 * (R + np.swapaxes(R, 1, 2))
+
+
+def _seeded_five_arcs():
+    """B-,S,C,S,B+ from the seed-3 arc starts: two channels, p f1 != 0."""
+    struct = ArcStructure.from_tokens(["B-", "S", "C", "S", "B+"], (0.8, 1.7, 2.9, 4.1))
+    rng = np.random.default_rng(3)
+    omega = ShootingVector(rng.uniform(-0.5, 0.5, (5, 3)), struct.tau,
+                           rng.uniform(0.5, 1.5, (5, 3)), rng.normal(size=3),
+                           rng.normal(size=1))
+    return struct, omega
+
+
+class TestClosedFormCoefficients:
+    # The singular-arc coefficients of linearized_matrices in closed form,
+    # against the joint (X, U) central difference and the np.gradient
+    # derivatives along the grid that they replaced, with a state-dependent f1.
+    @pytest.fixture(scope="class", params=["B-,C,S", "B-,S,C,S,B+"])
+    def grids(self, request, reg_struct, reg_omega_exact):
+        """nodes -> (linearization, reference coefficients, arc costates)."""
+        prob = _curved_f1_regulator()
+        struct, omega = ((reg_struct, reg_omega_exact) if request.param == "B-,C,S"
+                         else _seeded_five_arcs())
+        out = {}
+        for m in (50, 100, 200, 400):
+            lin, P_arcs = _linearization_and_costates(prob, struct, omega, m)
+            out[m] = lin, _reference_coefficients(lin, P_arcs), P_arcs
+        return out
+
+    def test_gradient_error_rates(self, grids):
+        # np.gradient's one-sided end differences are first order, its
+        # central ones second order: per doubling of the nodes the end
+        # differences fall about 2x and the interior ones about 4x.
+        errs = []
+        for m in (100, 200, 400):
+            lin, (_, E, _, M, R), _ = grids[m]
+            d = np.stack([np.max(np.abs(new - ref), axis=(1, 2))
+                          for new, ref in ((lin.E, E), (lin.Mmat, M), (lin.Rmat, R))])
+            errs.append((d[:, [0, -1]].max(axis=1), d[:, 1:-1].max(axis=1)))
+        for (end0, in0), (end1, in1) in zip(errs, errs[1:]):
+            assert np.all(in0 >= 3.0 * in1), (in0, in1)
+            assert np.all(end0 >= 1.7 * end1), (end0, end1)
+
+    @pytest.mark.parametrize("m", [50, 400])
+    def test_b_and_hux_match_the_joint_difference(self, grids, m):
+        lin, (B, _, HUX, _, _), _ = grids[m]
+        np.testing.assert_allclose(lin.B, B, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(lin.HUX, HUX, rtol=0, atol=1e-9)
+
+    def test_r_is_the_legendre_clebsch_coefficient(self, grids):
+        lin, _, P_arcs = grids[200]
+        N, n = lin.struct.N, lin.prob.n
+        k = np.arange(N)[arcs_of(lin.struct.kinds, S)]
+        x = lin.X[:, : N * n].reshape(-1, N, n)[:, k]
+        dt = durations(lin.omega.tau, lin.prob.T)[k]
+        diag = np.arange(k.size)
+        np.testing.assert_array_equal(
+            lin.Rmat[:, diag, diag], -dt ** 3 * legendre_clebsch_value(lin.prob, x, P_arcs[:, k]))
+        off = lin.Rmat.copy()
+        off[:, diag, diag] = 0.0
+        assert not off.any()
+
+    def test_first_node_does_not_depend_on_the_grid(self, grids):
+        for name in ("E", "Mmat", "Rmat"):
+            np.testing.assert_array_equal(getattr(grids[50][0], name)[0],
+                                          getattr(grids[400][0], name)[0])

@@ -613,6 +613,37 @@ class TestGaussNewtonCore:
                                                            300).stacked)
         assert J.shape == (r.size, omega.pack().size)
 
+    def test_step_floor_ends_the_iteration(self, regulator, reg_struct, reg_omega_exact):
+        # With tol = 0 no residual is small enough; GN stops when the accepted
+        # step falls under STEP_FLOOR, long before max_iter, without a stall.
+        with pytest.raises(MaxIterExceeded) as exc:
+            gauss_newton(regulator, reg_struct, reg_omega_exact, steps=250, tol=0.0)
+        report = exc.value.report
+        assert report.n_iter == 2 and not report.stalled
+        assert report.iterations[-1]["step_norm"] <= shooting.STEP_FLOOR
+        assert report.iterations[0]["step_norm"] > shooting.STEP_FLOOR
+
+    def test_raising_trial_halves_the_step(self, regulator, reg_struct, reg_omega_exact,
+                                           monkeypatch):
+        # The first trial point raises (call 2; call 1 is the start): the line
+        # search treats it as a rejected step, halves it, and the solve goes on.
+        omega0 = perturbed_start(regulator, reg_struct, reg_omega_exact)
+        full = gauss_newton(regulator, reg_struct, omega0, steps=120)[1]
+        calls, real = [], shooting._linearize
+
+        def linearize(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ArcshootError("trial point fails")
+            return real(*args)
+
+        monkeypatch.setattr(shooting, "_linearize", linearize)
+        _, report = gauss_newton(regulator, reg_struct, omega0, steps=120)
+        assert report.converged and not report.stalled
+        assert report.iterations[0]["step_norm"] == 0.5 * full.iterations[0]["step_norm"]
+        np.testing.assert_allclose(calls[2][2] - calls[0][2],
+                                   0.5 * (calls[1][2] - calls[0][2]), rtol=0, atol=1e-15)
+
     def test_regulator_converges_from_perturbation(self, reg_solution):
         report = reg_solution["report"]
         assert report.converged
