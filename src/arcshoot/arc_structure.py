@@ -133,16 +133,12 @@ def detect_structure(
     tol_g = 1e-4 * (1.0 + float(np.max(np.abs(gvals))))
     min_len = 0.02 * prob.T if min_arc_len is None else min_arc_len
 
-    raw = np.empty(grid.size, dtype=object)
-    for i in range(grid.size):
-        if prob.u_min is not None and abs(u[i] - prob.u_min) <= tol_u:
-            raw[i] = ArcKind.BMinus
-        elif prob.u_max is not None and abs(u[i] - prob.u_max) <= tol_u:
-            raw[i] = ArcKind.BPlus
-        elif gvals[i] >= -tol_g:
-            raw[i] = ArcKind.Constrained
-        else:
-            raw[i] = ArcKind.Singular
+    # Assigned in reverse precedence, so a later kind overwrites an earlier one.
+    raw = np.full(grid.size, ArcKind.Singular, dtype=object)
+    raw[gvals >= -tol_g] = ArcKind.Constrained
+    for kind, bound in ((ArcKind.BPlus, prob.u_max), (ArcKind.BMinus, prob.u_min)):
+        if bound is not None:
+            raw[np.abs(u - bound) <= tol_u] = kind
 
     runs = _merge_short_runs([(kind, i, i) for i, kind in enumerate(raw)], grid, min_len)
 

@@ -82,18 +82,19 @@ def _check_dim(v: np.ndarray, n: int, what: str) -> np.ndarray:
     return v
 
 
-def central_diff(fn: Callable, x: np.ndarray, h: np.ndarray) -> tuple:
+def central_diff(fn: Callable, x: np.ndarray) -> tuple:
     """Value ``fn(x)`` and central-difference Jacobian of ``fn`` at every row of ``x``.
 
-    ``x`` has shape ``(..., D)`` and ``h`` holds one step per entry of ``x``.
-    The centre and all ``2 D`` stencil points go to ``fn`` in one batch
+    ``x`` has shape ``(..., D)``; entry ``x_j`` steps by ``1e-6 max(1, |x_j|)``,
+    the one step rule of every derivative the package differences.  The
+    centre and all ``2 D`` stencil points go to ``fn`` in one batch
     ``(2 D + 1, ..., D)``, centre first; ``fn`` may broadcast against arrays with
     the leading shape of ``x`` and maps ``(..., D)`` to ``(..., *out)``.  The
     Jacobian has shape ``(..., *out, D)`` with ``[..., i, j] = d fn_i / d x_j``.
     """
     x = np.asarray(x, dtype=float)
     D = x.shape[-1]
-    hT = np.moveaxis(np.broadcast_to(h, x.shape), -1, 0)
+    hT = np.moveaxis(1e-6 * np.maximum(1.0, np.abs(x)), -1, 0)
     idx = np.arange(D)
     stencil = np.broadcast_to(x, (2 * D + 1,) + x.shape).copy()
     stencil[1 + idx, ..., idx] += hT
@@ -101,11 +102,6 @@ def central_diff(fn: Callable, x: np.ndarray, h: np.ndarray) -> tuple:
     vals = np.asarray(fn(stencil), dtype=float)
     hT = hT.reshape(hT.shape + (1,) * (vals.ndim - x.ndim))
     return vals[0], np.moveaxis((vals[1 : D + 1] - vals[D + 1 :]) / (2.0 * hT), 0, -1)
-
-
-def fd_steps(x: np.ndarray) -> np.ndarray:
-    """Per-entry step 1e-6 max(1, |x_j|) of the first-order differences."""
-    return 1e-6 * np.maximum(1.0, np.abs(x))
 
 
 def denominator_guard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -154,7 +150,7 @@ def second_brackets(prob: ProblemDef, x: np.ndarray) -> tuple:
     """
     x = np.asarray(x, dtype=float)
     if prob.bracket_f1f0_f0 is None or prob.bracket_f1f0_f1 is None:
-        b, jac_b = central_diff(lambda y: bracket_f1_f0(prob, y), x, fd_steps(x))
+        b, jac_b = central_diff(lambda y: bracket_f1_f0(prob, y), x)
 
     def bracket(override, z, dz, name):
         if override is not None:
@@ -185,8 +181,7 @@ def gamma_gradient(prob: ProblemDef, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if prob.dgamma is not None:
         return _check_dim(prob.dgamma(x), prob.n, "dgamma override")
-    return central_diff(lambda y: gamma_control(prob, y, prob.f0(y), prob.f1(y)), x,
-                        fd_steps(x))[1]
+    return central_diff(lambda y: gamma_control(prob, y, prob.f0(y), prob.f1(y)), x)[1]
 
 
 @dataclass

@@ -42,7 +42,7 @@ import numpy as np
 
 from .arc_structure import ArcKind, ArcStructure, arcs_of
 from .errors import AssemblyError
-from .problem_def import ProblemDef, bracket_f1_f0, central_diff, fd_steps
+from .problem_def import ProblemDef, bracket_f1_f0, central_diff
 from .shooting import ShootingVector, check_sizes, constraint_rows, endpoint_gradient
 from .tp_dynamics import arc_field, durations, legendre_clebsch_value, propagate_arc, rk4
 
@@ -106,7 +106,6 @@ class TPLinearization:
     omega: ShootingVector
     s: np.ndarray            # (M+1,)
     X: np.ndarray            # (M+1, D)
-    U: np.ndarray            # (M+1, S)
     A: np.ndarray            # (M+1, D, D)
     B: np.ndarray            # (M+1, D, S)
     E: np.ndarray            # (M+1, D, S)
@@ -156,7 +155,7 @@ def linearized_matrices(
     U = traj.w[:, k]
 
     # One central difference in X, the singular controls held at U: A and H_XX.
-    J = central_diff(lambda z: tp_rates(prob, struct, U, z, traj.p), X, fd_steps(X))[1]
+    J = central_diff(lambda z: tp_rates(prob, struct, U, z, traj.p), X)[1]
     A = J[:, :D]
     HXX = _symmetrized(J[:, D:], "H_XX", "gradient and field evaluations disagree")
 
@@ -167,7 +166,7 @@ def linearized_matrices(
     S = k.size
     x, p = traj.x[:, k], traj.p[:, k]
     dt = durations(omega.tau, prob.T)[k][:, None]
-    b, db = central_diff(lambda y: bracket_f1_f0(prob, y), x, fd_steps(x))
+    b, db = central_diff(lambda y: bracket_f1_f0(prob, y), x)
     f1x = prob.f1(x)
     ddt = (np.eye(N, N - 1) - np.eye(N, N - 1, -1))[k]            # d dt_k / d tau, (S, N-1)
     pdot = lambda a: np.einsum("tsi,tsi->ts", p, a)[..., None]
@@ -186,7 +185,7 @@ def linearized_matrices(
 
     return TPLinearization(
         prob=prob, struct=struct, omega=omega, s=np.linspace(0.0, 1.0, m1),
-        X=X, U=U, A=A, B=B, E=E, HXX=HXX, HUX=HUX,
+        X=X, A=A, B=B, E=E, HXX=HXX, HUX=HUX,
         Mmat=Mmat, Rmat=Rmat, ell_hess=ell_hess, dcons=dcons,
     )
 
@@ -194,8 +193,8 @@ def linearized_matrices(
 def _endpoint_derivatives(prob, struct, omega, X0, X1):
     """Endpoint-Lagrangian Hessian and endpoint-constraint Jacobian over (X0, X1).
 
-    One central difference, at the first-order steps, of the transversality
-    gradient :func:`shooting.endpoint_gradient` (zero in the tau entries)
+    One :func:`central_diff` of the transversality gradient
+    :func:`shooting.endpoint_gradient` (zero in the tau entries)
     and of :func:`shooting.constraint_rows`, both at the arc states of
     (X0, X1).  Returns the symmetrized (2D, 2D) Hessian and the Jacobian.
     """
@@ -210,7 +209,7 @@ def _endpoint_derivatives(prob, struct, omega, X0, X1):
                                *constraint_rows(prob, struct, x0, x1)], axis=-1)
 
     z = np.concatenate([X0, X1])
-    J = central_diff(rows, z, fd_steps(z))[1]
+    J = central_diff(rows, z)[1]
     hess = _symmetrized(J[: 2 * D], "endpoint Hessian", "dphi, dPhi or dg is not a gradient")
     return hess, J[2 * D :]
 

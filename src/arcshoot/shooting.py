@@ -235,9 +235,8 @@ def _linearize(prob, struct, flat, M):
     One (2m + 1)-row pass with the point itself as row 0; the nodes, a list
     of (N, 2n) arrays for :func:`node_trajectory`, are that row's.
     """
-    h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(flat))
     nodes = []
-    r, J = central_diff(lambda z: _residual_flat_batch(prob, struct, z, M, nodes), flat, h)
+    r, J = central_diff(lambda z: _residual_flat_batch(prob, struct, z, M, nodes), flat)
     return r, J, nodes
 
 

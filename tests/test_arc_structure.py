@@ -55,6 +55,20 @@ class TestInvariants:
         with pytest.raises(ConfigurationError):
             s.validate(unbounded)
 
+    @pytest.mark.parametrize("tokens, tau, what", [
+        (["B-", "X"], (1.0,), "unknown arc token 'X'"),
+        ([], (), "structure needs at least one arc"),
+    ], ids=["unknown_token", "no_arc"])
+    def test_malformed_tokens_rejected(self, tokens, tau, what):
+        with pytest.raises(ConfigurationError, match=what):
+            ArcStructure.from_tokens(tokens, tau)
+
+    def test_upper_bound_required(self, regulator):
+        import dataclasses
+
+        with pytest.raises(ConfigurationError, match="B\\+ arc requires"):
+            ArcStructure((S, BP), (1.0,)).validate(dataclasses.replace(regulator, u_max=None))
+
     def test_tau_inside_horizon(self, regulator):
         s = ArcStructure((B, S), (7.0,))
         with pytest.raises(ConfigurationError):
@@ -122,6 +136,34 @@ class TestDetect:
         u[500] = 0.55  # single-node glitch inside the constrained arc
         s = detect_structure(regulator, t, u, x)
         assert s.kinds == (B, C, S)
+
+    def test_short_end_runs_join_their_only_neighbour(self, regulator):
+        # One-node bang runs at both ends (spacing 0.05, min_arc_len 0.1): the
+        # first has no left neighbour and the last no right one.
+        t = np.linspace(0, 5, 101)
+        u = np.where(t < 0.01, -1.0, np.where(t > 4.99, 1.0, 0.3))
+        s = detect_structure(regulator, t, u, np.tile([0.0, 1.0, 0.0], (101, 1)))
+        assert s.kinds == (S,) and s.tau == ()
+
+    def test_short_middle_run_joins_the_longer_neighbour(self, regulator):
+        # B- on [0, 2.95], one constrained node at 3.0, S on [3.05, 5]: the
+        # B- run is the longer neighbour and takes the node.
+        t = np.linspace(0, 5, 101)
+        u = np.where(t < 2.99, -1.0, 0.3)
+        x = np.tile([0.0, 1.0, 0.0], (101, 1))
+        x[60, 1] = -0.2                               # g = 0 at t = 3.0
+        s = detect_structure(regulator, t, u, x)
+        assert s.kinds == (B, S)
+        assert s.tau == (0.5 * (t[60] + t[61]),)
+
+    def test_invalid_detected_structure_is_wrapped(self, regulator):
+        # Samples past the horizon put the switch at t = 7 > T = 5.
+        t = np.linspace(0, 10, 201)
+        u = np.where(t < 7.0, -1.0, 0.3)
+        with pytest.raises(StructureDetectionError, match="strictly inside") as exc:
+            detect_structure(regulator, t, u, np.tile([0.0, 1.0, 0.0], (201, 1)))
+        assert isinstance(exc.value.__cause__, ConfigurationError)
+        assert list(exc.value.raw) == [B if ti < 7.0 else S for ti in t]
 
     def test_explicit_tolerances(self, regulator):
         t, u, x = P.sample_regulator(400)

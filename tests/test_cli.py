@@ -141,6 +141,38 @@ class TestSolve:
         assert report["converged"] is False and report["gauss_newton"]["iterations"] == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
+    @pytest.mark.parametrize("structure", [["detect"], ["B-,C,S", "--tau", "1.2,2.6"]],
+                             ids=["detected", "given"])
+    def test_cold_start_from_the_direct_solve(self, tmp_path, monkeypatch, reg_direct, structure):
+        # reg_direct is the direct solve at the CLI's defaults (grid 100,
+        # penalty 1e3, 800 iterations); the solve runs it once.
+        calls = []
+        monkeypatch.setattr(cli, "_run_direct", lambda prob, cfg: calls.append(cfg) or reg_direct)
+        assert run(["solve", "--problem", "regulator", "--structure", *structure,
+                    "--init", "direct", "--out", tmp_path]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert len(calls) == 1 and report["structure"] == ["B-", "C", "S"]
+        np.testing.assert_allclose(report["tau"], [1.2, 2.6], rtol=0, atol=1e-6)
+        assert abs(report["cost"] - 0.3925013) <= 1e-7
+
+    def test_analytic_init_without_reference_exits_1(self, tmp_path, capsys):
+        assert run(["solve", "--problem", "arcshoot.problems:make_regulator_fd_brackets",
+                    "--structure", "B-,C,S", "--init", "analytic", "--out", tmp_path]) == 1
+        assert ("solve: error: init=analytic needs a built-in problem with a reference "
+                "solution: unknown problem") in capsys.readouterr().err
+
+    def test_missing_warm_start_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "none.json"
+        assert run(["solve", "--problem", "regulator", "--structure", "B-,C,S",
+                    "--init", path, "--out", tmp_path]) == 1
+        assert f"solve: error: warm-start file {path} does not exist" in capsys.readouterr().err
+
+    def test_warm_start_of_other_structure_exits_1(self, tmp_path, solved_dir, capsys):
+        assert run(["solve", "--problem", "regulator", "--structure", "B-,S", "--tau", "2.0",
+                    "--init", solved_dir / "omega.json", "--out", tmp_path]) == 1
+        assert ("solve: error: warm start has structure ['B-', 'C', 'S'], requested "
+                "['B-', 'S']") in capsys.readouterr().err
+
     def test_problem_factory_by_module_path(self, tmp_path, solved_dir):
         assert run(["solve", "--problem", "arcshoot.problems:make_regulator_fd_brackets",
                     "--structure", "B-,C,S", "--init", solved_dir / "omega.json",
@@ -371,6 +403,15 @@ class TestVerify:
         path.write_text(edit(json.loads((toy_bang_dir / "omega.json").read_text())))
         assert run(["verify", "--problem", "toy-bang", "--omega", path, "--out", tmp_path]) == 1
         assert f"verify: error: {path} {what}" in capsys.readouterr().err
+
+    def test_metadata_of_another_structure_exits_1(self, tmp_path, toy_bang_dir, capsys):
+        doc = json.loads((toy_bang_dir / "omega.json").read_text())
+        doc["meta"]["n_constrained"] = 1
+        path = tmp_path / "omega.json"
+        path.write_text(json.dumps(doc))
+        assert run(["verify", "--problem", "toy-bang", "--omega", path, "--out", tmp_path]) == 1
+        assert (f"verify: error: warm-start metadata inconsistent with structure in {path}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("tau", [[-0.5, 2.6], [1.0, 2.6], [1.2, 6.0]],
                              ids=["outside_0_T", "moved_tau1", "past_T"])

@@ -243,6 +243,15 @@ class TestProblemDef:
             with pytest.raises(ConfigurationError, match=f"{name} = .* is not finite; pass None"):
                 dataclasses.replace(P.make_regulator(), **bounds)
 
+    @pytest.mark.parametrize("field, value, what", [
+        ("n", 0, "state dimension must be positive"),
+        ("q", -1, "endpoint constraint count must be >= 0"),
+        ("T", 0.0, "horizon must be positive"),
+    ])
+    def test_sizes_and_horizon_checked(self, field, value, what):
+        with pytest.raises(ConfigurationError, match=what):
+            dataclasses.replace(P.make_regulator(), **{field: value})
+
     def test_purity_bit_identical(self):
         prob = P.make_regulator()
         x = np.array([0.1, 0.2, 0.3])
@@ -257,3 +266,9 @@ class TestProblemDef:
         )
         with pytest.raises(ConfigurationError):
             second_brackets(bad, np.zeros(3))
+
+
+@pytest.mark.parametrize("t", [-1e-9, P.REG_T + 1e-9])
+def test_regulator_solution_outside_the_horizon_rejected(t):
+    with pytest.raises(ConfigurationError, match=r"outside \[0, 5"):
+        P.regulator_solution(t)

@@ -9,7 +9,7 @@ from arcshoot import problems as P
 from arcshoot import second_order
 from arcshoot.arc_structure import ArcKind, ArcStructure, arcs_of
 from arcshoot.errors import AssemblyError
-from arcshoot.problem_def import ProblemDef, central_diff, fd_steps
+from arcshoot.problem_def import ProblemDef, central_diff
 from arcshoot.second_order import (
     QuadraticFormData,
     TPLinearization,
@@ -26,7 +26,7 @@ from arcshoot.second_order import (
     tp_rates,
 )
 from arcshoot.shooting import ShootingVector
-from arcshoot.tp_dynamics import durations, legendre_clebsch_value
+from arcshoot.tp_dynamics import durations, legendre_clebsch_value, propagate_arc
 from test_shooting import endpoint_problem
 
 B, C, S = ArcKind.BMinus, ArcKind.Constrained, ArcKind.Singular
@@ -51,11 +51,13 @@ class TestLinearization:
         X = lin.X[i]
         hand = np.zeros((D, D))
         dts = durations(lin.omega.tau, regulator.T)
+        om = lin.omega
+        u = propagate_arc(regulator, reg_struct.kinds, om.tau, om.x0, om.p0, 200).w[i, 2]
         for k, kind in enumerate(reg_struct.kinds):
             xk = X[3 * k : 3 * k + 3]
             jac = regulator.df0(xk)  # df1 = 0 and dGamma = 0 for this problem
             hand[3 * k : 3 * k + 3, 3 * k : 3 * k + 3] = dts[k] * jac
-            w = {0: -1.0, 1: 0.0, 2: lin.U[i, 0]}[k]
+            w = {0: -1.0, 1: 0.0, 2: u}[k]
             rate = regulator.f0(xk) + w * regulator.f1(xk)
             if k <= 0:
                 hand[3 * k : 3 * k + 3, 9] += rate
@@ -218,7 +220,7 @@ def _two_channel_lin(regulator, nodes=30, seed=21):
 
     return TPLinearization(
         prob=regulator, struct=struct, omega=None, s=np.linspace(0.0, 1.0, m1),
-        X=rng.normal(size=(m1, D)), U=rng.normal(size=(m1, Sn)),
+        X=rng.normal(size=(m1, D)),
         A=0.3 * rng.normal(size=(m1, D, D)),
         B=rng.normal(size=(m1, D, Sn)), E=rng.normal(size=(m1, D, Sn)),
         HXX=sym((m1, D, D)), HUX=rng.normal(size=(m1, Sn, D)),
@@ -526,26 +528,27 @@ def _curved_f1_regulator():
     return dataclasses.replace(P.make_regulator_fd_brackets(), f1=f1, df1=df1)
 
 
-def _linearization_and_costates(prob, struct, omega, nodes):
-    """linearized_matrices at ``nodes`` and the arc costates (M+1, N, n) of its grid."""
+def _linearization_and_grid(prob, struct, omega, nodes):
+    """linearized_matrices at ``nodes`` and the propagate_arc grid it was built on."""
     grids, real = [], second_order.propagate_arc
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(second_order, "propagate_arc", lambda *a: grids.append(real(*a)) or grids[0])
         lin = linearized_matrices(prob, struct, omega, nodes)
-    return lin, grids[0].p
+    return lin, grids[0]
 
 
-def _reference_coefficients(lin, P_arcs):
+def _reference_coefficients(lin, grid):
     """B, E, H_UX, M and R as linearized_matrices once built them.
 
     One central difference of F, H_X and the switching row H_U = dt p f1 in
     the joint (X, U), then E = A B - dB/ds, M = B' H_XX - dH_UX/ds - H_UX A
     and R = B' H_XX B - 2 H_UX E - d(H_UX B)/ds, with np.gradient along the
-    grid and R symmetrized.  ``P_arcs`` holds the arc costates of the grid.
+    grid and R symmetrized.  ``grid`` is the propagate_arc grid of ``lin``.
     """
     prob, struct = lin.prob, lin.struct
     N, n, D, nodes = struct.N, prob.n, lin.D, lin.s.size - 1
     k = arcs_of(struct.kinds, S)
+    P_arcs = grid.p
 
     def rates(z):
         X, U = z[..., :D], z[..., D:]
@@ -554,8 +557,8 @@ def _reference_coefficients(lin, P_arcs):
         switching = dts * np.einsum("...i,...i->...", P_arcs[:, k], prob.f1(x))
         return np.concatenate([tp_rates(prob, struct, U, X, P_arcs), switching], axis=-1)
 
-    XU = np.concatenate([lin.X, lin.U], axis=1)
-    J = central_diff(rates, XU, fd_steps(XU))[1]
+    XU = np.concatenate([lin.X, grid.w[:, k]], axis=1)
+    J = central_diff(rates, XU)[1]
     A, B, HUX = J[:, :D, :D], J[:, :D, D:], J[:, 2 * D :, :D]
     HXX = J[:, D : 2 * D, :D]
     HXX = 0.5 * (HXX + np.swapaxes(HXX, 1, 2))
@@ -591,8 +594,8 @@ class TestClosedFormCoefficients:
                          else _seeded_five_arcs())
         out = {}
         for m in (50, 100, 200, 400):
-            lin, P_arcs = _linearization_and_costates(prob, struct, omega, m)
-            out[m] = lin, _reference_coefficients(lin, P_arcs), P_arcs
+            lin, grid = _linearization_and_grid(prob, struct, omega, m)
+            out[m] = lin, _reference_coefficients(lin, grid), grid.p
         return out
 
     def test_gradient_error_rates(self, grids):

@@ -12,6 +12,7 @@ from arcshoot.errors import (
     ArcshootError,
     ConfigurationError,
     MaxIterExceeded,
+    NonFiniteResidual,
     RankDeficientJacobian,
 )
 from arcshoot.problem_def import (
@@ -90,6 +91,17 @@ class TestPacking:
         )
         back = ShootingVector.unpack(sv.pack(), N, n, q, n_c)
         np.testing.assert_array_equal(back.pack(), sv.pack())
+
+    @pytest.mark.parametrize("make, what", [
+        (lambda: ShootingVector(np.zeros((2, 3)), [1.0], np.zeros((2, 2)), [], []),
+         r"x0 and p0 must agree in shape, got \(2, 3\) vs \(2, 2\)"),
+        (lambda: ShootingVector(np.zeros((2, 3)), [], np.zeros((2, 3)), [], []),
+         "2 arcs require 1 switching times"),
+        (lambda: ShootingVector.unpack(np.zeros(5), 1, 2, 0, 0), "packed length 5, expected 4"),
+    ], ids=["x0_p0_shapes", "tau_count", "packed_length"])
+    def test_malformed_vector_rejected(self, make, what):
+        with pytest.raises(ConfigurationError, match=what):
+            make()
 
     def test_dimension_law_randomized(self):
         rng = np.random.default_rng(5)
@@ -257,7 +269,7 @@ class TestEndpointGradient:
         split = lambda zz: (zz[..., : N * n].reshape(zz.shape[:-1] + (N, n)),
                             zz[..., N * n :].reshape(zz.shape[:-1] + (N, n)))
         ref = central_diff(lambda zz: endpoint_lagrangian(prob, struct, *split(zz), psi, gamma),
-                           z, np.full(z.size, 1e-5))[1]
+                           z)[1]
         l0, l1 = endpoint_gradient(prob, struct, *split(z), psi, gamma)
         np.testing.assert_allclose(np.concatenate([l0.ravel(), l1.ravel()]), ref,
                                    rtol=0.0, atol=1e-9)
@@ -374,6 +386,25 @@ class TestJacobian:
         hand[2:4, 4:6] = np.eye(n)            # ... wrt Psi
         hand[4:6, 2:4] = Q                    # final transversality wrt p0
         np.testing.assert_allclose(J, hand, atol=1e-6)
+
+    @pytest.mark.parametrize("scale", [0.0, 0.1])
+    def test_matches_richardson_reference(self, regulator, reg_struct, reg_omega_exact, scale):
+        # Central differences at steps h and 2h, h_j = 1e-4 max(1, |w_j|), combined
+        # as (4 D(h) - D(2h)) / 3 cancel the h^2 term; the reference agrees with
+        # the one from h / 2 and h to about 1e-11 of max|J| here.
+        omega = (perturbed_start(regulator, reg_struct, reg_omega_exact, scale) if scale
+                 else reg_omega_exact)
+        w, M = omega.pack(), steps_per_arc(reg_struct, 300)
+
+        def diff(k):
+            h = k * 1e-4 * np.maximum(1.0, np.abs(w))
+            r = _residual_flat_batch(regulator, reg_struct,
+                                     np.concatenate([w + np.diag(h), w - np.diag(h)]), M)
+            return ((r[: w.size] - r[w.size :]) / (2.0 * h[:, None])).T
+
+        ref = (4.0 * diff(1) - diff(2)) / 3.0
+        J = fd_jacobian(regulator, reg_struct, omega, 300)
+        assert np.max(np.abs(J - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_full_rank_at_solution(self, regulator, reg_struct, reg_solution):
         report = reg_solution["report"]
@@ -644,6 +675,30 @@ class TestGaussNewtonCore:
         np.testing.assert_allclose(calls[2][2] - calls[0][2],
                                    0.5 * (calls[1][2] - calls[0][2]), rtol=0, atol=1e-15)
 
+    def test_line_search_stall(self, regulator, reg_struct, reg_omega_exact, monkeypatch):
+        # Every trial point raises the residual norm: after MAX_HALVINGS
+        # halvings GN records the stall and stops at the start.
+        omega0 = perturbed_start(regulator, reg_struct, reg_omega_exact)
+        points, start, real = [], [], shooting._linearize
+
+        def linearize(*args):
+            points.append(args[2])
+            if not start:
+                start.extend(real(*args))
+            r, J, nodes = start
+            return (r if len(points) == 1 else 2.0 * r), J, nodes
+
+        monkeypatch.setattr(shooting, "_linearize", linearize)
+        with pytest.raises(MaxIterExceeded) as exc:
+            gauss_newton(regulator, reg_struct, omega0, steps=120)
+        report = exc.value.report
+        assert report.stalled and not report.converged and report.n_iter == 0
+        assert len(points) == shooting.MAX_HALVINGS + 2
+        np.testing.assert_allclose(points[-1] - points[0],
+                                   0.5 ** shooting.MAX_HALVINGS * (points[1] - points[0]),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(exc.value.omega.pack(), omega0.pack())
+
     def test_regulator_converges_from_perturbation(self, reg_solution):
         report = reg_solution["report"]
         assert report.converged
@@ -700,6 +755,12 @@ class TestValidation:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ArcshootError):
                 shooting_function(regulator, reg_struct, bad, steps=60)
+
+    def test_nonfinite_multiplier_raises(self, regulator, reg_struct, reg_omega_exact):
+        # The states stay finite; only the transversality rows read psi.
+        bad = dataclasses.replace(reg_omega_exact, psi=[np.nan, 0.0, 0.0])
+        with pytest.raises(NonFiniteResidual, match="residual contains non-finite entries"):
+            shooting_function(regulator, reg_struct, bad, steps=60)
 
     def test_step_budget_guard(self, regulator, reg_struct, reg_omega_exact):
         with pytest.raises(ArcshootError):
