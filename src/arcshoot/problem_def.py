@@ -141,15 +141,18 @@ def bracket_f1_f0(prob: ProblemDef, x: np.ndarray) -> np.ndarray:
     return _apply(prob.df1(x), f0x) - _apply(prob.df0(x), f1x)
 
 
-def second_brackets(prob: ProblemDef, x: np.ndarray) -> tuple:
+def second_brackets(prob: ProblemDef, x: np.ndarray, b_jac=None) -> tuple:
     """([[f1,f0],f0](x), [[f1,f0],f1](x)), the brackets of the singular control.
 
     Each comes from the problem's override when it gives one.  Otherwise
     [B, Z] = B' Z - Z' B for B = [f1,f0], with B' from one central
-    difference of :func:`bracket_f1_f0` that both brackets share.
+    difference of :func:`bracket_f1_f0` that both brackets share, or from
+    ``b_jac``, that difference's ``(B, B')`` at ``x`` when already at hand.
     """
     x = np.asarray(x, dtype=float)
-    if prob.bracket_f1f0_f0 is None or prob.bracket_f1f0_f1 is None:
+    if b_jac is not None:
+        b, jac_b = b_jac
+    elif prob.bracket_f1f0_f0 is None or prob.bracket_f1f0_f1 is None:
         b, jac_b = central_diff(lambda y: bracket_f1_f0(prob, y), x)
 
     def bracket(override, z, dz, name):

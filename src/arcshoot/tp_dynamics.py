@@ -25,10 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arc_structure import ArcKind, arcs_of, write_csv
-from .errors import (ConfigurationError, FirstOrderViolation, NonFiniteState,
+from .errors import (ArcshootError, ConfigurationError, FirstOrderViolation, NonFiniteState,
                      SingularDenominatorError)
-from .problem_def import (ProblemDef, bracket_f1_f0, gamma_control, gamma_gradient,
-                          guarded_ratio, second_brackets)
+from .problem_def import (ProblemDef, bracket_f1_f0, central_diff, gamma_control,
+                          gamma_gradient, guarded_ratio, second_brackets)
+
+CHORD_ITERS = 8     # chord iterations of propagate_arc_parallel before it falls back
 
 
 def legendre_clebsch_value(prob: ProblemDef, x: np.ndarray, costate: np.ndarray):
@@ -146,11 +148,12 @@ def durations(tau, T):
     return hi - lo
 
 
-def _arc_nodes(prob, kinds, tau, x0, p0, M):
-    """RK4 nodes of the stacked (x, p) system of all arcs, step 1/M, as a generator.
+def _arc_system(prob, kinds, tau, x0, p0, M):
+    """Rate and initial node of the stacked (x, p) system of all arcs, for :func:`rk4`.
 
     The arc-kind set-up (:func:`arc_rules`) is made here, once per pass, so
-    an absent bang bound raises before the first step.
+    an absent bang bound raises before the first step.  The rate does not
+    depend on the step or the stage time.
     """
     if M < 1:
         raise ConfigurationError(f"step count must be >= 1, got {M}")
@@ -164,7 +167,12 @@ def _arc_nodes(prob, kinds, tau, x0, p0, M):
 
     y0 = np.concatenate(np.broadcast_arrays(np.asarray(x0, dtype=float),
                                             np.asarray(p0, dtype=float)), axis=-1)
-    return rk4(rate, y0, M, 1.0 / M)
+    return rate, y0
+
+
+def _arc_nodes(prob, kinds, tau, x0, p0, M):
+    """RK4 nodes of the stacked (x, p) system of all arcs, step 1/M, as a generator."""
+    return rk4(*_arc_system(prob, kinds, tau, x0, p0, M), M, 1.0 / M)
 
 
 def _check_finite(y, kinds, where: str) -> None:
@@ -222,6 +230,45 @@ def propagate_arc(prob: ProblemDef, kinds, tau, x0: np.ndarray, p0: np.ndarray,
                   M: int) -> TPTrajectory:
     """One RK4 pass, step 1/M, over every arc from (x0, p0), (..., N, n), with times ``tau``."""
     return node_trajectory(prob, kinds, tau, _arc_nodes(prob, kinds, tau, x0, p0, M))
+
+
+def propagate_arc_parallel(prob: ProblemDef, kinds, tau, x0: np.ndarray, p0: np.ndarray,
+                           M: int) -> TPTrajectory:
+    """The trajectory of :func:`propagate_arc`, its M RK4 steps solved at all nodes at once.
+
+    A chord iteration on y_{i+1} = Psi(y_i), Psi one RK4 step, from y_i = y_0
+    (Bellen & Zennaro 1989; Lim et al., DEER, 2024), J being Psi's Jacobian at
+    y_0.  Each iteration takes F_i = y_{i+1} - Psi(y_i) at all nodes in one
+    call, solves delta_{i+1} = J delta_i - F_i by a doubling scan and sets
+    y_{i+1} = Psi(y_i) + J delta_i, until max|F| <= 4 eps max(1, max|y|).  An
+    :class:`ArcshootError`, a non-finite iterate or ``CHORD_ITERS`` iterations
+    fall back to :func:`propagate_arc`, so every error is the sequential one.
+    """
+    apply = lambda a, v: np.einsum("...ij,...j->...i", a, v)
+    try:
+        rate, y0 = _arc_system(prob, kinds, tau, x0, p0, M)
+        psi = lambda y: tuple(rk4(rate, y, 1, 1.0 / M))[1]
+        J = central_diff(psi, y0)[1]
+        y = np.broadcast_to(y0, (M + 1,) + y0.shape)
+        tol = 4.0 * np.finfo(float).eps
+        with np.errstate(all="ignore"):     # a diverging iterate falls back below
+            for _ in range(CHORD_ITERS):
+                step = psi(y[:-1])
+                delta = step - y[1:]        # -F
+                err = np.max(np.abs(delta)) / max(1.0, np.max(np.abs(y)))
+                if err <= tol or not np.isfinite(err):
+                    break
+                Jk, s = J, 1
+                while s < M:        # delta_{i+1} = sum_{j <= i} J^(i-j) (-F_j)
+                    delta[s:] = delta[s:] + apply(Jk, delta[:-s])
+                    Jk, s = Jk @ Jk, 2 * s
+                y = np.concatenate([y0[None], step])
+                y[2:] += apply(J, delta[:-1])
+        if err <= tol:
+            return node_trajectory(prob, kinds, tau, y)
+    except ArcshootError:
+        pass
+    return propagate_arc(prob, kinds, tau, x0, p0, M)
 
 
 def propagate_endpoint(prob, kinds, tau, x0, p0, M, centre=None):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from arcshoot import problems as P
-from arcshoot import second_order
+from arcshoot import problem_def, second_order
 from arcshoot.arc_structure import ArcKind, ArcStructure, arcs_of
 from arcshoot.errors import AssemblyError
 from arcshoot.problem_def import ProblemDef, central_diff
@@ -425,6 +425,17 @@ class TestPositivity:
         rep = check_positivity(qfd)
         assert rep.smallest == pytest.approx(_generalized_eigs(qfd)[:3], rel=1e-9)
 
+    @pytest.mark.parametrize("nodes, passed", [
+        (10, True), (20, True), (30, True), (50, False), (100, False), (200, False),
+        (400, False)])
+    def test_regulator_verdict_by_grid(self, regulator, reg_struct, reg_omega_exact, nodes,
+                                       passed):
+        # The analytic regulator's verdict at each grid: the margin is about
+        # 7.6e-5 and c_est falls about 4x per doubling of the grid.
+        lin = linearized_matrices(regulator, reg_struct, reg_omega_exact, nodes)
+        rep = check_positivity(assemble_omega(lin))
+        assert (rep.passed, rep.nullspace_dim) == (passed, nodes + 2)
+
     def test_random_form_matches_generalized_eigenproblem(self):
         rng = np.random.default_rng(15)
         hess = rng.normal(size=(8, 8))
@@ -529,10 +540,11 @@ def _curved_f1_regulator():
 
 
 def _linearization_and_grid(prob, struct, omega, nodes):
-    """linearized_matrices at ``nodes`` and the propagate_arc grid it was built on."""
-    grids, real = [], second_order.propagate_arc
+    """linearized_matrices at ``nodes`` and the propagate_arc_parallel grid it was built on."""
+    grids, real = [], second_order.propagate_arc_parallel
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(second_order, "propagate_arc", lambda *a: grids.append(real(*a)) or grids[0])
+        mp.setattr(second_order, "propagate_arc_parallel",
+                   lambda *a: grids.append(real(*a)) or grids[0])
         lin = linearized_matrices(prob, struct, omega, nodes)
     return lin, grids[0]
 
@@ -543,7 +555,7 @@ def _reference_coefficients(lin, grid):
     One central difference of F, H_X and the switching row H_U = dt p f1 in
     the joint (X, U), then E = A B - dB/ds, M = B' H_XX - dH_UX/ds - H_UX A
     and R = B' H_XX B - 2 H_UX E - d(H_UX B)/ds, with np.gradient along the
-    grid and R symmetrized.  ``grid`` is the propagate_arc grid of ``lin``.
+    grid and R symmetrized.  ``grid`` is the grid ``lin`` was built on.
     """
     prob, struct = lin.prob, lin.struct
     N, n, D, nodes = struct.N, prob.n, lin.D, lin.s.size - 1
@@ -630,6 +642,22 @@ class TestClosedFormCoefficients:
         off = lin.Rmat.copy()
         off[:, diag, diag] = 0.0
         assert not off.any()
+
+    def test_r_reuses_the_bracket_difference_of_m(self, monkeypatch, reg_omega_exact):
+        # Without bracket overrides, [f1,f0] is differenced on the node grid
+        # twice: for the singular control of the grid and for M; R reads
+        # [[f1,f0],f1] from M's difference.
+        prob, struct, nodes = P.make_regulator_fd_brackets(), P.regulator_structure(), 40
+        shapes, real = [], problem_def.bracket_f1_f0
+
+        def counted(prob, x):
+            shapes.append(np.shape(x))
+            return real(prob, x)
+
+        monkeypatch.setattr(problem_def, "bracket_f1_f0", counted)
+        monkeypatch.setattr(second_order, "bracket_f1_f0", counted)
+        linearized_matrices(prob, struct, reg_omega_exact, nodes)
+        assert shapes.count((7, nodes + 1, 1, 3)) == 2
 
     def test_first_node_does_not_depend_on_the_grid(self, grids):
         for name in ("E", "Mmat", "Rmat"):

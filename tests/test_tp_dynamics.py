@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from arcshoot import problems as P
+from arcshoot import tp_dynamics
 from arcshoot.arc_structure import ArcKind, ArcStructure
 from arcshoot.errors import (
+    ArcshootError,
     ConfigurationError,
     FirstOrderViolation,
     NonFiniteState,
@@ -19,6 +21,7 @@ from arcshoot.tp_dynamics import (
     constraint_multiplier_density,
     durations,
     propagate_arc,
+    propagate_arc_parallel,
     propagate_endpoint,
     write_tp_csv,
 )
@@ -422,3 +425,74 @@ class TestJointPass:
         np.testing.assert_array_equal(traj.x[:, 0, 0], 0.0)
         np.testing.assert_array_equal(traj.w[:, 0], -1.0)
         assert np.all(np.isfinite(traj.w[:, 1]))
+
+
+def _parallel_cases():
+    """id -> (problem, kinds, tau, x0, p0) of the one-row passes the parallel pass must match."""
+    reg, fd = P.make_regulator(), P.make_regulator_fd_brackets()
+    om = P.regulator_analytic_omega()
+    cases = {"regulator": (reg, P.regulator_structure().kinds, *_starts(om)),
+             "fd_brackets": (fd, P.regulator_structure().kinds, *_starts(om))}
+    for tokens in (["B-", "S", "C", "S", "B+"], ["B-", "C", "S", "C", "S"]):
+        struct = ArcStructure.from_tokens(tokens, (0.8, 1.7, 2.9, 4.1))
+        rng = np.random.default_rng(3)
+        x0 = rng.uniform(-0.5, 0.5, (struct.N, 3))
+        p0 = rng.uniform(0.5, 1.5, (struct.N, 3))   # p3 > 0 keeps S arcs off their guard
+        cases[",".join(tokens)] = (reg, struct.kinds, struct.tau, x0, p0)
+    cases["toy-bang"] = (P.make_toy_bang(), P.toy_bang_structure().kinds,
+                         *_starts(P.toy_bang_analytic_omega()))
+    return cases
+
+
+PARALLEL_CASES = _parallel_cases()
+
+
+class TestParallelPass:
+    """propagate_arc_parallel gives propagate_arc's nodes, and its errors."""
+
+    @staticmethod
+    def _counting_fallback(monkeypatch):
+        calls = []
+        monkeypatch.setattr(tp_dynamics, "propagate_arc",
+                            lambda *a: calls.append(a) or propagate_arc(*a))
+        return calls
+
+    @pytest.mark.parametrize("M", [10, 60, 200, 400])
+    @pytest.mark.parametrize("case", sorted(PARALLEL_CASES))
+    def test_nodes_match_the_sequential_pass(self, monkeypatch, case, M):
+        args = PARALLEL_CASES[case] + (M,)
+        want = propagate_arc(*args)
+        fallback = self._counting_fallback(monkeypatch)
+        got = propagate_arc_parallel(*args)
+        assert not fallback
+        for f in "xpw":
+            a, b = getattr(got, f), getattr(want, f)
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-14 * max(1.0, np.max(np.abs(b))), f
+        np.testing.assert_array_equal(got.tau, want.tau)
+
+    def test_cap_reached_falls_back_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(tp_dynamics, "CHORD_ITERS", 1)
+        fallback = self._counting_fallback(monkeypatch)
+        args = PARALLEL_CASES["B-,S,C,S,B+"] + (60,)
+        got, want = propagate_arc_parallel(*args), propagate_arc(*args)
+        assert len(fallback) == 1
+        for f in "xpw":
+            np.testing.assert_array_equal(getattr(got, f), getattr(want, f))
+
+    @pytest.mark.parametrize("case", ["non-finite", "singular guard", "step count"])
+    def test_errors_are_the_sequential_pass_own(self, regulator, case):
+        args = {
+            "non-finite": (dataclasses.replace(_blow_up_problem(), T=2.0), (B,), [],
+                           np.array([[1.0]]), np.zeros((1, 1)), 100),
+            "singular guard": (regulator, (S,), [], np.zeros((1, 3)),
+                               np.array([[1.0, 1.0, 0.0]]), 50),
+            "step count": PARALLEL_CASES["regulator"] + (0,),
+        }[case]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ArcshootError) as seq:
+                propagate_arc(*args)
+            with pytest.raises(ArcshootError) as par:
+                propagate_arc_parallel(*args)
+        assert type(par.value) is type(seq.value)
+        assert str(par.value) == str(seq.value)
