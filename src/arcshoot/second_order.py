@@ -37,6 +37,7 @@ certificate for local convergence of the shooting method.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -264,21 +265,20 @@ class QuadraticFormData:
 def _linear_nodes(lin: TPLinearization, G: np.ndarray, drive: np.ndarray, Z0: np.ndarray):
     """RK4 nodes of Z' = A Z + G drive with nodal coefficients, one at a time.
 
-    ``G`` is the per-node drive matrix grid (``lin.E`` or ``lin.B``).  ``Z0``
-    may be a matrix of stacked initial columns; ``drive`` holds the per-node
-    channel values with matching trailing columns.  The midpoint stages use
-    the mean of the two nodal values, formed at the stage.
+    ``G`` is the per-node drive matrix grid (``lin.E`` or ``lin.B``), ``Z0``
+    may stack initial columns and ``drive`` holds the per-node channel values
+    with matching columns; midpoint stages use the mean of two nodal values.
+    One :func:`rk4` step from [I | 0 | 0] with drives [0 | I | 0], [0 | 0 | I]
+    gives every step's map z_{i+1} = Phi_i z_i + Gamma0_i d_i + Gamma1_i d_{i+1}.
     """
-    mid = lambda a: 0.5 * (a[:-1] + a[1:])
-    A_mid, G_mid = mid(lin.A), mid(G)
-
-    def rate(i, c, z):
-        if c == 0.5:
-            return A_mid[i] @ z + G_mid[i] @ (0.5 * (drive[i] + drive[i + 1]))
-        j = i if c == 0.0 else i + 1
-        return lin.A[j] @ z + G[j] @ drive[j]
-
-    return rk4(rate, Z0, lin.s.size - 1, lin.s[1] - lin.s[0])
+    D, S = G.shape[1:]
+    d0, d1 = np.eye(S, D + 2 * S, D), np.eye(S, D + 2 * S, D + S)
+    at = lambda a, b, c: (1.0 - c) * a + c * b      # stage value of two nodal values
+    rate = lambda i, c, z: at(lin.A[:-1], lin.A[1:], c) @ z + at(G[:-1], G[1:], c) @ at(d0, d1, c)
+    *_, maps = rk4(rate, np.eye(D, D + 2 * S), 1, lin.s[1] - lin.s[0])
+    Phi, Gamma0, Gamma1 = np.split(maps, [D, D + S], axis=-1)
+    step = lambda z, i: Phi[i] @ z + Gamma0[i] @ drive[i] + Gamma1[i] @ drive[i + 1]
+    return accumulate(range(lin.s.size - 1), step, initial=Z0)
 
 
 def _propagate_linear(lin: TPLinearization, G: np.ndarray, drive: np.ndarray,
