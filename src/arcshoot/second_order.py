@@ -45,7 +45,7 @@ from .arc_structure import ArcKind, ArcStructure, arcs_of
 from .errors import AssemblyError
 from .problem_def import ProblemDef, bracket_f1_f0, central_diff, second_brackets
 from .shooting import ShootingVector, check_sizes, constraint_rows, endpoint_gradient
-from .tp_dynamics import arc_field, durations, propagate_arc_parallel, rk4
+from .tp_dynamics import arc_field, durations, propagate_arc, rk4
 
 POSITIVITY_MARGIN = 1e-6
 NODE_BLOCK = 64          # nodes of Xi paths that assemble_omega holds at once
@@ -147,7 +147,7 @@ def linearized_matrices(
     check_sizes(prob, struct, omega)
     N, n = struct.N, prob.n
     D = N * n + N - 1
-    traj = propagate_arc_parallel(prob, struct.kinds, omega.tau, omega.x0, omega.p0, nodes)
+    traj = propagate_arc(prob, struct.kinds, omega.tau, omega.x0, omega.p0, nodes)
     m1 = nodes + 1
 
     tau = np.broadcast_to(omega.tau, (m1, N - 1))

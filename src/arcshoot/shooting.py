@@ -543,6 +543,15 @@ def load_omega(path, prob: ProblemDef) -> tuple:
             val = val[k]
         return val
 
+    def listed(key, what, item):
+        val = get(key)
+        try:
+            if not isinstance(val, list):
+                raise TypeError(f"got {val!r}")
+            return [item(v) for v in val]
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{path} key {key!r} is not a list of {what}: {exc}") from exc
+
     sizes = {k: get(f"meta.{k}") for k in ("N", "n", "q", "n_constrained", "n_singular")}
     for k, v in sizes.items():
         if type(v) is not int:
@@ -552,15 +561,12 @@ def load_omega(path, prob: ProblemDef) -> tuple:
         raise ConfigurationError(
             f"{path} holds a solution with n={n}, q={q}; "
             f"the problem has n={prob.n}, q={prob.q}")
-    struct = ArcStructure.from_tokens(get("structure.kinds"), get("structure.tau"))
+    struct = ArcStructure.from_tokens(listed("structure.kinds", "arc tokens", str),
+                                      listed("structure.tau", "numbers", float))
     counts = [struct.kinds.count(kind) for kind in (ArcKind.Constrained, ArcKind.Singular)]
     if struct.N != N or counts != [n_c, n_s]:
         raise ConfigurationError(f"warm-start metadata inconsistent with structure in {path}")
-    try:
-        flat = np.asarray(get("omega"), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{path} key 'omega' is not a list of numbers: {exc}") from exc
-    omega = ShootingVector.unpack(flat, N, n, q, n_c)
+    omega = ShootingVector.unpack(np.array(listed("omega", "numbers", float)), N, n, q, n_c)
     if not np.array_equal(omega.tau, struct.tau):
         raise ConfigurationError(f"{path} holds switching times {list(struct.tau)} in "
                                  f"'structure.tau' but {omega.tau.tolist()} in 'omega'")

@@ -14,8 +14,8 @@ well, so many shooting iterates or grid nodes propagate at once.  What the
 control rules need from the arc kinds alone (each kind's positions, the
 bang bounds, the constrained arcs' slice) is set up once per pass by
 :func:`arc_rules`, not at every RK4 stage.  A pass over a batch can keep
-the nodes of its first row, which :func:`node_trajectory` turns into the
-same trajectory a one-row :func:`propagate_arc` gives.
+the nodes of its first row, which :func:`node_trajectory` turns into that
+row's trajectory; :func:`propagate_arc` solves the same nodes at once.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (ArcshootError, ConfigurationError, FirstOrderViolation, Non
 from .problem_def import (ProblemDef, bracket_f1_f0, central_diff, gamma_control,
                           gamma_gradient, guarded_ratio, second_brackets)
 
-CHORD_ITERS = 8     # chord iterations of propagate_arc_parallel before it falls back
+CHORD_ITERS = 8     # chord iterations of propagate_arc before it falls back
 
 
 def legendre_clebsch_value(prob: ProblemDef, x: np.ndarray, costate: np.ndarray):
@@ -67,8 +67,7 @@ def arc_controls(prob: ProblemDef, kinds, x: np.ndarray, costate: np.ndarray, f0
     values ``singular`` (..., S) if given.  ``rules`` is
     ``arc_rules(prob, kinds)``, made here when not given.
     """
-    extra = () if singular is None else np.shape(singular)[:-1] + (len(kinds),)
-    w = np.empty(np.broadcast_shapes(x.shape[:-1], costate.shape[:-1], extra))
+    w = np.empty(np.broadcast_shapes(x.shape[:-1], costate.shape[:-1]))
     for kind, (i, bound) in (arc_rules(prob, kinds) if rules is None else rules).items():
         if bound is not None:
             w[..., i] = bound
@@ -228,21 +227,15 @@ def node_trajectory(prob: ProblemDef, kinds, tau, nodes) -> TPTrajectory:
 
 def propagate_arc(prob: ProblemDef, kinds, tau, x0: np.ndarray, p0: np.ndarray,
                   M: int) -> TPTrajectory:
-    """One RK4 pass, step 1/M, over every arc from (x0, p0), (..., N, n), with times ``tau``."""
-    return node_trajectory(prob, kinds, tau, _arc_nodes(prob, kinds, tau, x0, p0, M))
+    """One RK4 pass, step 1/M, over every arc from (x0, p0), (..., N, n), with times ``tau``.
 
-
-def propagate_arc_parallel(prob: ProblemDef, kinds, tau, x0: np.ndarray, p0: np.ndarray,
-                           M: int) -> TPTrajectory:
-    """The trajectory of :func:`propagate_arc`, its M RK4 steps solved at all nodes at once.
-
-    A chord iteration on y_{i+1} = Psi(y_i), Psi one RK4 step, from y_i = y_0
-    (Bellen & Zennaro 1989; Lim et al., DEER, 2024), J being Psi's Jacobian at
-    y_0.  Each iteration takes F_i = y_{i+1} - Psi(y_i) at all nodes in one
-    call, solves delta_{i+1} = J delta_i - F_i by a doubling scan and sets
-    y_{i+1} = Psi(y_i) + J delta_i, until max|F| <= 4 eps max(1, max|y|).  An
-    :class:`ArcshootError`, a non-finite iterate or ``CHORD_ITERS`` iterations
-    fall back to :func:`propagate_arc`, so every error is the sequential one.
+    The M steps y_{i+1} = Psi(y_i), Psi one RK4 step, are solved at all nodes at once
+    by a chord iteration from y_i = y_0 (Bellen & Zennaro 1989; Lim et al., DEER,
+    2024), J being Psi's Jacobian at y_0.  Each iteration takes F_i = y_{i+1} - Psi(y_i)
+    at all nodes in one call, solves delta_{i+1} = J delta_i - F_i by a doubling scan
+    and sets y_{i+1} = Psi(y_i) + J delta_i, until max|F| <= 4 eps max(1, max|y|).  An
+    :class:`ArcshootError`, a non-finite iterate or ``CHORD_ITERS`` iterations fall
+    back to stepping the nodes in order, so every error is that recursion's own.
     """
     apply = lambda a, v: np.einsum("...ij,...j->...i", a, v)
     try:
@@ -268,7 +261,7 @@ def propagate_arc_parallel(prob: ProblemDef, kinds, tau, x0: np.ndarray, p0: np.
             return node_trajectory(prob, kinds, tau, y)
     except ArcshootError:
         pass
-    return propagate_arc(prob, kinds, tau, x0, p0, M)
+    return node_trajectory(prob, kinds, tau, _arc_nodes(prob, kinds, tau, x0, p0, M))
 
 
 def propagate_endpoint(prob, kinds, tau, x0, p0, M, centre=None):

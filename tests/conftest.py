@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from arcshoot import problems as P
+from arcshoot import tp_dynamics
 from arcshoot.arc_structure import ArcKind, ArcStructure
 from arcshoot.direct_init import DirectSolveConfig, direct_solve
 from arcshoot.second_order import assemble_omega, linearized_matrices
 from arcshoot.shooting import ShootingVector, gauss_newton
-from arcshoot.tp_dynamics import propagate_arc
+from arcshoot.tp_dynamics import node_trajectory, propagate_arc
 
 PERTURB_SEED = 20240817
+
+
+def sequential_pass(prob, kinds, tau, x0, p0, M):
+    """The trajectory of the RK4 recursion stepped node by node: propagate_arc's reference."""
+    return node_trajectory(prob, kinds, tau, tp_dynamics._arc_nodes(prob, kinds, tau, x0, p0, M))
 
 
 @pytest.fixture(scope="session")

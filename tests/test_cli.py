@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,8 +398,14 @@ class TestVerify:
          "key 'meta.n' must be an integer, got '1'"),
         (lambda doc: json.dumps({**doc, "meta": {**doc["meta"], "n_singular": 0.0}}),
          "key 'meta.n_singular' must be an integer, got 0.0"),
+        (lambda doc: json.dumps({**doc, "structure": {**doc["structure"], "tau": ["x", 2.6]}}),
+         "key 'structure.tau' is not a list of numbers: could not convert string to float: 'x'"),
+        (lambda doc: json.dumps({**doc, "structure": {**doc["structure"], "tau": None}}),
+         "key 'structure.tau' is not a list of numbers: got None"),
+        (lambda doc: json.dumps({**doc, "structure": {**doc["structure"], "kinds": 5}}),
+         "key 'structure.kinds' is not a list of arc tokens: got 5"),
     ], ids=["not_json", "no_meta_N", "no_structure", "non_numeric_omega", "string_meta_n",
-            "float_meta_n_singular"])
+            "float_meta_n_singular", "non_numeric_tau", "null_tau", "int_kinds"])
     def test_malformed_omega_exits_1(self, tmp_path, toy_bang_dir, capsys, edit, what):
         path = tmp_path / "omega.json"
         path.write_text(edit(json.loads((toy_bang_dir / "omega.json").read_text())))
@@ -443,3 +451,24 @@ class TestVerify:
 def test_every_exported_name_resolves():
     missing = [name for name in arcshoot.__all__ if not hasattr(arcshoot, name)]
     assert not missing and len(set(arcshoot.__all__)) == len(arcshoot.__all__)
+
+
+def _perfbench_workloads():
+    """The benchmark's workloads module, loaded by its path and left as it is."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["warm", "certify"])
+def test_perfbench_job_passes_the_benchmark_output_checks(tmp_path, workload):
+    # The benchmark's own gate, c_est within REF_C_EST_RTOL = 1e-6 of REF_VERIFY
+    # among its checks: a change that moves the certificate past it fails here.
+    wl = _perfbench_workloads()
+    inputs = wl.generate_inputs(workload, 1, tmp_path / "inputs")
+    out = tmp_path / "out"
+    out.mkdir()
+    codes = [main(argv) for argv in wl.job_argvs(workload, 1, inputs, out)]
+    assert wl.check_job(workload, out, codes) is None

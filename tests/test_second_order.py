@@ -596,10 +596,10 @@ def _curved_f1_regulator():
 
 
 def _linearization_and_grid(prob, struct, omega, nodes):
-    """linearized_matrices at ``nodes`` and the propagate_arc_parallel grid it was built on."""
-    grids, real = [], second_order.propagate_arc_parallel
+    """linearized_matrices at ``nodes`` and the propagate_arc grid it was built on."""
+    grids, real = [], second_order.propagate_arc
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(second_order, "propagate_arc_parallel",
+        mp.setattr(second_order, "propagate_arc",
                    lambda *a: grids.append(real(*a)) or grids[0])
         lin = linearized_matrices(prob, struct, omega, nodes)
     return lin, grids[0]

@@ -48,7 +48,7 @@ from arcshoot.tp_dynamics import (
     node_trajectory,
     propagate_arc,
 )
-from conftest import perturbed_start
+from conftest import perturbed_start, sequential_pass
 from test_tp_dynamics import _curved
 
 B, BP, C, S = ArcKind.BMinus, ArcKind.BPlus, ArcKind.Constrained, ArcKind.Singular
@@ -174,7 +174,7 @@ class TestResidualStructure:
         p0 = [omega.p0[0] + 0.1]  # junk costate start; chaining still exact
         for k, kind in enumerate(reg_struct.kinds[:-1]):
             alone = dataclasses.replace(regulator, T=dts[k])   # arc k as a one-arc horizon
-            arc = propagate_arc(alone, (kind,), [], x0[k][None], p0[k][None], 40)
+            arc = sequential_pass(alone, (kind,), [], x0[k][None], p0[k][None], 40)
             x0.append(arc.x[-1, 0])
             p0.append(arc.p[-1, 0])
         chained = ShootingVector(
@@ -298,7 +298,7 @@ class TestEndpointGradient:
                                rng.uniform(0.5, 1.5, (2, 3)), rng.normal(size=3),
                                rng.normal(size=1))
         M = steps_per_arc(struct, 40)
-        traj = propagate_arc(prob, struct.kinds, omega.tau, omega.x0, omega.p0, M)
+        traj = sequential_pass(prob, struct.kinds, omega.tau, omega.x0, omega.p0, M)
         x1, p1 = traj.x[-1], traj.p[-1]
         l0, l1 = endpoint_gradient(prob, struct, omega.x0, x1, omega.psi, omega.gamma)
         res = shooting_function(prob, struct, omega, steps=40)
@@ -595,7 +595,7 @@ class TestGaussNewtonCore:
         assert len(passes) == len(points)
         assert rows == [(2 * m + 1,)] * len(points)
         monkeypatch.undo()
-        _assert_same_trajectory(report.trajectory, propagate_arc(
+        _assert_same_trajectory(report.trajectory, sequential_pass(
             regulator, reg_struct.kinds, omega.tau, omega.x0, omega.p0,
             steps_per_arc(reg_struct, 300)))
 
@@ -615,7 +615,7 @@ class TestGaussNewtonCore:
         assert report.n_iter == 1 and len(points) >= 2
         last = ShootingVector.unpack(points[-1], reg_struct.N, 3, 3, 1)
         assert not np.array_equal(last.pack(), omega0.pack())
-        _assert_same_trajectory(report.trajectory, propagate_arc(
+        _assert_same_trajectory(report.trajectory, sequential_pass(
             regulator, reg_struct.kinds, last.tau, last.x0, last.p0,
             steps_per_arc(reg_struct, 120)))
 
@@ -623,7 +623,7 @@ class TestGaussNewtonCore:
                              ids=["regulator", "fd_brackets"])
     def test_centre_row_grid_is_the_one_row_pass(self, multi_arc, make):
         # B-,S,C,S,B+ (repeated kinds): the nodes _linearize keeps from row 0 of
-        # its stencil pass give the grid of a separate one-row pass, bit for bit.
+        # its stencil pass give the grid of the sequential one-row recursion, bit for bit.
         prob = make()
         struct, traj = multi_arc
         omega = ShootingVector(traj.x[0], traj.tau, traj.p[0], np.zeros(3), np.zeros(1))
@@ -631,8 +631,8 @@ class TestGaussNewtonCore:
         assert len(nodes) == 61 and nodes[0].shape == (struct.N, 6)
         np.testing.assert_array_equal(r, shooting_function(prob, struct, omega, 300).stacked)
         _assert_same_trajectory(node_trajectory(prob, struct.kinds, omega.tau, nodes),
-                                propagate_arc(prob, struct.kinds, omega.tau, omega.x0,
-                                              omega.p0, 60))
+                                sequential_pass(prob, struct.kinds, omega.tau, omega.x0,
+                                                omega.p0, 60))
 
     @pytest.mark.parametrize("scale", [0.0, 0.01], ids=["analytic", "perturbed_1pct"])
     def test_linearized_residual_is_the_shooting_function(self, regulator, reg_struct,

@@ -21,10 +21,10 @@ from arcshoot.tp_dynamics import (
     constraint_multiplier_density,
     durations,
     propagate_arc,
-    propagate_arc_parallel,
     propagate_endpoint,
     write_tp_csv,
 )
+from conftest import sequential_pass
 
 B, C, S = ArcKind.BMinus, ArcKind.Constrained, ArcKind.Singular
 
@@ -388,15 +388,16 @@ class TestJointPass:
         ArcStructure((B, S, C, S, ArcKind.BPlus), (0.8, 1.7, 2.9, 4.1)),
     ], ids=["B-,C,S", "B-,S,C,S,B+"])
     def test_arcs_independent_of_each_other(self, make, struct):
-        # Each arc of a joint pass equals a pass over that arc alone, bit for bit.
+        # Each arc of a joint recursion equals a recursion over that arc alone, bit for bit.
         prob = make()
         rng = np.random.default_rng(3)
         x0 = rng.uniform(-0.5, 0.5, (struct.N, 3))
         p0 = rng.uniform(0.5, 1.5, (struct.N, 3))   # p3 > 0 keeps S arcs off their guard
-        traj = propagate_arc(prob, struct.kinds, struct.tau, x0, p0, 60)
+        traj = sequential_pass(prob, struct.kinds, struct.tau, x0, p0, 60)
         dts = durations(struct.tau, prob.T)
         for k, kind in enumerate(struct.kinds):
-            alone = _arc(prob, kind, dts[k], x0[k], p0[k], 60)
+            alone = sequential_pass(dataclasses.replace(prob, T=dts[k]), (kind,), [],
+                                    x0[k][None], p0[k][None], 60)
             for f in "xpw":
                 np.testing.assert_array_equal(getattr(traj, f)[:, k], getattr(alone, f)[:, 0])
         np.testing.assert_array_equal(traj.s, alone.s)
@@ -428,7 +429,7 @@ class TestJointPass:
 
 
 def _parallel_cases():
-    """id -> (problem, kinds, tau, x0, p0) of the one-row passes the parallel pass must match."""
+    """id -> (problem, kinds, tau, x0, p0) of the one-row passes propagate_arc must match."""
     reg, fd = P.make_regulator(), P.make_regulator_fd_brackets()
     om = P.regulator_analytic_omega()
     cases = {"regulator": (reg, P.regulator_structure().kinds, *_starts(om)),
@@ -448,22 +449,21 @@ PARALLEL_CASES = _parallel_cases()
 
 
 class TestParallelPass:
-    """propagate_arc_parallel gives propagate_arc's nodes, and its errors."""
+    """propagate_arc gives the nodes of the sequential recursion, and its errors."""
 
     @staticmethod
     def _counting_fallback(monkeypatch):
-        calls = []
-        monkeypatch.setattr(tp_dynamics, "propagate_arc",
-                            lambda *a: calls.append(a) or propagate_arc(*a))
+        calls, real = [], tp_dynamics._arc_nodes
+        monkeypatch.setattr(tp_dynamics, "_arc_nodes", lambda *a: calls.append(a) or real(*a))
         return calls
 
     @pytest.mark.parametrize("M", [10, 60, 200, 400])
     @pytest.mark.parametrize("case", sorted(PARALLEL_CASES))
     def test_nodes_match_the_sequential_pass(self, monkeypatch, case, M):
         args = PARALLEL_CASES[case] + (M,)
-        want = propagate_arc(*args)
+        want = sequential_pass(*args)
         fallback = self._counting_fallback(monkeypatch)
-        got = propagate_arc_parallel(*args)
+        got = propagate_arc(*args)
         assert not fallback
         for f in "xpw":
             a, b = getattr(got, f), getattr(want, f)
@@ -473,9 +473,10 @@ class TestParallelPass:
 
     def test_cap_reached_falls_back_bit_for_bit(self, monkeypatch):
         monkeypatch.setattr(tp_dynamics, "CHORD_ITERS", 1)
-        fallback = self._counting_fallback(monkeypatch)
         args = PARALLEL_CASES["B-,S,C,S,B+"] + (60,)
-        got, want = propagate_arc_parallel(*args), propagate_arc(*args)
+        want = sequential_pass(*args)
+        fallback = self._counting_fallback(monkeypatch)
+        got = propagate_arc(*args)
         assert len(fallback) == 1
         for f in "xpw":
             np.testing.assert_array_equal(getattr(got, f), getattr(want, f))
@@ -491,8 +492,8 @@ class TestParallelPass:
         }[case]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ArcshootError) as seq:
-                propagate_arc(*args)
+                sequential_pass(*args)
             with pytest.raises(ArcshootError) as par:
-                propagate_arc_parallel(*args)
+                propagate_arc(*args)
         assert type(par.value) is type(seq.value)
         assert str(par.value) == str(seq.value)
