@@ -23,8 +23,8 @@ one subprocess per step:
 * ``solve`` from an ``omega.json`` whose entries are the analytic ones
   scaled by ``1 + 0.4 U(-1, 1)`` (seed 1), where Gauss-Newton iterates and
   rejects one full step before it converges (20 % starts converge without a
-  halving), and the same solve with ``--max-iter 1``, which stops with
-  ``MaxIterExceeded`` and exit code 1;
+  halving), and the same solve with ``--max-iter 1``, which ends
+  unconverged with exit code 1;
 * ``multi_arc``: the regulator's ``B-,S,C,S,B+`` and ``B-,C,S,C,S``
   structures, each from seeded (seed 3) arc starts and multipliers: the
   trajectory over 60 steps per arc as ``trajectory.csv``, a full-precision
@@ -47,7 +47,7 @@ one subprocess per step:
 * ``perturbed_pool``: ``gauss_newton`` at 1000 steps on the regulator from 9
   starts, start ``j`` being the analytic entries scaled by ``1 + s U(-1, 1)``
   with ``default_rng([1, j])`` and ``s`` cycling through 5, 10 and 20 %; the
-  last start is solved with ``max_iter=1`` and ends in ``MaxIterExceeded``.
+  last start is solved with ``max_iter=1`` and ends unconverged.
   The full-precision report (``to_json_dict``), the exception if one ends the
   solve, the packed solution and the report's trajectory (``x``, ``p`` and
   ``w``) of every start go into one JSON file, so that Gauss-Newton's step

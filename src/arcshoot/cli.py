@@ -21,7 +21,7 @@ import numpy as np
 from .arc_structure import (ArcKind, ArcStructure, detect_structure, read_trajectory_csv,
                             write_trajectory_csv)
 from .direct_init import DirectSolveConfig, direct_solve
-from .errors import ArcshootError, ConfigurationError, MaxIterExceeded, RankDeficientJacobian
+from .errors import ArcshootError, ConfigurationError
 from .problem_def import ProblemDef
 from .second_order import assemble_omega, check_positivity, linearized_matrices
 from .shooting import (
@@ -169,7 +169,7 @@ def _failed_solve(out_dir, cfg, message, report, **found) -> int:
     """Print ``message``, write report.json for a solve without a solution; exit code 1."""
     print(f"solve: {message}", file=sys.stderr)
     doc = {"problem": cfg["problem"], "converged": False,
-           "gauss_newton": report.to_json_dict() if report else None, **found}
+           "gauss_newton": report.to_json_dict(), **found}
     write_json(out_dir / "report.json", _round9(doc))
     return 1
 
@@ -179,17 +179,12 @@ def cmd_solve(cfg, out_dir, prob) -> int:
     struct, dres = _resolve_structure(prob, cfg)
     omega0 = _initial_omega(prob, struct, cfg, dres)
 
-    rank_deficient = False
-    try:
-        omega, report = gauss_newton(
-            prob, struct, omega0, steps=steps,
-            tol=cfg.get("tol", 1e-8), max_iter=cfg.get("max_iter", 50),
-        )
-    except RankDeficientJacobian as exc:
-        omega, report = exc.omega, exc.report
-        rank_deficient = True
-    except MaxIterExceeded as exc:
-        return _failed_solve(out_dir, cfg, exc, exc.report)
+    omega, report = gauss_newton(prob, struct, omega0, steps=steps, tol=cfg.get("tol", 1e-8),
+                                 max_iter=cfg.get("max_iter", 50))
+    if not report.converged:
+        return _failed_solve(out_dir, cfg, f"no convergence after {report.n_iter} iterations, "
+                             f"|S|_inf = {report.final_residual:.3e}", report)
+    rank_deficient = report.jacobian_rank < omega.pack().size
     try:
         struct = struct.with_tau(omega.tau)
     except ConfigurationError as exc:  # solved switching times out of order

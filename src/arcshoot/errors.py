@@ -53,30 +53,5 @@ class NonFiniteResidual(ArcshootError):
     """Shooting residual contains non-finite entries."""
 
 
-class MaxIterExceeded(ArcshootError):
-    """Gauss-Newton stopped without meeting the residual tolerance.
-
-    Carries the best iterate seen (``omega``) and the convergence report.
-    """
-
-    def __init__(self, message, omega=None, report=None):
-        self.omega = omega
-        self.report = report
-        super().__init__(message)
-
-
-class RankDeficientJacobian(ArcshootError):
-    """Shooting Jacobian lost full column rank at the final iterate.
-
-    Carries the iterate and report; flags failure of the injectivity
-    hypothesis behind local convergence.
-    """
-
-    def __init__(self, message, omega=None, report=None):
-        self.omega = omega
-        self.report = report
-        super().__init__(message)
-
-
 class AssemblyError(ArcshootError):
     """Quadratic-form assembly produced an inconsistency (e.g. asymmetric Hessian)."""

@@ -23,13 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .arc_structure import ArcKind, ArcStructure, arcs_of
-from .errors import (
-    ArcshootError,
-    ConfigurationError,
-    MaxIterExceeded,
-    NonFiniteResidual,
-    RankDeficientJacobian,
-)
+from .errors import ArcshootError, ConfigurationError, NonFiniteResidual
 from .problem_def import ProblemDef, bracket_f1_f0, central_diff, check_first_order
 from .tp_dynamics import (
     TPTrajectory,
@@ -154,7 +148,7 @@ class ShootingResidual:
 def steps_per_arc(struct: ArcStructure, steps: int) -> int:
     if steps < struct.N:
         raise ConfigurationError(f"need at least one step per arc, got {steps} for N={struct.N}")
-    return max(1, round(steps / struct.N))
+    return round(steps / struct.N)
 
 
 def constraint_rows(prob, struct, x0, x1):
@@ -338,20 +332,17 @@ def gauss_newton(
     Each point (the start and every trial) takes its residual, Jacobian and
     grid from one batched pass; the rank verdict and the report's trajectory
     read the last accepted one.
-    Returns the solution and a :class:`ConvergenceReport`.  Raises
-    :class:`MaxIterExceeded` (carrying the best iterate) when the tolerance
-    is not met and :class:`RankDeficientJacobian` when the final Jacobian
-    loses full column rank.
+    Returns the last accepted iterate and a :class:`ConvergenceReport`
+    whose ``converged``, ``stalled`` and ``jacobian_rank`` say how the solve
+    ended: a missed tolerance or a rank below the number of unknowns is a
+    finding for the caller to act on, not an error.
     """
     check_sizes(prob, struct, omega0)
     M = steps_per_arc(struct, steps)
     flat = omega0.pack()
     report = ConvergenceReport()
-    unpack = lambda f: ShootingVector.unpack(f, struct.N, prob.n, prob.q,
-                                             struct.kinds.count(ArcKind.Constrained))
 
     r, J, nodes = _linearize(prob, struct, flat, M)
-    best = (np.linalg.norm(r, np.inf), flat.copy())
     for _ in range(max_iter):
         rinf = np.linalg.norm(r, np.inf)
         if rinf <= tol:
@@ -375,33 +366,18 @@ def gauss_newton(
         step_norm = alpha * float(np.linalg.norm(step))
         report.iterations.append({"residual_norm": float(rinf), "step_norm": step_norm})
         flat, r, J, nodes = trial, rt, Jt, nodes_t
-        if np.linalg.norm(r, np.inf) < best[0]:
-            best = (np.linalg.norm(r, np.inf), flat.copy())
         if step_norm <= STEP_FLOOR:
             break
     rinf = float(np.linalg.norm(r, np.inf))
 
-    omega_star = unpack(flat)
-    _, svals, rank = _minimum_norm_step(J, r)
+    omega_star = ShootingVector.unpack(flat, struct.N, prob.n, prob.q,
+                                       struct.kinds.count(ArcKind.Constrained))
+    _, svals, report.jacobian_rank = _minimum_norm_step(J, r)
     report.converged = rinf <= tol
     report.final_residual = rinf
-    report.jacobian_rank = rank
     report.smallest_singular_value = float(svals[-1]) if svals.size else 0.0
     report.order_estimate = _order_estimate(report.residual_history)
     report.trajectory = node_trajectory(prob, struct.kinds, omega_star.tau, nodes)
-
-    if not report.converged:
-        raise MaxIterExceeded(
-            f"no convergence after {report.n_iter} iterations, best |S|_inf = {best[0]:.3e}",
-            omega=unpack(best[1]),
-            report=report,
-        )
-    if rank < flat.size:
-        raise RankDeficientJacobian(
-            f"Jacobian rank {rank} < {flat.size} unknowns at the final iterate",
-            omega=omega_star,
-            report=report,
-        )
     return omega_star, report
 
 
@@ -561,8 +537,12 @@ def load_omega(path, prob: ProblemDef) -> tuple:
         raise ConfigurationError(
             f"{path} holds a solution with n={n}, q={q}; "
             f"the problem has n={prob.n}, q={prob.q}")
-    struct = ArcStructure.from_tokens(listed("structure.kinds", "arc tokens", str),
-                                      listed("structure.tau", "numbers", float))
+    kinds = listed("structure.kinds", "arc tokens", str)
+    tau = listed("structure.tau", "numbers", float)
+    try:
+        struct = ArcStructure.from_tokens(kinds, tau)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path} key 'structure': {exc}") from exc
     counts = [struct.kinds.count(kind) for kind in (ArcKind.Constrained, ArcKind.Singular)]
     if struct.N != N or counts != [n_c, n_s]:
         raise ConfigurationError(f"warm-start metadata inconsistent with structure in {path}")

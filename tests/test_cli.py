@@ -404,8 +404,15 @@ class TestVerify:
          "key 'structure.tau' is not a list of numbers: got None"),
         (lambda doc: json.dumps({**doc, "structure": {**doc["structure"], "kinds": 5}}),
          "key 'structure.kinds' is not a list of arc tokens: got 5"),
+        (lambda doc: json.dumps({**doc, "structure": {"kinds": ["B-", 1, "S"], "tau": [1, 2]}}),
+         "key 'structure': unknown arc token '1', use B-, B+, C or S"),
+        (lambda doc: json.dumps({**doc, "structure": {"kinds": ["B-", "B-"], "tau": [0.5]}}),
+         "key 'structure': adjacent arcs must differ, got B-B-"),
+        (lambda doc: json.dumps({**doc, "structure": {"kinds": ["B-", "C", "S"], "tau": [0.5]}}),
+         "key 'structure': 3 arcs need 2 switching times, got 1"),
     ], ids=["not_json", "no_meta_N", "no_structure", "non_numeric_omega", "string_meta_n",
-            "float_meta_n_singular", "non_numeric_tau", "null_tau", "int_kinds"])
+            "float_meta_n_singular", "non_numeric_tau", "null_tau", "int_kinds",
+            "unknown_token", "adjacent_equal_kinds", "short_tau"])
     def test_malformed_omega_exits_1(self, tmp_path, toy_bang_dir, capsys, edit, what):
         path = tmp_path / "omega.json"
         path.write_text(edit(json.loads((toy_bang_dir / "omega.json").read_text())))
