@@ -55,6 +55,7 @@ def reg_solution(regulator, reg_struct, reg_omega_exact):
     t0 = time.perf_counter()
     omega, report = gauss_newton(regulator, reg_struct, omega0, steps=1000)
     runtime = time.perf_counter() - t0
+    assert report.converged and report.jacobian_rank == omega.pack().size
     return {
         "omega": omega,
         "report": report,

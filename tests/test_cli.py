@@ -68,7 +68,8 @@ class TestSolve:
 
     def test_round_trip_warm_start(self, solved_dir, regulator):
         struct, omega, meta = load_omega(solved_dir / "omega.json", regulator)
-        _, report = gauss_newton(regulator, struct, omega, steps=meta["steps"])
+        omega, report = gauss_newton(regulator, struct, omega, steps=meta["steps"])
+        assert report.converged and report.jacobian_rank == omega.pack().size
         assert report.n_iter <= 2
 
     def test_toy_bang(self, tmp_path):

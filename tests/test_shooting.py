@@ -135,7 +135,8 @@ class TestToyBang:
         struct = P.toy_bang_structure()
         omega0 = ShootingVector(x0=[[0.4]], tau=[], p0=[[0.2]], psi=[0.3], gamma=[])
         omega, report = gauss_newton(toy_bang, struct, omega0, steps=50)
-        assert report.converged and report.n_iter <= 2
+        assert report.converged and report.jacobian_rank == omega.pack().size
+        assert report.n_iter <= 2
         np.testing.assert_allclose(omega.pack(), [0.0, 1.0, -1.0], atol=1e-10)
 
     def test_affine_invariance_of_fixed_point(self, toy_bang):
@@ -151,8 +152,10 @@ class TestToyBang:
         )
         struct = P.toy_bang_structure()
         start = ShootingVector(x0=[[0.3]], tau=[], p0=[[0.5]], psi=[0.1], gamma=[])
-        base, _ = gauss_newton(toy_bang, struct, start, steps=50)
-        scaled_sol, _ = gauss_newton(scaled, struct, start, steps=50)
+        base, base_report = gauss_newton(toy_bang, struct, start, steps=50)
+        scaled_sol, scaled_report = gauss_newton(scaled, struct, start, steps=50)
+        for sol, report in ((base, base_report), (scaled_sol, scaled_report)):
+            assert report.converged and report.jacobian_rank == sol.pack().size
         np.testing.assert_allclose(scaled_sol.x0, base.x0, atol=1e-10)
         np.testing.assert_allclose(scaled_sol.p0, base.p0, atol=1e-10)
         np.testing.assert_allclose(scaled_sol.psi, base.psi / c, atol=1e-10)
@@ -588,6 +591,7 @@ class TestGaussNewtonCore:
                             rows.append(x0.shape[:-2])
                             or endpoint(prob, kinds, tau, x0, p0, M, centre=centre))
         omega, report = gauss_newton(regulator, reg_struct, omega0, steps=300)
+        assert report.converged and report.jacobian_rank == omega.pack().size
         assert len(points) > report.n_iter + 1
         assert len(passes) == len(points)
         assert rows == [(2 * m + 1,)] * len(points)
@@ -655,7 +659,8 @@ class TestGaussNewtonCore:
         # The first trial point raises (call 2; call 1 is the start): the line
         # search treats it as a rejected step, halves it, and the solve goes on.
         omega0 = perturbed_start(regulator, reg_struct, reg_omega_exact)
-        full = gauss_newton(regulator, reg_struct, omega0, steps=120)[1]
+        solved, full = gauss_newton(regulator, reg_struct, omega0, steps=120)
+        assert full.converged and full.jacobian_rank == solved.pack().size
         calls, real = [], shooting._linearize
 
         def linearize(*args):
@@ -665,8 +670,9 @@ class TestGaussNewtonCore:
             return real(*args)
 
         monkeypatch.setattr(shooting, "_linearize", linearize)
-        _, report = gauss_newton(regulator, reg_struct, omega0, steps=120)
+        omega, report = gauss_newton(regulator, reg_struct, omega0, steps=120)
         assert report.converged and not report.stalled
+        assert report.jacobian_rank == omega.pack().size
         assert report.iterations[0]["step_norm"] == 0.5 * full.iterations[0]["step_norm"]
         np.testing.assert_allclose(calls[2][2] - calls[0][2],
                                    0.5 * (calls[1][2] - calls[0][2]), rtol=0, atol=1e-15)
@@ -771,5 +777,6 @@ class TestWarmStart:
         assert meta["steps"] == 1000
         np.testing.assert_allclose(omega2.pack(), reg_solution["omega"].pack(),
                                    rtol=0, atol=1e-15)
-        _, report = gauss_newton(regulator, struct2, omega2, steps=1000)
+        omega, report = gauss_newton(regulator, struct2, omega2, steps=1000)
+        assert report.converged and report.jacobian_rank == omega.pack().size
         assert report.n_iter <= 2
