@@ -167,7 +167,7 @@ PERTURBED_POOL = (
     "                                     steps=1000, **cap)\n"
     "        error = None\n"
     "    except ArcshootError as exc:\n"
-    "        omega, report = getattr(exc, 'omega', None), getattr(exc, 'report', None)\n"
+    "        omega = report = None\n"
     "        error = f'{type(exc).__name__}: {exc}'\n"
     "    traj = getattr(report, 'trajectory', None)\n"
     "    runs.append({'scale': s, 'max_iter': cap.get('max_iter'), 'error': error,\n"

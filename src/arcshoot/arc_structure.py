@@ -37,8 +37,8 @@ class ArcKind(enum.Enum):
 class ArcStructure:
     """Ordered arc kinds with interior switching-time guesses.
 
-    ``tau`` holds the N-1 interior switching times, strictly increasing in
-    (0, T).  Adjacent arcs must have distinct kinds.
+    ``tau`` holds the N-1 interior switching times, finite and strictly
+    increasing in (0, T).  Adjacent arcs must have distinct kinds.
     """
 
     kinds: tuple
@@ -58,6 +58,8 @@ class ArcStructure:
         for a, b in zip(kinds, kinds[1:]):
             if a == b:
                 raise ConfigurationError(f"adjacent arcs must differ, got {a.value}{b.value}")
+        if not np.all(np.isfinite(tau)):
+            raise ConfigurationError(f"switching times must be finite, got {tau}")
         if any(t2 <= t1 for t1, t2 in zip(tau, tau[1:])):
             raise ConfigurationError(f"switching times must be strictly increasing, got {tau}")
 
@@ -161,23 +163,11 @@ def _merge_short_runs(runs: list, grid: np.ndarray, min_len: float) -> list:
         shortest = int(np.argmin(durations))
         if durations[shortest] >= min_len:
             break
-        kind, s, e = runs[shortest]
-        left = runs[shortest - 1] if shortest > 0 else None
-        right = runs[shortest + 1] if shortest + 1 < len(runs) else None
-        if left is None:
-            absorber = shortest + 1
-        elif right is None:
-            absorber = shortest - 1
-        else:
-            absorber = (
-                shortest - 1
-                if grid[left[2]] - grid[left[1]] >= grid[right[2]] - grid[right[1]]
-                else shortest + 1
-            )
-        ak, as_, ae = runs[absorber]
-        lo, hi = min(s, as_), max(e, ae)
-        runs[min(shortest, absorber)] = (ak, lo, hi)
-        del runs[max(shortest, absorber)]
+        # The longer neighbour absorbs the run; max keeps the left one on a tie.
+        absorber = max((r for r in (shortest - 1, shortest + 1) if 0 <= r < len(runs)),
+                       key=lambda r: durations[r])
+        lo, hi = min(shortest, absorber), max(shortest, absorber)
+        runs[lo : hi + 1] = [(runs[absorber][0], runs[lo][1], runs[hi][2])]
         runs = _coalesce(runs)
     return runs
 

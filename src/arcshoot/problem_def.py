@@ -27,11 +27,12 @@ GUARD_COEFF = 1e-10
 class ProblemDef:
     """Control-affine problem with one control, one state constraint.
 
-    Conventions: states have shape ``(..., n)``; Jacobians are
-    ``(..., n, n)`` with ``J[i, j] = d f_i / d x_j``; ``dg`` is the gradient
-    row, ``(..., n)``; ``dphi``/``dPhi`` return the pair of derivatives with
-    respect to the initial and final state.  Absent control bounds and
-    overrides are ``None``; [f1,f0] has no override, it is exact from df0, df1.
+    Conventions: the package passes every callback float64 ndarrays of
+    shape ``(..., n)``, so a callback need not cast its arguments; Jacobians
+    are ``(..., n, n)`` with ``J[i, j] = d f_i / d x_j``; ``dg`` is the
+    gradient row, ``(..., n)``; ``dphi``/``dPhi`` return the pair of
+    derivatives with respect to the initial and final state.  Absent control
+    bounds and overrides are ``None``; [f1,f0] is exact from df0, df1.
     """
 
     n: int
@@ -57,7 +58,6 @@ class ProblemDef:
     dgamma: Optional[Field] = None
     # Initial state pinned by Phi; the direct method holds x0 there and penalizes every Phi row.
     x0_fixed: Optional[np.ndarray] = None
-    name: str = ""
 
     def __post_init__(self):
         if self.n <= 0:

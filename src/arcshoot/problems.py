@@ -139,18 +139,15 @@ def sample_regulator(num: int = 1000) -> tuple:
 
 def make_regulator() -> ProblemDef:
     def f0(x):
-        x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         out[..., 0] = x[..., 1]
         out[..., 2] = 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2)
         return out
 
     def f1(x):
-        x = np.asarray(x, dtype=float)
         return np.broadcast_to(np.array([0.0, 1.0, 0.0]), x.shape)
 
     def df0(x):
-        x = np.asarray(x, dtype=float)
         jac = np.zeros(x.shape + (3,))
         jac[..., 0, 1] = 1.0
         jac[..., 2, 0] = x[..., 0]
@@ -158,50 +155,39 @@ def make_regulator() -> ProblemDef:
         return jac
 
     def df1(x):
-        x = np.asarray(x, dtype=float)
         return np.zeros(x.shape + (3,))
 
     def g(x):
-        x = np.asarray(x, dtype=float)
         return -x[..., 1] - 0.2
 
     def dg(x):
-        x = np.asarray(x, dtype=float)
         return np.broadcast_to(np.array([0.0, -1.0, 0.0]), x.shape)
 
     def phi(x0, xT):
-        xT = np.asarray(xT, dtype=float)
         return xT[..., 2] + 0.5 * xT[..., 0] ** 2
 
     def dphi(x0, xT):
-        x0 = np.asarray(x0, dtype=float)
-        xT = np.asarray(xT, dtype=float)
         d1 = np.zeros_like(xT)
         d1[..., 0] = xT[..., 0]
         d1[..., 2] = 1.0
         return np.zeros_like(x0), d1
 
     def Phi(x0, xT):
-        x0 = np.asarray(x0, dtype=float)
         return x0 - np.array([0.0, 1.0, 0.0])
 
     def dPhi(x0, xT):
-        x0 = np.asarray(x0, dtype=float)
         eye = np.broadcast_to(np.eye(3), x0.shape[:-1] + (3, 3))
         return eye, np.zeros(x0.shape[:-1] + (3, 3))
 
     def bracket_f1f0_f0(x):
-        x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         out[..., 2] = x[..., 0]
         return out
 
     def bracket_f1f0_f1(x):
-        x = np.asarray(x, dtype=float)
         return np.broadcast_to(np.array([0.0, 0.0, -1.0]), x.shape)
 
     def dgamma(x):
-        x = np.asarray(x, dtype=float)
         return np.zeros_like(x)
 
     return ProblemDef(
@@ -224,7 +210,6 @@ def make_regulator() -> ProblemDef:
         bracket_f1f0_f1=bracket_f1f0_f1,
         dgamma=dgamma,
         x0_fixed=np.array([0.0, 1.0, 0.0]),
-        name="regulator",
     )
 
 
@@ -263,37 +248,30 @@ def regulator_analytic_omega() -> ShootingVector:
 
 def make_toy_bang() -> ProblemDef:
     def f0(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+        return np.zeros_like(x)
 
     def f1(x):
-        x = np.asarray(x, dtype=float)
         return np.ones_like(x)
 
     def dfzero(x):
-        x = np.asarray(x, dtype=float)
         return np.zeros(x.shape + (1,))
 
     def g(x):
-        x = np.asarray(x, dtype=float)
         return x[..., 0] - 10.0
 
     def dg(x):
-        x = np.asarray(x, dtype=float)
         return np.ones_like(x)
 
     def phi(x0, xT):
-        xT = np.asarray(xT, dtype=float)
         return xT[..., 0]
 
     def dphi(x0, xT):
-        x0 = np.asarray(x0, dtype=float)
-        return np.zeros_like(x0), np.ones_like(np.asarray(xT, dtype=float))
+        return np.zeros_like(x0), np.ones_like(xT)
 
     def Phi(x0, xT):
-        return np.asarray(x0, dtype=float)
+        return x0
 
     def dPhi(x0, xT):
-        x0 = np.asarray(x0, dtype=float)
         return (
             np.broadcast_to(np.eye(1), x0.shape[:-1] + (1, 1)),
             np.zeros(x0.shape[:-1] + (1, 1)),
@@ -316,7 +294,6 @@ def make_toy_bang() -> ProblemDef:
         u_min=-1.0,
         u_max=1.0,
         x0_fixed=np.array([0.0]),
-        name="toy-bang",
     )
 
 

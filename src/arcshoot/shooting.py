@@ -18,7 +18,7 @@ Gauss-Newton with a rank-revealing (SVD) step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -289,10 +289,7 @@ class ConvergenceReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "iterations": [
-                {"residual_norm": it["residual_norm"], "step_norm": it["step_norm"]}
-                for it in self.iterations
-            ],
+            "iterations": self.iterations,
             "converged": self.converged,
             "final_residual": self.final_residual,
             "jacobian_rank": self.jacobian_rank,
@@ -403,13 +400,7 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "value": c.value, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
+        return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
 
 def validate_solution(prob: ProblemDef, struct: ArcStructure,

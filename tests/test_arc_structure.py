@@ -47,6 +47,13 @@ class TestInvariants:
         with pytest.raises(ConfigurationError):
             ArcStructure((B, C), ())
 
+    @pytest.mark.parametrize("tau", [(float("nan"), 2.6), (1.2, float("inf"))],
+                             ids=["nan", "inf"])
+    def test_non_finite_tau_rejected(self, tau):
+        # Every comparison with NaN is false, so the ordering check alone lets it through.
+        with pytest.raises(ConfigurationError, match="switching times must be finite"):
+            ArcStructure((B, C, S), tau)
+
     def test_bounds_required(self, regulator):
         import dataclasses
 
@@ -155,6 +162,17 @@ class TestDetect:
         s = detect_structure(regulator, t, u, x)
         assert s.kinds == (B, S)
         assert s.tau == (0.5 * (t[60] + t[61]),)
+
+    def test_short_middle_run_between_equal_neighbours_joins_the_left(self, regulator):
+        # B- on nodes 0-39, one constrained node at 40, S on nodes 41-80: both
+        # neighbours last 39/16 exactly, and the left one takes the node.
+        t = np.arange(81) / 16
+        u = np.where(np.arange(81) < 40, -1.0, 0.3)
+        x = np.tile([0.0, 1.0, 0.0], (81, 1))
+        x[40, 1] = -0.2                               # g = 0 at node 40
+        s = detect_structure(regulator, t, u, x)
+        assert s.kinds == (B, S)
+        assert s.tau == (0.5 * (t[40] + t[41]),)
 
     def test_invalid_detected_structure_is_wrapped(self, regulator):
         # Samples past the horizon put the switch at t = 7 > T = 5.

@@ -288,6 +288,12 @@ class TestSolve:
         assert run(["solve", "--structure", "B-", "--out", tmp_path]) == 1
         assert "solve: error: no problem given" in capsys.readouterr().err
 
+    def test_non_finite_tau_exits_1(self, tmp_path, capsys):
+        assert run(["solve", "--problem", "regulator", "--structure", "B-,C,S",
+                    "--tau", "nan,2.6", "--init", "analytic", "--out", tmp_path]) == 1
+        assert ("solve: error: switching times must be finite, got (nan, 2.6)"
+                in capsys.readouterr().err)
+
     def test_warm_start_of_other_problem_exits_1(self, tmp_path, toy_bang_dir, capsys):
         assert run(["solve", "--problem", "regulator", "--structure", "B-", "--tau", "",
                     "--init", toy_bang_dir / "omega.json", "--out", tmp_path]) == 1
@@ -411,9 +417,12 @@ class TestVerify:
          "key 'structure': adjacent arcs must differ, got B-B-"),
         (lambda doc: json.dumps({**doc, "structure": {"kinds": ["B-", "C", "S"], "tau": [0.5]}}),
          "key 'structure': 3 arcs need 2 switching times, got 1"),
+        (lambda doc: json.dumps({**doc, "structure": {"kinds": ["B-", "C", "S"],
+                                                      "tau": [float("nan"), 2.6]}}),
+         "key 'structure': switching times must be finite, got (nan, 2.6)"),
     ], ids=["not_json", "no_meta_N", "no_structure", "non_numeric_omega", "string_meta_n",
             "float_meta_n_singular", "non_numeric_tau", "null_tau", "int_kinds",
-            "unknown_token", "adjacent_equal_kinds", "short_tau"])
+            "unknown_token", "adjacent_equal_kinds", "short_tau", "nan_tau"])
     def test_malformed_omega_exits_1(self, tmp_path, toy_bang_dir, capsys, edit, what):
         path = tmp_path / "omega.json"
         path.write_text(edit(json.loads((toy_bang_dir / "omega.json").read_text())))
