@@ -56,8 +56,9 @@ one subprocess per step:
 The exit code of every step goes into ``exit_codes.json``.  The script then
 compares every output file of the two trees byte for byte, lists each one
 that differs or exists on one side only, and exits 1 if there is any such
-file, 0 otherwise.  Both trees run one after the other on this machine, and
-nothing is fetched.
+file, 0 otherwise.  When ``exit_codes.json`` differs, it also prints
+``step: REF code → checkout code`` for each step whose exit code changed.
+Both trees run one after the other on this machine, and nothing is fetched.
 """
 
 from __future__ import annotations
@@ -276,8 +277,12 @@ def main() -> int:
                 bad.append(f"only in the checkout: {n}")
             elif (a / n).read_bytes() != (b / n).read_bytes():
                 bad.append(f"differs: {n}")
+        codes = [json.loads((side / "exit_codes.json").read_text()) for side in (a, b)]
     for line in bad:
         print(line)
+    for step in sorted(codes[0].keys() | codes[1].keys()):
+        if codes[0].get(step) != codes[1].get(step):
+            print(f"  {step}: {codes[0].get(step)} → {codes[1].get(step)}")
     print(f"{len(names)} files compared, {len(bad)} not byte-identical")
     return 1 if bad else 0
 

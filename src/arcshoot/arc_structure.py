@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -174,14 +175,8 @@ def _merge_short_runs(runs: list, grid: np.ndarray, min_len: float) -> list:
 
 def _coalesce(runs: list) -> list:
     """Join neighbouring (kind, first_index, last_index) runs of one kind."""
-    out = [runs[0]]
-    for kind, s, e in runs[1:]:
-        pk, ps, pe = out[-1]
-        if kind == pk:
-            out[-1] = (pk, ps, e)
-        else:
-            out.append((kind, s, e))
-    return out
+    groups = [list(g) for _, g in itertools.groupby(runs, key=lambda r: r[0])]
+    return [(g[0][0], g[0][1], g[-1][2]) for g in groups]
 
 
 def read_trajectory_csv(path) -> tuple:

@@ -64,12 +64,6 @@ class DirectSolveResult:
         return len(self.objective_history) - 1
 
 
-def _pen_grad(prob, x, rho, dt):
-    """Gradient of rho max(0, g)^2 dt at every row of x (..., n)."""
-    gv = np.asarray(prob.g(x), dtype=float)[..., None]
-    return np.where(gv > 0.0, 2.0 * rho * gv * np.asarray(prob.dg(x), dtype=float) * dt, 0.0)
-
-
 def direct_solve(prob: ProblemDef, cfg: Optional[DirectSolveConfig] = None) -> DirectSolveResult:
     """Minimize the Euler-discretized penalized cost over z = (u, x0).
 
@@ -112,7 +106,8 @@ def direct_solve(prob: ProblemDef, cfg: Optional[DirectSolveConfig] = None) -> D
 
     def gradient(z, xs):
         lam = np.empty((K + 1, prob.n))
-        pen = _pen_grad(prob, xs, rho, dt)
+        gv = np.asarray(prob.g(xs), dtype=float)[..., None]  # pen: grad of rho max(0, g)^2 dt
+        pen = np.where(gv > 0.0, 2.0 * rho * gv * np.asarray(prob.dg(xs), dtype=float) * dt, 0.0)
         (d0, dT), (D0, DT) = prob.dphi(xs[0], xs[-1]), prob.dPhi(xs[0], xs[-1])
         w = 2.0 * rho * np.asarray(prob.Phi(xs[0], xs[-1]), dtype=float)
         lam[K] = np.asarray(dT, dtype=float) + pen[K] + w @ np.asarray(DT, dtype=float)

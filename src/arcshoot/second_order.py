@@ -251,11 +251,10 @@ class QuadraticFormData:
     def split(self, coords: np.ndarray):
         """Coordinates -> (Xi0, Y_nodes (M+1, S), h (S,))."""
         D = self.lin.D
-        S = self.lin.n_channels
         m1 = self.lin.s.size
         xi0 = coords[:D]
-        Y = coords[D:].reshape(S, m1).T if S else np.zeros((m1, 0))
-        h = Y[-1] if S else np.zeros(0)
+        Y = coords[D:].reshape(self.lin.n_channels, m1).T
+        h = Y[-1]
         return xi0, Y, h
 
     def value(self, coords: np.ndarray) -> float:

@@ -111,14 +111,9 @@ def check_sizes(prob: ProblemDef, struct: ArcStructure, omega: ShootingVector) -
 
 def _unpack_batch(flats: np.ndarray, N: int, n: int, q: int):
     """Split packed vectors (..., m) into fields with the same leading axes."""
-    lead = flats.shape[:-1]
-    i = 0
-    x0 = flats[..., i : i + N * n].reshape(lead + (N, n)); i += N * n
-    tau = flats[..., i : i + N - 1]; i += N - 1
-    p0 = flats[..., i : i + N * n].reshape(lead + (N, n)); i += N * n
-    psi = flats[..., i : i + q]; i += q
-    gamma = flats[..., i:]
-    return x0, tau, p0, psi, gamma
+    x0, tau, p0, psi, gamma = np.split(flats, np.cumsum([N * n, N - 1, N * n, q]), axis=-1)
+    lead = flats.shape[:-1] + (N, n)
+    return x0.reshape(lead), tau, p0.reshape(lead), psi, gamma
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +283,10 @@ class ConvergenceReport:
         return [it["residual_norm"] for it in self.iterations] + [self.final_residual]
 
     def to_json_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "final_residual": self.final_residual,
-            "jacobian_rank": self.jacobian_rank,
-            "smallest_singular_value": self.smallest_singular_value,
-            "order_estimate": None if np.isnan(self.order_estimate) else self.order_estimate,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("stalled", "trajectory")}
+        doc["order_estimate"] = None if np.isnan(self.order_estimate) else self.order_estimate
+        return doc
 
 
 def _order_estimate(history) -> float:
@@ -367,8 +358,7 @@ def gauss_newton(
             break
     rinf = float(np.linalg.norm(r, np.inf))
 
-    omega_star = ShootingVector.unpack(flat, struct.N, prob.n, prob.q,
-                                       struct.kinds.count(ArcKind.Constrained))
+    omega_star = ShootingVector(*_unpack_batch(flat, struct.N, prob.n, prob.q))
     _, svals, report.jacobian_rank = _minimum_norm_step(J, r)
     report.converged = rinf <= tol
     report.final_residual = rinf
@@ -537,7 +527,10 @@ def load_omega(path, prob: ProblemDef) -> tuple:
     counts = [struct.kinds.count(kind) for kind in (ArcKind.Constrained, ArcKind.Singular)]
     if struct.N != N or counts != [n_c, n_s]:
         raise ConfigurationError(f"warm-start metadata inconsistent with structure in {path}")
-    omega = ShootingVector.unpack(np.array(listed("omega", "numbers", float)), N, n, q, n_c)
+    packed = np.array(listed("omega", "numbers", float))
+    if bad := np.flatnonzero(~np.isfinite(packed)).tolist():
+        raise ConfigurationError(f"{path} key 'omega' has non-finite entries at positions {bad}")
+    omega = ShootingVector.unpack(packed, N, n, q, n_c)
     if not np.array_equal(omega.tau, struct.tau):
         raise ConfigurationError(f"{path} holds switching times {list(struct.tau)} in "
                                  f"'structure.tau' but {omega.tau.tolist()} in 'omega'")

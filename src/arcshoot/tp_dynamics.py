@@ -141,10 +141,7 @@ def rk4(rate, y0, steps: int, h: float):
 
 def durations(tau, T):
     """Arc durations (..., N) from interior switching times (..., N-1) on [0, T]."""
-    tau = np.asarray(tau, dtype=float)
-    lo = np.concatenate([np.zeros(tau.shape[:-1] + (1,)), tau], axis=-1)
-    hi = np.concatenate([tau, np.full(tau.shape[:-1] + (1,), T)], axis=-1)
-    return hi - lo
+    return np.diff(np.asarray(tau, dtype=float), axis=-1, prepend=0.0, append=T)
 
 
 def _arc_system(prob, kinds, tau, x0, p0, M):

@@ -174,6 +174,18 @@ class TestDetect:
         assert s.kinds == (B, S)
         assert s.tau == (0.5 * (t[40] + t[41]),)
 
+    def test_short_run_inside_one_kind_joins_both_sides(self, regulator):
+        # B- on [0, 1.45], then S on [1.5, 2.95] and [3.05, 5] around one
+        # constrained node at 3.0: the node joins an S run, and the S runs
+        # on both sides of it join into one.
+        t = np.linspace(0, 5, 101)
+        u = np.where(t < 1.49, -1.0, 0.3)
+        x = np.tile([0.0, 1.0, 0.0], (101, 1))
+        x[60, 1] = -0.2                               # g = 0 at t = 3.0
+        s = detect_structure(regulator, t, u, x)
+        assert s.kinds == (B, S)
+        assert s.tau == (0.5 * (t[29] + t[30]),)
+
     def test_invalid_detected_structure_is_wrapped(self, regulator):
         # Samples past the horizon put the switch at t = 7 > T = 5.
         t = np.linspace(0, 10, 201)

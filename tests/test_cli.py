@@ -455,6 +455,21 @@ class TestVerify:
         assert (f"verify: error: {path} holds switching times [1.2, 2.6] in 'structure.tau' "
                 f"but {tau} in 'omega'") in err
 
+    @pytest.mark.parametrize("command, index, value", [
+        ("verify", -1, float("nan")), ("verify", 0, float("inf")), ("solve", -1, float("nan")),
+    ], ids=["verify_nan_gamma", "verify_inf_x0", "solve_nan_gamma"])
+    def test_non_finite_omega_entry_exits_1(self, tmp_path, solved_dir, capsys, command, index,
+                                            value):
+        doc = json.loads((solved_dir / "omega.json").read_text())
+        doc["omega"][index] = value
+        path = tmp_path / "omega.json"
+        path.write_text(json.dumps(doc))
+        args = (["--omega", path, "--nodes", "50"] if command == "verify"
+                else ["--structure", "B-,C,S", "--init", path])
+        assert run([command, "--problem", "regulator", *args, "--out", tmp_path / "out"]) == 1
+        assert (f"{command}: error: {path} key 'omega' has non-finite entries at positions "
+                f"[{index % len(doc['omega'])}]") in capsys.readouterr().err
+
     def test_directory_as_omega_exits_1(self, tmp_path, capsys):
         assert run(["verify", "--problem", "regulator", "--omega", tmp_path,
                     "--out", tmp_path]) == 1

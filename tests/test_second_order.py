@@ -171,6 +171,14 @@ class TestTransformationIdentity:
         direct = omega_form_value(reg_qfd.lin, xi0, Y)
         assert reg_qfd.value(c) == pytest.approx(direct, rel=1e-10)
 
+    def test_split_without_singular_arcs(self):
+        # Toy-bang has one bang arc: no channel, so Y and h are empty.
+        qfd = assemble_omega(linearized_matrices(P.make_toy_bang(), P.toy_bang_structure(),
+                                                 P.toy_bang_analytic_omega(), 40))
+        xi0, Y, h = qfd.split(np.arange(qfd.ncoord, dtype=float))
+        assert (xi0.shape, Y.shape, h.shape) == ((qfd.lin.D,), (41, 0), (0,))
+        np.testing.assert_array_equal(xi0, np.arange(qfd.lin.D))
+
 
 def _reference_assembly(lin):
     """The per-node loop of dense rank updates that assemble_omega replaced.

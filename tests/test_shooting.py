@@ -97,6 +97,21 @@ class TestPacking:
         with pytest.raises(ConfigurationError, match=what):
             make()
 
+    @pytest.mark.parametrize("lead, N, n, q, n_c", [((2, 3), 3, 3, 3, 1), ((), 1, 1, 1, 0)],
+                             ids=["batch_2x3", "one_arc_empty_tau"])
+    def test_unpack_batch_equals_field_slices(self, lead, N, n, q, n_c):
+        flats = np.random.default_rng(4).normal(size=lead + (2 * N * n + N - 1 + q + n_c,))
+        a, b = N * n, N * n + N - 1
+        c = b + N * n
+        want = (flats[..., :a].reshape(lead + (N, n)), flats[..., a:b],
+                flats[..., b:c].reshape(lead + (N, n)), flats[..., c : c + q], flats[..., c + q:])
+        got = shooting._unpack_batch(flats, N, n, q)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+            assert g.size == 0 or np.shares_memory(g, flats)
+
     def test_dimension_law_randomized(self):
         rng = np.random.default_rng(5)
         for _ in range(20):

@@ -245,6 +245,18 @@ class TestPropagate:
         assert np.max(np.abs(resid)) <= 1e-8
 
 
+@pytest.mark.parametrize("tau, want", [
+    ((), [5.0]),
+    ([[1.2, 2.6], [0.0, 5.0], [2.0, 2.0]],
+     [[1.2, 2.6 - 1.2, 5.0 - 2.6], [0.0, 5.0, 0.0], [2.0, 0.0, 3.0]]),
+], ids=["empty_tau", "batch_of_rows"])
+def test_durations(tau, want):
+    got = durations(tau, 5.0)
+    assert got.dtype == float
+    np.testing.assert_array_equal(got, want)
+    assert got.shape == np.shape(want)
+
+
 def _blow_up_problem():
     """xdot = x^2 under the B- rule with u_min = 0: from x0 = 1 it blows up at t = 1."""
     return dataclasses.replace(
